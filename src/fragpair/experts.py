@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 import numpy as np
@@ -82,7 +84,7 @@ def _pair_training_set(
     containing fragment, tagged with that fragment's id.
     """
     i, j = pair
-    rows, frags = js.membership_rows(ds.y)
+    rows, frags = js.membership_rows_of(ds.y)
     keep = (frags == i) | (frags == j)
     return rows[keep], frags[keep]
 
@@ -201,11 +203,104 @@ def _effective_k(K: int, bank_size: int, pair: Pair) -> int:
     return K
 
 
+# Distance rows per block: about 512 KB of float64 (74 rows at the default
+# ~880-row bank), reused across blocks.  Larger blocks were no faster on one
+# core and, where BLAS runs its own threads, slower on two.
+_BLOCK_BYTES = 1 << 19
+
+_pool = None  # (pid, ThreadPoolExecutor), created on the first multi-slab call
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_rows(bank_size: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * bank_size))
+
+
+def _thread_pool():
+    global _pool
+    with _pool_lock:
+        # A forked child inherits the executor but not its threads: start afresh.
+        if _pool is None or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (os.getpid(), ThreadPoolExecutor(_usable_cpus(), "fragpair-knn"))
+        return _pool[1]
+
+
+def _lower_votes_slab(
+    queries: np.ndarray,
+    q_norms: np.ndarray,
+    feats: np.ndarray,
+    f_norms: np.ndarray,
+    is_lower: np.ndarray,
+    k: int,
+    block: int,
+    out: np.ndarray,
+) -> None:
+    """Write into ``out`` each query row's count of lower-fragment entries among its k nearest.
+
+    Walks the rows in blocks through buffers allocated once; fresh
+    arrays per block would be handed back to the OS and faulted in again.
+    """
+    m = len(is_lower)
+    rows = min(block, len(queries))
+    d2_buf = np.empty((rows, m))
+    gemm_buf = np.empty((rows, m))
+    part_buf = np.empty((rows, m))
+    mask_buf = np.empty((rows, m), dtype=bool)
+    for start in range(0, len(queries), block):
+        stop = min(start + block, len(queries))
+        b = stop - start
+        d2, gemm, part, mask = d2_buf[:b], gemm_buf[:b], part_buf[:b], mask_buf[:b]
+        # (|q|^2 + |f|^2) - 2 q.f in that order: the same bits as the dense matrix.
+        np.copyto(d2, f_norms)
+        np.add(d2, q_norms[start:stop, None], out=d2)
+        np.matmul(queries[start:stop], feats.T, out=gemm)
+        gemm *= 2.0
+        d2 -= gemm
+        np.maximum(d2, 0.0, out=part)
+        part.partition(k - 1, axis=1)
+        kth = part[:, k - 1 : k]
+        # kth >= 0, so comparing the unclipped d2 against it gives the same mask.
+        np.less_equal(d2, kth, out=mask)
+        within = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
+        np.logical_and(mask, is_lower, out=mask)
+        votes = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
+        # Rows whose ties at the k-th distance straddle the cut keep every
+        # entry closer than kth, then the first tied entries by bank index.
+        straddle = np.flatnonzero(within > k)
+        if straddle.size:
+            d2_s = np.maximum(d2[straddle], 0.0)
+            kth_s = kth[straddle]
+            closer = d2_s < kth_s
+            tied = d2_s == kth_s
+            need = k - closer.sum(axis=1)
+            closer |= tied & (np.cumsum(tied, axis=1) <= need[:, None])
+            votes[straddle] = (closer & is_lower).sum(axis=1)
+        out[start:stop] = votes
+
+
 def knn_votes(bank: FeatureBank, pair: Pair, queries: np.ndarray, K: int) -> np.ndarray:
     """Majority fragment id among the K nearest bank entries, per query row.
 
-    Euclidean distance; distance ties break toward the lower bank index.  K is
-    kept odd (shrunk if it exceeds the bank) so votes cannot tie.
+    Squared Euclidean distances are ``max((|q|^2 + |f|^2) - 2 q.f, 0)``.  The K
+    nearest are every entry closer than the K-th smallest distance, then the
+    entries at exactly that distance in bank-index order: ties break toward
+    the lower bank index, as a stable sort would.  K is kept odd (shrunk if it
+    exceeds the bank) so votes cannot tie.
+
+    The queries are split into one contiguous slab per CPU in the process's
+    affinity mask, run on a thread pool, and each slab is walked in blocks of
+    about 512 KB of distances through buffers allocated once: about 1.6 MB
+    per CPU, not a dense queries x bank matrix.  The votes do not depend on
+    the number of CPUs.
     """
     if pair not in bank.features:
         raise ExpertError(f"feature bank holds no entries for pair {pair}")
@@ -213,29 +308,26 @@ def knn_votes(bank: FeatureBank, pair: Pair, queries: np.ndarray, K: int) -> np.
     tags = bank.frag_ids[pair]
     k = _effective_k(K, len(tags), pair)
     queries = np.asarray(queries, dtype=np.float64)
-    d2 = np.maximum(
-        (queries * queries).sum(axis=1)[:, None]
-        + (feats * feats).sum(axis=1)[None, :]
-        - 2.0 * (queries @ feats.T),
-        0.0,
-    )
+    q_norms = (queries * queries).sum(axis=1)
+    f_norms = (feats * feats).sum(axis=1)
     i, j = pair
     is_lower = tags == i
-    m = d2.shape[1]
-    if k >= m:
-        lower_votes = np.full(d2.shape[0], int(is_lower.sum()))
-    else:
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        cand = np.take_along_axis(d2, part, axis=1)
-        kth = cand.max(axis=1)
-        lower_votes = is_lower[part].sum(axis=1)
-        # argpartition resolves equal distances at the k-th slot arbitrarily;
-        # rows where such ties straddle the cut are re-ranked exactly, with
-        # the lower bank index winning.
-        ambiguous = (d2 == kth[:, None]).sum(axis=1) > (cand == kth[:, None]).sum(axis=1)
-        for r in np.flatnonzero(ambiguous):
-            exact = np.argsort(d2[r], kind="stable")[:k]
-            lower_votes[r] = is_lower[exact].sum()
+    n = len(queries)
+    block = _block_rows(len(tags))
+    n_blocks = max(1, -(-n // block))
+    lower_votes = np.empty(n, dtype=np.int32)
+    # One contiguous slab of whole blocks per usable CPU.
+    step = -(-n_blocks // min(_usable_cpus(), n_blocks)) * block
+    slab_args = [
+        (queries[s : s + step], q_norms[s : s + step], feats, f_norms, is_lower, k, block,
+         lower_votes[s : s + step])
+        for s in range(0, max(n, 1), step)
+    ]
+    # The calling thread takes the first slab while the pool runs the rest.
+    futures = [_thread_pool().submit(_lower_votes_slab, *args) for args in slab_args[1:]]
+    _lower_votes_slab(*slab_args[0])
+    for future in futures:
+        future.result()
     return np.where(2 * lower_votes > k, i, j)
 
 

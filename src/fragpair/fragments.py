@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -248,6 +248,8 @@ class JitteredScheme:
 
     base: FragmentationScheme
     delta: float
+    # [label array, rows, fragment ids] of the last membership_rows_of call.
+    _last_membership: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def num_fragments(self) -> int:
@@ -292,6 +294,22 @@ class JitteredScheme:
         frags = np.concatenate([base[in_left] - 1, base, base[in_right] + 1])
         order = np.lexsort((frags, rows))
         return rows[order], frags[order]
+
+    def membership_rows_of(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`membership_rows` of ``y``, computed once per label array.
+
+        Every expert's training set and feature bank of an epoch reads the
+        same membership; the arrays are returned read-only.  The label array
+        is matched by identity, so it must not be modified in place while
+        this scheme is in use.
+        """
+        memo = self._last_membership
+        if not memo or memo[0] is not y:
+            rows, frags = self.membership_rows(y)
+            rows.flags.writeable = False
+            frags.flags.writeable = False
+            memo[:] = [y, rows, frags]
+        return memo[1], memo[2]
 
     def to_json(self) -> dict:
         return {"delta": float(self.delta), "base": self.base.to_json()}

@@ -160,8 +160,6 @@ class _ArtifactWriter:
             self._metrics.write(json.dumps(record) + "\n")
 
     def selection_epoch(self, epoch: int, rows: list[dict]) -> None:
-        if self.out_dir is None:
-            return
         path = self.out_dir / "selection" / f"epoch_{epoch:04d}.jsonl"
         with path.open("w") as fh:
             for row in rows:
@@ -305,13 +303,11 @@ def run_experiment(
                     predictive="classifier" if cfg.mode == "select" else "regression",
                 )
                 selected = outcome.combine(cfg.selection_combine)
-                union = np.union1d(outcome.selected_pred, outcome.selected_repr)
-                if not np.array_equal(outcome.selected_union, union):
-                    raise PipelineError("selected union does not match S^p | S^r")
                 record["n_pred"] = int(outcome.chosen_pred.sum())
                 record["n_repr"] = int(outcome.chosen_repr.sum())
                 result.last_selection = outcome
-                writer.selection_epoch(epoch, outcome.records(train))
+                if writer.out_dir is not None:
+                    writer.selection_epoch(epoch, outcome.records(train))
             else:
                 selected = np.arange(train.n)
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+import fragpair.experts as experts_mod
 from fragpair.data import Dataset, generate_synthetic
 from fragpair.experts import (
     ExpertError,
@@ -237,3 +240,117 @@ class TestKnn:
         bank = self._bank(n=10)
         with pytest.raises(ExpertError):
             knn_classify(bank, (1, 3), np.zeros(4), K=4)
+
+
+def knn_oracle(feats: np.ndarray, tags: np.ndarray, pair, queries: np.ndarray, k: int):
+    """Brute force: stable argsort of the dense squared-distance matrix."""
+    i, j = pair
+    d2 = np.maximum(
+        (queries * queries).sum(axis=1)[:, None]
+        + (feats * feats).sum(axis=1)[None, :]
+        - 2.0 * (queries @ feats.T),
+        0.0,
+    )
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    lower = (tags[nearest] == i).sum(axis=1)
+    return np.where(2 * lower > k, i, j)
+
+
+def straddling_rows(feats: np.ndarray, queries: np.ndarray, k: int) -> int:
+    """Rows whose equal distances at the k-th slot reach past it."""
+    d2 = np.maximum(
+        (queries * queries).sum(axis=1)[:, None]
+        + (feats * feats).sum(axis=1)[None, :]
+        - 2.0 * (queries @ feats.T),
+        0.0,
+    )
+    kth = np.sort(d2, axis=1)[:, k - 1 : k]
+    return int(((d2 <= kth).sum(axis=1) > k).sum())
+
+
+class TestKnnOracle:
+    PAIR = (2, 5)
+    BANK = 601  # odd, so K equal to the bank size is kept as is
+
+    def _tie_heavy(self, seed: int, integer: bool):
+        """A bank of few distinct rows (duplicated rows and tags) and queries on them."""
+        rng = np.random.default_rng(seed)
+        if integer:
+            feats = rng.integers(-2, 3, size=(self.BANK, 3)).astype(np.float64)
+        else:
+            distinct = rng.normal(size=(40, 3))
+            feats = distinct[rng.integers(0, 40, self.BANK)]
+        tags = rng.choice(self.PAIR, size=self.BANK)
+        return rng, feats, tags
+
+    def _bank(self, feats, tags) -> FeatureBank:
+        bank = FeatureBank()
+        bank.features[self.PAIR] = feats
+        bank.frag_ids[self.PAIR] = tags
+        return bank
+
+    def _queries(self, rng, feats, n: int, integer: bool) -> np.ndarray:
+        on_bank = feats[rng.integers(0, len(feats), n - n // 2)]
+        if integer:
+            off_bank = rng.integers(-3, 4, size=(n // 2, feats.shape[1])).astype(np.float64)
+        else:
+            off_bank = rng.normal(size=(n // 2, feats.shape[1]))
+        return np.concatenate([on_bank, off_bank])
+
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("K", [1, 3, 5, 7])
+    def test_ties_match_stable_sort(self, integer: bool, K: int) -> None:
+        rng, feats, tags = self._tie_heavy(K, integer)
+        queries = self._queries(rng, feats, 500, integer)
+        assert straddling_rows(feats, queries, K) > 0
+        got = knn_votes(self._bank(feats, tags), self.PAIR, queries, K)
+        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
+
+    def test_query_counts_around_the_block_size(self) -> None:
+        rng, feats, tags = self._tie_heavy(11, integer=True)
+        bank = self._bank(feats, tags)
+        block = experts_mod._block_rows(self.BANK)
+        assert block > 2
+        for n in (0, 1, block - 1, block, block + 1, 4 * block + 3):
+            queries = self._queries(rng, feats, n, integer=True)
+            got = knn_votes(bank, self.PAIR, queries, 5)
+            assert got.shape == (n,)
+            assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_votes_do_not_depend_on_cpu_count(self, cpus: int, monkeypatch) -> None:
+        rng, feats, tags = self._tie_heavy(12, integer=False)
+        queries = self._queries(rng, feats, 5 * experts_mod._block_rows(self.BANK) + 7, False)
+        slabs = []
+        slab = experts_mod._lower_votes_slab
+        monkeypatch.setattr(experts_mod, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(
+            experts_mod, "_lower_votes_slab", lambda *args: slabs.append(len(args[0])) or slab(*args)
+        )
+        # A pool owned by another process id (a forked parent's) is replaced.
+        monkeypatch.setattr(experts_mod, "_pool", (-1, None))
+        try:
+            got = knn_votes(self._bank(feats, tags), self.PAIR, queries, 7)
+        finally:
+            if experts_mod._pool[1] is not None:
+                experts_mod._pool[1].shutdown()
+        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 7))
+        assert 1 <= len(slabs) <= cpus
+        assert sum(slabs) == len(queries)
+
+    def test_k_equal_to_bank_size(self) -> None:
+        rng, feats, tags = self._tie_heavy(13, integer=True)
+        queries = self._queries(rng, feats, 50, integer=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = knn_votes(self._bank(feats, tags), self.PAIR, queries, self.BANK)
+        majority = 2 if 2 * (tags == 2).sum() > self.BANK else 5
+        assert np.all(got == majority)
+        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, self.BANK))
+
+    def test_k_larger_than_bank_warns(self) -> None:
+        rng, feats, tags = self._tie_heavy(14, integer=True)
+        queries = self._queries(rng, feats, 50, integer=True)
+        with pytest.warns(UserWarning, match="exceeds bank size"):
+            got = knn_votes(self._bank(feats, tags), self.PAIR, queries, self.BANK + 2)
+        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, self.BANK))

@@ -293,6 +293,23 @@ class TestJitter:
         ]
         assert list(zip(rows.tolist(), frags.tolist())) == expected
 
+    def test_membership_rows_of_computes_once_per_label_array(self) -> None:
+        scheme = self._scheme()
+        rng = np.random.default_rng(24)
+        y = rng.uniform(0.0, 100.0, 300)
+        js = JitteredScheme(base=scheme, delta=6.0)
+        rows, frags = js.membership_rows_of(y)
+        expected_rows, expected_frags = js.membership_rows(y)
+        assert np.array_equal(rows, expected_rows)
+        assert np.array_equal(frags, expected_frags)
+        again = js.membership_rows_of(y)
+        assert again[0] is rows and again[1] is frags
+        assert not rows.flags.writeable and not frags.flags.writeable
+        other = js.membership_rows_of(y.copy())
+        assert other[0] is not rows
+        assert np.array_equal(other[0], rows)
+        assert js == JitteredScheme(base=scheme, delta=6.0)
+
     def test_jittered_intervals_cover_range(self) -> None:
         scheme = self._scheme()
         js = JitteredScheme(base=scheme, delta=4.0)

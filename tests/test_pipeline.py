@@ -103,6 +103,34 @@ class TestRunExperiment:
         row = json.loads(lines[0])
         assert {"index", "p_pred", "p_repr", "chosen_pred", "chosen_repr", "y", "y_gt"} <= set(row)
 
+    def test_selection_records_built_only_when_written(self, tmp_path, monkeypatch) -> None:
+        from fragpair.selection import SelectionOutcome
+
+        calls = []
+        records = SelectionOutcome.records
+        monkeypatch.setattr(
+            SelectionOutcome, "records", lambda self, ds: calls.append(1) or records(self, ds)
+        )
+        cfg = small_config()
+        run_experiment(cfg)
+        assert calls == []
+        run_experiment(cfg, out_dir=tmp_path / "run")
+        assert len(calls) == cfg.epochs
+
+    def test_jittered_membership_computed_once_per_epoch(self, monkeypatch) -> None:
+        from fragpair.fragments import JitteredScheme
+
+        calls = []
+        membership_rows = JitteredScheme.membership_rows
+        monkeypatch.setattr(
+            JitteredScheme,
+            "membership_rows",
+            lambda self, y: calls.append(1) or membership_rows(self, y),
+        )
+        cfg = small_config(fragments=6)
+        run_experiment(cfg)
+        assert len(calls) == cfg.epochs
+
     def test_resolved_config_round_trips(self, tmp_path) -> None:
         cfg = small_config()
         run_experiment(cfg, out_dir=tmp_path / "run")

@@ -242,28 +242,26 @@ class TestKnn:
             knn_classify(bank, (1, 3), np.zeros(4), K=4)
 
 
-def knn_oracle(feats: np.ndarray, tags: np.ndarray, pair, queries: np.ndarray, k: int):
-    """Brute force: stable argsort of the dense squared-distance matrix."""
-    i, j = pair
-    d2 = np.maximum(
+def dense_d2(feats: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    return np.maximum(
         (queries * queries).sum(axis=1)[:, None]
         + (feats * feats).sum(axis=1)[None, :]
         - 2.0 * (queries @ feats.T),
         0.0,
     )
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def knn_oracle(feats: np.ndarray, tags: np.ndarray, pair, queries: np.ndarray, k: int):
+    """Brute force: stable argsort of the dense squared-distance matrix."""
+    i, j = pair
+    nearest = np.argsort(dense_d2(feats, queries), axis=1, kind="stable")[:, :k]
     lower = (tags[nearest] == i).sum(axis=1)
     return np.where(2 * lower > k, i, j)
 
 
 def straddling_rows(feats: np.ndarray, queries: np.ndarray, k: int) -> int:
     """Rows whose equal distances at the k-th slot reach past it."""
-    d2 = np.maximum(
-        (queries * queries).sum(axis=1)[:, None]
-        + (feats * feats).sum(axis=1)[None, :]
-        - 2.0 * (queries @ feats.T),
-        0.0,
-    )
+    d2 = dense_d2(feats, queries)
     kth = np.sort(d2, axis=1)[:, k - 1 : k]
     return int(((d2 <= kth).sum(axis=1) > k).sum())
 

@@ -24,6 +24,16 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _require_int(value, name: str, minimum: Optional[int] = None) -> None:
+    """An integer field: bools (an int subclass) and integral floats are rejected."""
+    _require(
+        isinstance(value, int) and not isinstance(value, bool),
+        f"{name}: must be an integer, got {value!r}",
+    )
+    if minimum is not None:
+        _require(value >= minimum, f"{name}: must be >= {minimum}")
+
+
 def _take(raw: dict, allowed: dict, context: str) -> dict:
     unknown = set(raw) - set(allowed)
     _require(not unknown, f"unknown {context} keys: {', '.join(sorted(unknown))}")
@@ -39,10 +49,8 @@ class NetConfig:
 
     def validate(self, name: str) -> None:
         _require(len(self.hidden_dims) >= 1, f"{name}.hidden_dims: need one or more layers")
-        _require(
-            all(isinstance(h, int) and h >= 1 for h in self.hidden_dims),
-            f"{name}.hidden_dims: entries must be integers >= 1",
-        )
+        for h in self.hidden_dims:
+            _require_int(h, f"{name}.hidden_dims", 1)
         _require(
             self.activation in ACTIVATIONS,
             f"{name}.activation: must be one of {ACTIVATIONS}",
@@ -54,6 +62,10 @@ class NetConfig:
     @staticmethod
     def from_dict(raw: dict, name: str) -> "NetConfig":
         merged = _take(raw, {"hidden_dims": [16, 8], "activation": "relu"}, name)
+        _require(
+            isinstance(merged["hidden_dims"], (list, tuple)),
+            f"{name}.hidden_dims: must be a list of integers",
+        )
         return NetConfig(
             hidden_dims=tuple(merged["hidden_dims"]), activation=merged["activation"]
         )
@@ -88,24 +100,24 @@ class ExperimentConfig:
         self._validate_dataset()
         self._validate_noise()
         F = self.fragments
+        _require_int(F, "fragments")
         _require(
-            isinstance(F, int) and F % 2 == 0 and MIN_FRAGMENTS <= F <= MAX_FRAGMENTS,
+            F % 2 == 0 and MIN_FRAGMENTS <= F <= MAX_FRAGMENTS,
             f"fragments: must be even and within [{MIN_FRAGMENTS}, {MAX_FRAGMENTS}]",
         )
         _require(
             0.0 <= self.jitter <= max_jitter(F) + 1e-12,
             f"jitter: must lie in [0, {max_jitter(F):.6g}] for fragments={F}",
         )
-        _require(
-            isinstance(self.knn_k, int) and self.knn_k >= 1 and self.knn_k % 2 == 1,
-            "knn_k: must be an odd integer >= 1",
-        )
+        _require_int(self.knn_k, "knn_k", 1)
+        _require(self.knn_k % 2 == 1, "knn_k: must be an odd integer >= 1")
         self.expert_net.validate("expert_net")
         self.regressor_net.validate("regressor_net")
-        _require(self.epochs >= 1, "epochs: must be >= 1")
+        _require_int(self.epochs, "epochs", 1)
         _require(self.expert_lr > 0, "expert_lr: must be > 0")
         _require(self.regressor_lr > 0, "regressor_lr: must be > 0")
-        _require(self.batch_size >= 1, "batch_size: must be >= 1")
+        _require_int(self.batch_size, "batch_size", 1)
+        _require_int(self.seed, "seed")
         _require(0.0 < self.test_frac < 1.0, "test_frac: must lie in (0, 1)")
         _require(self.mode in MODES, f"mode: must be one of {MODES}")
         _require(
@@ -140,8 +152,8 @@ class ExperimentConfig:
                 },
                 "dataset",
             )
-            _require(spec["n"] >= 1, "dataset.n: must be >= 1")
-            _require(spec["d"] >= 1, "dataset.d: must be >= 1")
+            _require_int(spec["n"], "dataset.n", 1)
+            _require_int(spec["d"], "dataset.d", 1)
             _require(
                 spec["label_hi"] > spec["label_lo"],
                 "dataset.label_hi: must exceed dataset.label_lo",

@@ -160,17 +160,18 @@ def gradients(net: Net, X: np.ndarray, T: np.ndarray, loss: str):
     value, delta = _loss_and_output_grad(out, T, loss)
     if not np.isfinite(value):
         raise NetError(f"non-finite {loss} loss ({value}); training diverged")
-    grad_w = [np.zeros_like(w) for w in net.weights]
-    grad_b = [np.zeros_like(b) for b in net.biases]
-    grad_w[-1] = delta.T @ acts[-1]
-    grad_b[-1] = delta.sum(axis=0)
+    # Collected output layer first, then reversed into layer order.
+    grad_w = [delta.T @ acts[-1]]
+    grad_b = [delta.sum(axis=0)]
     upstream = delta @ net.weights[-1]
     for layer in range(len(zs) - 1, -1, -1):
         dz = upstream * _activate_grad(zs[layer], acts[layer + 1], net.spec.activation)
-        grad_w[layer] = dz.T @ acts[layer]
-        grad_b[layer] = dz.sum(axis=0)
+        grad_w.append(dz.T @ acts[layer])
+        grad_b.append(dz.sum(axis=0))
         if layer > 0:
             upstream = dz @ net.weights[layer]
+    grad_w.reverse()
+    grad_b.reverse()
     return value, grad_w, grad_b
 
 

@@ -148,6 +148,7 @@ class _ArtifactWriter:
 
     def __init__(self, out_dir: Optional[Path]):
         self.out_dir = out_dir
+        self._tails: Optional[list[str]] = None
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "selection").mkdir(exist_ok=True)
@@ -159,11 +160,12 @@ class _ArtifactWriter:
         if self._metrics is not None:
             self._metrics.write(json.dumps(record) + "\n")
 
-    def selection_epoch(self, epoch: int, rows: list[dict]) -> None:
+    def selection_epoch(self, epoch: int, outcome: SelectionOutcome, train: Dataset) -> None:
+        # The labels never change during a run: format their row tails once.
+        if self._tails is None:
+            self._tails = SelectionOutcome.jsonl_tails(train)
         path = self.out_dir / "selection" / f"epoch_{epoch:04d}.jsonl"
-        with path.open("w") as fh:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
+        path.write_text(outcome.jsonl(self._tails))
 
     def close(self) -> None:
         if self._metrics is not None:
@@ -307,7 +309,7 @@ def run_experiment(
                 record["n_repr"] = int(outcome.chosen_repr.sum())
                 result.last_selection = outcome
                 if writer.out_dir is not None:
-                    writer.selection_epoch(epoch, outcome.records(train))
+                    writer.selection_epoch(epoch, outcome, train)
             else:
                 selected = np.arange(train.n)
 

@@ -202,7 +202,50 @@ class SelectionOutcome:
             return self.selected_repr
         raise ValueError(f"unknown selection combination {how!r}")
 
+    # One selection-file row in the key order of ``records``; the last field
+    # is the sample's label tail from ``jsonl_tails``.  Not a dataclass field.
+    _JSONL_ROW = (
+        '{"index": %d, "p_pred": %r, "p_repr": %r, "chosen_pred": %s, "chosen_repr": %s%s'
+    )
+
+    def jsonl(self, tails: list[str]) -> str:
+        """One epoch's selection file: the JSON lines of ``records``, byte for byte.
+
+        ``tails`` holds each sample's fixed row ending from ``jsonl_tails``.
+        ``json.dumps`` writes a finite float as ``float.__repr__`` does, and
+        every probability here is a finite sum of softmax weights, so ``%r``
+        gives its bytes.
+        """
+        flags = ("false", "true")
+        return "".join(
+            map(
+                self._JSONL_ROW.__mod__,
+                zip(
+                    range(len(self.p_pred)),
+                    self.p_pred.tolist(),
+                    self.p_repr.tolist(),
+                    [flags[c] for c in self.chosen_pred.tolist()],
+                    [flags[c] for c in self.chosen_repr.tolist()],
+                    tails,
+                ),
+            )
+        )
+
+    @staticmethod
+    def jsonl_tails(ds: Dataset) -> list[str]:
+        """Per-sample endings of the ``jsonl`` rows: the labels, fixed for a run.
+
+        ``Dataset`` rejects non-finite labels, so ``%r`` matches ``json.dumps``.
+        """
+        if ds.y_gt is None:
+            return [', "y": %r}\n' % y for y in ds.y.tolist()]
+        return [
+            ', "y": %r, "y_gt": %r}\n' % pair
+            for pair in zip(ds.y.tolist(), ds.y_gt.tolist())
+        ]
+
     def records(self, ds: Dataset) -> list[dict]:
+        """Per-row view of one epoch's selection; ``jsonl`` writes the same rows."""
         rows = []
         for idx in range(len(self.p_pred)):
             row: dict = {

@@ -56,6 +56,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=fragment):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"epochs": 2.5}, "epochs"),
+            ({"epochs": True}, "epochs"),
+            ({"batch_size": 8.0}, "batch_size"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": "0"}, "seed"),
+            ({"knn_k": True}, "knn_k"),
+            ({"knn_k": 5.0}, "knn_k"),
+            ({"fragments": 4.0}, "fragments"),
+            ({"fragments": True}, "fragments"),
+            ({"dataset": {"kind": "synthetic", "n": 200.0}}, "dataset.n"),
+            ({"dataset": {"kind": "synthetic", "n": "200"}}, "dataset.n"),
+            ({"dataset": {"kind": "synthetic", "d": True}}, "dataset.d"),
+            ({"expert_net": {"hidden_dims": [True]}}, "expert_net.hidden_dims"),
+            ({"regressor_net": {"hidden_dims": [16, 8.0]}}, "regressor_net.hidden_dims"),
+            ({"regressor_net": {"hidden_dims": 16}}, "regressor_net.hidden_dims"),
+        ],
+    )
+    def test_integer_fields_reject_other_types(self, overrides, field) -> None:
+        with pytest.raises(ConfigError, match=f"^{field}: must be"):
+            small_config(**overrides)
+
     def test_pairing_override_must_cover_fragments(self) -> None:
         with pytest.raises(ConfigError, match="pairing_override"):
             small_config(pairing_override=[[1, 2]])
@@ -106,16 +130,30 @@ class TestRunExperiment:
     def test_selection_records_built_only_when_written(self, tmp_path, monkeypatch) -> None:
         from fragpair.selection import SelectionOutcome
 
-        calls = []
-        records = SelectionOutcome.records
+        formatted, records = [], []
+        jsonl = SelectionOutcome.jsonl
         monkeypatch.setattr(
-            SelectionOutcome, "records", lambda self, ds: calls.append(1) or records(self, ds)
+            SelectionOutcome, "jsonl", lambda self, tails: formatted.append(1) or jsonl(self, tails)
+        )
+        monkeypatch.setattr(
+            SelectionOutcome, "records", lambda self, ds: records.append(1) or []
         )
         cfg = small_config()
         run_experiment(cfg)
-        assert calls == []
+        assert formatted == []
         run_experiment(cfg, out_dir=tmp_path / "run")
-        assert len(calls) == cfg.epochs
+        assert len(formatted) == cfg.epochs
+        assert records == []
+
+    def test_last_selection_file_matches_records(self, tmp_path) -> None:
+        cfg = small_config()
+        result = run_experiment(cfg, out_dir=tmp_path / "run")
+        train, _ = prepare_splits(cfg)
+        expected = "".join(
+            json.dumps(r) + "\n" for r in result.last_selection.records(train)
+        )
+        last = result.out_dir / "selection" / f"epoch_{cfg.epochs:04d}.jsonl"
+        assert last.read_text() == expected
 
     def test_jittered_membership_computed_once_per_epoch(self, monkeypatch) -> None:
         from fragpair.fragments import JitteredScheme

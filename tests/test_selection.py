@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -295,3 +297,39 @@ class TestSelectCleanEndToEnd:
         assert rows[3]["index"] == 3
         assert rows[3]["y_gt"] == ds.y_gt[3]
         assert rows[3]["chosen_repr"] is True
+
+
+class TestSelectionJsonl:
+    PROBABILITIES = [0.0, 1.0, 5e-324, 1e-7, 0.1 + 0.2, 1.0 - 2.0**-53]
+    LABELS = [-0.0, 3.0, -12.5, 1e-5, 1e16]
+
+    @staticmethod
+    def oracle(outcome: SelectionOutcome, ds) -> str:
+        return "".join(json.dumps(r) + "\n" for r in outcome.records(ds))
+
+    @pytest.mark.parametrize("with_gt", [True, False])
+    def test_byte_identical_to_json_dumps_of_records(self, with_gt) -> None:
+        from fragpair.data import Dataset
+
+        n = len(self.PROBABILITIES) * len(self.LABELS)
+        y = np.resize(self.LABELS, n)
+        ds = Dataset(
+            x=np.zeros((n, 1)), y=y, y_gt=np.roll(y[::-1], 1) if with_gt else None
+        )
+        p = np.repeat(self.PROBABILITIES, len(self.LABELS))
+        outcome = SelectionOutcome(
+            p_pred=p,
+            p_repr=p[::-1].copy(),
+            chosen_pred=np.arange(n) % 2 == 0,
+            chosen_repr=np.arange(n) % 3 == 0,
+        )
+        text = outcome.jsonl(SelectionOutcome.jsonl_tails(ds))
+        assert text == self.oracle(outcome, ds)
+        assert ('"y_gt"' in text) is with_gt
+
+    def test_random_outcome_matches(self) -> None:
+        rng = np.random.default_rng(3)
+        ds = generate_synthetic(300, 2, -50.0, 50.0, 0.1, seed=6)
+        outcome = bernoulli_select(rng.random(ds.n), rng.random(ds.n) ** 9, seed=1, epoch=2)
+        tails = SelectionOutcome.jsonl_tails(ds)
+        assert outcome.jsonl(tails) == self.oracle(outcome, ds)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from numbers import Real
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -32,6 +34,14 @@ def _require_int(value, name: str, minimum: Optional[int] = None) -> None:
     )
     if minimum is not None:
         _require(value >= minimum, f"{name}: must be >= {minimum}")
+
+
+def _require_real(value, name: str) -> None:
+    """A real-valued field: a finite int or float, not a bool, string or null."""
+    _require(
+        isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value),
+        f"{name}: must be a finite number, got {value!r}",
+    )
 
 
 def _take(raw: dict, allowed: dict, context: str) -> dict:
@@ -105,6 +115,7 @@ class ExperimentConfig:
             F % 2 == 0 and MIN_FRAGMENTS <= F <= MAX_FRAGMENTS,
             f"fragments: must be even and within [{MIN_FRAGMENTS}, {MAX_FRAGMENTS}]",
         )
+        _require_real(self.jitter, "jitter")
         _require(
             0.0 <= self.jitter <= max_jitter(F) + 1e-12,
             f"jitter: must lie in [0, {max_jitter(F):.6g}] for fragments={F}",
@@ -114,10 +125,12 @@ class ExperimentConfig:
         self.expert_net.validate("expert_net")
         self.regressor_net.validate("regressor_net")
         _require_int(self.epochs, "epochs", 1)
-        _require(self.expert_lr > 0, "expert_lr: must be > 0")
-        _require(self.regressor_lr > 0, "regressor_lr: must be > 0")
+        for name in ("expert_lr", "regressor_lr"):
+            _require_real(getattr(self, name), name)
+            _require(getattr(self, name) > 0, f"{name}: must be > 0")
         _require_int(self.batch_size, "batch_size", 1)
         _require_int(self.seed, "seed")
+        _require_real(self.test_frac, "test_frac")
         _require(0.0 < self.test_frac < 1.0, "test_frac: must lie in (0, 1)")
         _require(self.mode in MODES, f"mode: must be one of {MODES}")
         _require(
@@ -134,6 +147,7 @@ class ExperimentConfig:
                 f"pairing_override: covers {pairing.num_fragments} fragments, expected {F}",
             )
         if self.reference_rho is not None:
+            _require_real(self.reference_rho, "reference_rho")
             _require(self.reference_rho > 0, "reference_rho: must be > 0")
 
     def _validate_dataset(self) -> None:
@@ -154,6 +168,8 @@ class ExperimentConfig:
             )
             _require_int(spec["n"], "dataset.n", 1)
             _require_int(spec["d"], "dataset.d", 1)
+            for name in ("label_lo", "label_hi", "feature_noise_std"):
+                _require_real(spec[name], f"dataset.{name}")
             _require(
                 spec["label_hi"] > spec["label_lo"],
                 "dataset.label_hi: must exceed dataset.label_lo",
@@ -191,17 +207,15 @@ class ExperimentConfig:
         kind = self.noise.get("kind")
         if kind == "symmetric":
             spec = _take(self.noise, {"kind": None, "rate": None, "seed": None}, "noise")
-            _require(
-                spec["rate"] is not None and 0.0 <= spec["rate"] <= 1.0,
-                "noise.rate: must lie in [0, 1]",
-            )
+            _require_real(spec["rate"], "noise.rate")
+            _require(0.0 <= spec["rate"] <= 1.0, "noise.rate: must lie in [0, 1]")
         elif kind == "gaussian":
             spec = _take(
                 self.noise, {"kind": None, "max_std_frac": None, "seed": None}, "noise"
             )
+            _require_real(spec["max_std_frac"], "noise.max_std_frac")
             _require(
-                spec["max_std_frac"] is not None and 0.0 < spec["max_std_frac"] <= 1.0,
-                "noise.max_std_frac: must lie in (0, 1]",
+                0.0 < spec["max_std_frac"] <= 1.0, "noise.max_std_frac: must lie in (0, 1]"
             )
         else:
             raise ConfigError("noise.kind: must be 'symmetric' or 'gaussian'")

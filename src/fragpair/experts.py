@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 import numpy as np
@@ -188,6 +186,10 @@ def build_feature_bank(ens: ExpertEnsemble, ds: Dataset, js: JitteredScheme) -> 
     return bank
 
 
+class KShrinkWarning(UserWarning):
+    """K exceeded a feature bank and was shrunk to the largest odd K that fits."""
+
+
 def _effective_k(K: int, bank_size: int, pair: Pair) -> int:
     if K < 1 or K % 2 == 0:
         raise ExpertError("K must be odd and >= 1")
@@ -197,94 +199,177 @@ def _effective_k(K: int, bank_size: int, pair: Pair) -> int:
         k = bank_size if bank_size % 2 == 1 else bank_size - 1
         k = max(k, 1)
         warnings.warn(
-            f"K={K} exceeds bank size {bank_size} for pair {pair}; using K={k}"
+            f"K={K} exceeds bank size {bank_size} for pair {pair}; using K={k}",
+            KShrinkWarning,
         )
         return k
     return K
 
 
-# Distance rows per block: about 512 KB of float64 (74 rows at the default
-# ~880-row bank), reused across blocks.  Larger blocks were no faster on one
-# core and, where BLAS runs its own threads, slower on two.
-_BLOCK_BYTES = 1 << 19
+# Floats per distance buffer (256 KB).  A call allocates its buffers once and
+# reuses them for every block.
+_BUFFER_FLOATS = 1 << 15
 
-_pool = None  # (pid, ThreadPoolExecutor), created on the first multi-slab call
-_pool_lock = threading.Lock()
+# Sorted queries per block of the projection sweep.  Smaller blocks span
+# narrower windows but pay numpy's per-call cost more often.
+_SWEEP_ROWS = 128
 
+# The first block takes the whole bank, so it is kept short.
+_FIRST_ROWS = 32
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _block_rows(bank_size: int) -> int:
-    return max(1, _BLOCK_BYTES // (8 * bank_size))
+# A block's window reaches this far past its queries' projections, in units
+# of the previous block's 90th-percentile K-th distance.  A tighter window
+# sends more rows to the dense fallback; a wider one computes more distances.
+_WINDOW_REACH = 1.2
 
 
-def _thread_pool():
-    global _pool
-    with _pool_lock:
-        # A forked child inherits the executor but not its threads: start afresh.
-        if _pool is None or _pool[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = (os.getpid(), ThreadPoolExecutor(_usable_cpus(), "fragpair-knn"))
-        return _pool[1]
-
-
-def _lower_votes_slab(
+def _count_nearest(
     queries: np.ndarray,
     q_norms: np.ndarray,
     feats: np.ndarray,
     f_norms: np.ndarray,
     is_lower: np.ndarray,
     k: int,
-    block: int,
-    out: np.ndarray,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> None:
-    """Write into ``out`` each query row's count of lower-fragment entries among its k nearest.
+    """Fill ``out`` = (lower, kth, within) per query row: lower-fragment entries
+    among its k nearest columns of ``feats``, its k-th distance, and how many
+    columns lie at or below that distance.
 
-    Walks the rows in blocks through buffers allocated once; fresh
-    arrays per block would be handed back to the OS and faulted in again.
+    Ties at the k-th distance that straddle the cut keep every column closer
+    than it, then the first tied columns in column order.  Rows are walked in
+    blocks through the flat ``buffers`` (two float, one bool), allocated once
+    per call: fresh arrays per block would be handed back to the OS and
+    faulted in again.
     """
-    m = len(is_lower)
-    rows = min(block, len(queries))
-    d2_buf = np.empty((rows, m))
-    gemm_buf = np.empty((rows, m))
-    part_buf = np.empty((rows, m))
-    mask_buf = np.empty((rows, m), dtype=bool)
-    for start in range(0, len(queries), block):
-        stop = min(start + block, len(queries))
-        b = stop - start
-        d2, gemm, part, mask = d2_buf[:b], gemm_buf[:b], part_buf[:b], mask_buf[:b]
+    n, m = len(queries), len(feats)
+    lower, kth, within = out
+    d2_buf, part_buf, mask_buf = buffers
+    block = max(1, len(d2_buf) // m)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        shape = (stop - start, m)
+        size = shape[0] * m
+        d2 = d2_buf[:size].reshape(shape)
+        part = part_buf[:size].reshape(shape)
+        mask = mask_buf[:size].reshape(shape)
         # (|q|^2 + |f|^2) - 2 q.f in that order: the same bits as the dense matrix.
         np.copyto(d2, f_norms)
         np.add(d2, q_norms[start:stop, None], out=d2)
-        np.matmul(queries[start:stop], feats.T, out=gemm)
-        gemm *= 2.0
-        d2 -= gemm
+        np.matmul(queries[start:stop], feats.T, out=part)
+        part *= 2.0
+        d2 -= part
         np.maximum(d2, 0.0, out=part)
         part.partition(k - 1, axis=1)
-        kth = part[:, k - 1 : k]
-        # kth >= 0, so comparing the unclipped d2 against it gives the same mask.
-        np.less_equal(d2, kth, out=mask)
-        within = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
+        cut = part[:, k - 1 : k]
+        kth[start:stop] = cut[:, 0]
+        # cut >= 0, so comparing the unclipped d2 against it gives the same mask.
+        np.less_equal(d2, cut, out=mask)
+        here = within[start:stop]
+        np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32, out=here)
         np.logical_and(mask, is_lower, out=mask)
-        votes = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
-        # Rows whose ties at the k-th distance straddle the cut keep every
-        # entry closer than kth, then the first tied entries by bank index.
-        straddle = np.flatnonzero(within > k)
+        votes = lower[start:stop]
+        np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32, out=votes)
+        straddle = np.flatnonzero(here > k)
         if straddle.size:
             d2_s = np.maximum(d2[straddle], 0.0)
-            kth_s = kth[straddle]
-            closer = d2_s < kth_s
-            tied = d2_s == kth_s
+            cut_s = cut[straddle]
+            closer = d2_s < cut_s
+            tied = d2_s == cut_s
             need = k - closer.sum(axis=1)
             closer |= tied & (np.cumsum(tied, axis=1) <= need[:, None])
             votes[straddle] = (closer & is_lower).sum(axis=1)
-        out[start:stop] = votes
+
+
+def _counts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.empty(n, dtype=np.int32), np.empty(n), np.empty(n, dtype=np.int32)
+
+
+def _leading_axis(feats: np.ndarray) -> np.ndarray:
+    """Unit vector along the bank's first principal axis."""
+    centred = feats - feats.mean(axis=0)
+    _, vectors = np.linalg.eigh(centred.T @ centred)
+    return vectors[:, -1] / np.linalg.norm(vectors[:, -1])
+
+
+def _sweep_lower_votes(
+    queries: np.ndarray,
+    q_norms: np.ndarray,
+    feats: np.ndarray,
+    f_norms: np.ndarray,
+    is_lower: np.ndarray,
+    k: int,
+) -> np.ndarray:
+    """Each query's count of lower-fragment entries among its k nearest, by the
+    projection sweep of :func:`knn_votes`."""
+    n, m = len(queries), len(feats)
+    floats = max(_BUFFER_FLOATS, m)
+    buffers = (np.empty(floats), np.empty(floats), np.empty(floats, dtype=bool))
+    out = _counts(n)
+    if n == 0 or not np.isfinite(feats).all():
+        _count_nearest(queries, q_norms, feats, f_norms, is_lower, k, buffers, out)
+        return out[0]
+    axis = _leading_axis(feats)
+    f_proj = feats @ axis
+    f_order = np.argsort(f_proj, kind="stable")
+    f_proj = f_proj[f_order]
+    s_feats, s_norms, s_lower = feats[f_order], f_norms[f_order], is_lower[f_order]
+    # The query order only decides which block a row joins.
+    q_proj = queries @ axis
+    q_order = np.argsort(q_proj)
+    q_proj = q_proj[q_order]
+    s_queries, s_qnorms = queries[q_order], q_norms[q_order]
+    lower, kth, within = out
+    # Each row's window [lo, hi) in sorted bank order; whole-bank rows are exact.
+    lo_of = np.zeros(n, dtype=np.intp)
+    hi_of = np.full(n, m, dtype=np.intp)
+    exact = np.zeros(n, dtype=bool)
+    width = np.inf
+    stops = list(range(min(_FIRST_ROWS, n), n, _SWEEP_ROWS)) + [n]
+    for start, stop in zip([0] + stops[:-1], stops):
+        here = slice(start, stop)
+        lo = int(np.searchsorted(f_proj, q_proj[start] - width, "left"))
+        hi = int(np.searchsorted(f_proj, q_proj[stop - 1] + width, "right"))
+        block_out = (lower[here], kth[here], within[here])
+        if hi - lo == m or hi - lo < k:
+            _count_nearest(
+                s_queries[here], s_qnorms[here], feats, f_norms, is_lower, k, buffers,
+                block_out,
+            )
+            exact[here] = True
+        else:
+            _count_nearest(
+                s_queries[here], s_qnorms[here], s_feats[lo:hi], s_norms[lo:hi],
+                s_lower[lo:hi], k, buffers, block_out,
+            )
+            lo_of[here] = lo
+            hi_of[here] = hi
+        top = (9 * (stop - start)) // 10
+        width = _WINDOW_REACH * float(np.sqrt(np.partition(kth[here], top)[top]))
+    # Certify each windowed row: the projection gap to the nearest bank row
+    # outside its window, less the rounding margins, must clear its K-th
+    # distance, and no tie may straddle the cut.
+    h = feats.shape[1]
+    c = 8 * (h + 2) * np.finfo(np.float64).eps / 2
+    underflow = (h + 3) * np.finfo(np.float64).smallest_subnormal
+    reach = np.sqrt(s_qnorms) + np.sqrt(f_norms.max())
+    padded = np.concatenate(([-np.inf], f_proj, [np.inf]))
+    with np.errstate(invalid="ignore"):  # inf - inf where a query is infinite
+        gap = np.minimum(q_proj - padded[lo_of], padded[hi_of + 1] - q_proj)
+        gap -= c * reach + underflow
+    margin = c * reach * reach + underflow
+    exact |= (within == k) & (gap > 0.0) & (gap * gap > kth + margin)
+    redo = np.flatnonzero(~exact)
+    if redo.size:
+        redone = _counts(redo.size)
+        _count_nearest(
+            s_queries[redo], s_qnorms[redo], feats, f_norms, is_lower, k, buffers, redone
+        )
+        lower[redo] = redone[0]
+    votes = np.empty(n, dtype=np.int32)
+    votes[q_order] = lower
+    return votes
 
 
 def knn_votes(bank: FeatureBank, pair: Pair, queries: np.ndarray, K: int) -> np.ndarray:
@@ -296,11 +381,61 @@ def knn_votes(bank: FeatureBank, pair: Pair, queries: np.ndarray, K: int) -> np.
     the lower bank index, as a stable sort would.  K is kept odd (shrunk if it
     exceeds the bank) so votes cannot tie.
 
-    The queries are split into one contiguous slab per CPU in the process's
-    affinity mask, run on a thread pool, and each slab is walked in blocks of
-    about 512 KB of distances through buffers allocated once: about 1.6 MB
-    per CPU, not a dense queries x bank matrix.  The votes do not depend on
-    the number of CPUs.
+    **Projection sweep.**  Bank rows and queries are projected onto the
+    bank's leading principal axis ``u`` and sorted by projection.  The sorted
+    queries are walked in blocks (32 rows, then 128 at a time); a block
+    computes distances only against the contiguous run of sorted bank rows
+    whose projections lie within ``[first - w, last + w]``, its own first and
+    last projections widened by ``w``, 1.2 times the previous block's
+    90th-percentile K-th distance.  The first block has no previous one and
+    takes the whole bank.  Each distance is formed in the same association
+    order as against the whole bank, and an element of a matrix product does
+    not depend on which other rows and columns share the product (OpenBLAS
+    accumulates the short inner dimension in one order for every element), so
+    a windowed distance has the same bits as the dense one.
+
+    **Certification.**  A windowed row's result is kept when exactly K window
+    entries lie at or below its K-th distance ``kth`` (no tie straddles the
+    cut) and every bank row left out is provably farther: with ``g`` the
+    projection gap to the nearest excluded row, ``(g - dp)^2 > kth + dd``.
+    The margins bound rounding, with eps = 2^-53, h the feature dimension and
+    ``r = |q| + max |f|``:
+
+    - a computed projection ``fl(u.x)`` is within ``h eps |u| |x|`` of
+      ``u.x`` (any summation order, FMA or not), ``|u| = 1`` to within
+      ``(h + 2) eps`` and ``g`` rounds once.  Since ``|u.(q - f)| <= |u| |q - f|``,
+      the true distance to an excluded row is at least ``g - (2h + 3) eps r``;
+    - the computed squared distance is within ``(h + 2) eps r^2`` of the
+      true one: each of ``|q|^2``, ``|f|^2`` and ``q.f`` is within ``h eps``
+      times its share of ``r^2``, and the add and the subtract round once
+      each.  The clip at zero only moves it toward the truth.
+
+    So an excluded row's computed distance exceeds ``kth`` whenever
+    ``(g - (2h + 3) eps r)^2 - (h + 2) eps r^2 > kth``.  The test uses
+    ``dp = c r`` and ``dd = c r^2`` with ``c = 8 (h + 2) eps``, four or more
+    times those bounds, which also covers rounding in ``r``, in the gap and in
+    the test itself; both grow with h, so a wider last hidden layer stays
+    exact.  Each margin also carries ``(h + 3)`` smallest subnormals for
+    underflow.  Overflow gives an infinite or NaN ``kth`` or margin, which
+    fails the test.
+
+    **Fallback.**  Every windowed row not certified (a window that missed a
+    neighbour, a straddling tie, a NaN or infinite feature) is recomputed by
+    the dense kernel against the whole bank in bank order, which applies the
+    tie rule directly.  The dense kernel also takes every block whose window
+    spans the whole bank (or holds fewer than K rows), and a bank with a
+    non-finite entry whole.  It walks its rows in blocks of about 256 KB of
+    distances through buffers allocated once per call.
+
+    **One thread.**  The sweep's operations are small, a 128-row block
+    against a window of tens to a few hundred bank rows, so threads spend
+    more on hand-off than they save: on 49 captured ``select-2k`` calls
+    (2-vCPU host, BLAS at one thread), two threads each sweeping half the
+    queries took 7.8 ms a call against 5.6 ms for one thread sweeping all.
+    Everything runs in the calling thread.
+
+    The votes do not depend on the block sizes, the window reach or the axis
+    chosen; those decide only how much is pruned.
     """
     if pair not in bank.features:
         raise ExpertError(f"feature bank holds no entries for pair {pair}")
@@ -311,24 +446,8 @@ def knn_votes(bank: FeatureBank, pair: Pair, queries: np.ndarray, K: int) -> np.
     q_norms = (queries * queries).sum(axis=1)
     f_norms = (feats * feats).sum(axis=1)
     i, j = pair
-    is_lower = tags == i
-    n = len(queries)
-    block = _block_rows(len(tags))
-    n_blocks = max(1, -(-n // block))
-    lower_votes = np.empty(n, dtype=np.int32)
-    # One contiguous slab of whole blocks per usable CPU.
-    step = -(-n_blocks // min(_usable_cpus(), n_blocks)) * block
-    slab_args = [
-        (queries[s : s + step], q_norms[s : s + step], feats, f_norms, is_lower, k, block,
-         lower_votes[s : s + step])
-        for s in range(0, max(n, 1), step)
-    ]
-    # The calling thread takes the first slab while the pool runs the rest.
-    futures = [_thread_pool().submit(_lower_votes_slab, *args) for args in slab_args[1:]]
-    _lower_votes_slab(*slab_args[0])
-    for future in futures:
-        future.result()
-    return np.where(2 * lower_votes > k, i, j)
+    lower = _sweep_lower_votes(queries, q_norms, feats, f_norms, tags == i, k)
+    return np.where(2 * lower > k, i, j)
 
 
 def knn_classify(bank: FeatureBank, pair: Pair, feature: np.ndarray, K: int) -> int:

@@ -8,6 +8,7 @@ one epoch on the selected samples.  Held-out evaluation uses clean labels.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import warnings
@@ -22,6 +23,7 @@ from .data import Dataset, generate_synthetic, load_csv, split_dataset
 from .data import NoiseSpec
 from .experts import (
     ExpertEnsemble,
+    KShrinkWarning,
     build_feature_bank,
     init_ensemble,
     train_experts_epoch,
@@ -227,6 +229,27 @@ def write_summary_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+@contextlib.contextmanager
+def _first_k_shrink_only(shown: set):
+    """Show the warnings raised in the block, but no K-shrink warning after the run's first.
+
+    The K-NN vote shrinks K, and warns, on every call whose bank is too
+    small, for every pair and epoch.  ``shown`` holds the categories the run
+    has shown once.  The filters apply where each warning is raised.
+    """
+    caught: list = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            yield
+    finally:
+        for w in caught:
+            if issubclass(w.category, KShrinkWarning):
+                if KShrinkWarning in shown:
+                    continue
+                shown.add(KShrinkWarning)
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: Optional[str | Path] = None,
@@ -271,6 +294,7 @@ def run_experiment(
 
         writer = _ArtifactWriter(Path(out_dir) if out_dir is not None else None)
         result = RunResult(config=cfg, pairing=pairing, rho=cfg.reference_rho)
+        shown: set = set()
 
         for epoch in range(1, cfg.epochs + 1):
             record: dict = {"epoch": epoch}
@@ -294,16 +318,17 @@ def run_experiment(
                 banks = build_feature_bank(ens, train, js)
 
                 stage = "select"
-                outcome = select_clean(
-                    train,
-                    ens,
-                    scheme,
-                    banks,
-                    cfg.knn_k,
-                    cfg.seed,
-                    epoch,
-                    predictive="classifier" if cfg.mode == "select" else "regression",
-                )
+                with _first_k_shrink_only(shown):
+                    outcome = select_clean(
+                        train,
+                        ens,
+                        scheme,
+                        banks,
+                        cfg.knn_k,
+                        cfg.seed,
+                        epoch,
+                        predictive="classifier" if cfg.mode == "select" else "regression",
+                    )
                 selected = outcome.combine(cfg.selection_combine)
                 record["n_pred"] = int(outcome.chosen_pred.sum())
                 record["n_repr"] = int(outcome.chosen_repr.sum())

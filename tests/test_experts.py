@@ -266,6 +266,30 @@ def straddling_rows(feats: np.ndarray, queries: np.ndarray, k: int) -> int:
     return int(((d2 <= kth).sum(axis=1) > k).sum())
 
 
+def line_bank(seed: int, m: int, n: int, h: int = 8, spread: float = 0.02):
+    """A bank and queries near one line through the origin, with random tags (2, 5)."""
+    rng = np.random.default_rng(seed)
+    axis = rng.normal(size=h)
+    axis /= np.linalg.norm(axis)
+    feats = rng.uniform(0, 10, (m, 1)) * axis + spread * rng.normal(size=(m, h))
+    queries = rng.uniform(-0.5, 10.5, (n, 1)) * axis + spread * rng.normal(size=(n, h))
+    return feats, rng.choice((2, 5), size=m), queries
+
+
+def dense_votes(feats: np.ndarray, tags: np.ndarray, pair, queries: np.ndarray, k: int):
+    """The dense kernel alone, every query against the whole bank in bank order."""
+    i, j = pair
+    n, m = len(queries), len(feats)
+    floats = max(experts_mod._BUFFER_FLOATS, m)
+    buffers = (np.empty(floats), np.empty(floats), np.empty(floats, dtype=bool))
+    out = (np.empty(n, dtype=np.int32), np.empty(n), np.empty(n, dtype=np.int32))
+    experts_mod._count_nearest(
+        queries, (queries * queries).sum(axis=1), feats, (feats * feats).sum(axis=1),
+        tags == i, k, buffers, out,
+    )
+    return np.where(2 * out[0] > k, i, j)
+
+
 class TestKnnOracle:
     PAIR = (2, 5)
     BANK = 601  # odd, so K equal to the bank size is kept as is
@@ -307,34 +331,29 @@ class TestKnnOracle:
     def test_query_counts_around_the_block_size(self) -> None:
         rng, feats, tags = self._tie_heavy(11, integer=True)
         bank = self._bank(feats, tags)
-        block = experts_mod._block_rows(self.BANK)
-        assert block > 2
-        for n in (0, 1, block - 1, block, block + 1, 4 * block + 3):
+        first, rows = experts_mod._FIRST_ROWS, experts_mod._SWEEP_ROWS
+        assert first > 2 and rows > 2
+        for n in (0, 1, first - 1, first, first + 1, first + rows - 1, first + rows,
+                  first + rows + 1, first + 4 * rows + 3):
             queries = self._queries(rng, feats, n, integer=True)
             got = knn_votes(bank, self.PAIR, queries, 5)
             assert got.shape == (n,)
             assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_votes_do_not_depend_on_cpu_count(self, cpus: int, monkeypatch) -> None:
+    @pytest.mark.parametrize("rows", [1, 7, 128, "all"])
+    def test_votes_do_not_depend_on_block_rows(self, rows, monkeypatch) -> None:
         rng, feats, tags = self._tie_heavy(12, integer=False)
-        queries = self._queries(rng, feats, 5 * experts_mod._block_rows(self.BANK) + 7, False)
-        slabs = []
-        slab = experts_mod._lower_votes_slab
-        monkeypatch.setattr(experts_mod, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(
-            experts_mod, "_lower_votes_slab", lambda *args: slabs.append(len(args[0])) or slab(*args)
-        )
-        # A pool owned by another process id (a forked parent's) is replaced.
-        monkeypatch.setattr(experts_mod, "_pool", (-1, None))
-        try:
-            got = knn_votes(self._bank(feats, tags), self.PAIR, queries, 7)
-        finally:
-            if experts_mod._pool[1] is not None:
-                experts_mod._pool[1].shutdown()
+        queries = self._queries(rng, feats, 707, False)
+        rows = len(queries) if rows == "all" else rows
+        monkeypatch.setattr(experts_mod, "_FIRST_ROWS", rows)
+        monkeypatch.setattr(experts_mod, "_SWEEP_ROWS", rows)
+        got = knn_votes(self._bank(feats, tags), self.PAIR, queries, 7)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 7))
-        assert 1 <= len(slabs) <= cpus
-        assert sum(slabs) == len(queries)
+        line_feats, line_tags, line_queries = line_bank(12, 500, 700, h=4)
+        got = knn_votes(self._bank(line_feats, line_tags), self.PAIR, line_queries, 7)
+        assert np.array_equal(
+            got, knn_oracle(line_feats, line_tags, self.PAIR, line_queries, 7)
+        )
 
     def test_k_equal_to_bank_size(self) -> None:
         rng, feats, tags = self._tie_heavy(13, integer=True)
@@ -352,3 +371,122 @@ class TestKnnOracle:
         with pytest.warns(UserWarning, match="exceeds bank size"):
             got = knn_votes(self._bank(feats, tags), self.PAIR, queries, self.BANK + 2)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, self.BANK))
+
+
+class TestKnnSweep:
+    """The projection sweep against the stable-argsort oracle, where it prunes and where it cannot."""
+
+    PAIR = (2, 5)
+
+    def _bank(self, feats, tags) -> FeatureBank:
+        bank = FeatureBank()
+        bank.features[self.PAIR] = feats
+        bank.frag_ids[self.PAIR] = tags
+        return bank
+
+    def _traced_votes(self, feats, tags, queries, K, monkeypatch):
+        """knn_votes, recording (queries, bank columns) of every kernel call."""
+        calls = []
+        kernel = experts_mod._count_nearest
+
+        def counting(q, q_norms, f, *args):
+            calls.append((q.copy(), len(f)))
+            return kernel(q, q_norms, f, *args)
+
+        monkeypatch.setattr(experts_mod, "_count_nearest", counting)
+        return knn_votes(self._bank(feats, tags), self.PAIR, queries, K), calls
+
+    @pytest.mark.parametrize("h", [1, 8, 64])
+    @pytest.mark.parametrize("K", [1, 5, 9])
+    def test_line_bank_pruned_and_exact(self, h: int, K: int, monkeypatch) -> None:
+        feats, tags, queries = line_bank(h * 10 + K, 800, 1600, h=h)
+        got, calls = self._traced_votes(feats, tags, queries, K, monkeypatch)
+        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
+        windowed = sum(len(q) * c for q, c in calls if c < len(feats))
+        assert 0 < windowed < 0.3 * len(queries) * len(feats)
+
+    def test_fallback_runs_on_few_rows_of_a_pruned_bank(self, monkeypatch) -> None:
+        feats, tags, queries = line_bank(3, 900, 1600)
+        got, calls = self._traced_votes(feats, tags, queries, 5, monkeypatch)
+        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
+        whole_bank = sum(len(q) for q, c in calls if c == len(feats))
+        assert experts_mod._FIRST_ROWS <= whole_bank <= experts_mod._FIRST_ROWS + 0.05 * 1600
+
+    @pytest.mark.parametrize("K", [1, 5, 7])
+    def test_isotropic_bank(self, K: int) -> None:
+        rng = np.random.default_rng(K)
+        feats, queries = rng.normal(size=(500, 8)), rng.normal(size=(900, 8))
+        tags = rng.choice(self.PAIR, size=500)
+        got = knn_votes(self._bank(feats, tags), self.PAIR, queries, K)
+        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
+
+    @pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.6, 0.8, 0.0)])
+    @pytest.mark.parametrize("reach", [0.3, 1.2])
+    @pytest.mark.parametrize("K", [3, 5, 7])
+    def test_ties_across_window_edges(self, axis, reach: float, K: int, monkeypatch) -> None:
+        # Triplicated bank rows at integer points of a line, in shuffled bank
+        # order; queries at integer and half-integer points see equal
+        # distances on both sides, so short windows cut tied groups apart.
+        rng = np.random.default_rng(K)
+        points = rng.permutation(np.repeat(np.arange(120.0), 3))
+        feats = points[:, None] * np.array(axis)
+        tags = rng.choice(self.PAIR, size=len(points))
+        queries = rng.integers(0, 240, 900)[:, None] / 2.0 * np.array(axis)
+        assert straddling_rows(feats, queries, K) > 0
+        monkeypatch.setattr(experts_mod, "_WINDOW_REACH", reach)
+        got = knn_votes(self._bank(feats, tags), self.PAIR, queries, K)
+        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
+
+    def test_query_off_the_line_falls_back(self, monkeypatch) -> None:
+        feats, tags, queries = line_bank(5, 600, 1000, h=2)
+        centre = feats.mean(axis=0)
+        normal = np.array([-centre[1], centre[0]]) / np.linalg.norm(centre)
+        # Projects into the middle of the bank but lies far from every row.
+        queries[500] = far = centre + 3.0 * normal
+        got, calls = self._traced_votes(feats, tags, queries, 5, monkeypatch)
+        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
+        fallback, columns = calls[-1]
+        assert columns == len(feats)
+        assert np.all(fallback == far, axis=1).any()
+        assert len(fallback) < 50
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_queries(self, bad: float) -> None:
+        feats, tags, queries = line_bank(6, 400, 700)
+        rows = [0, 350, 699]
+        queries[rows, 1] = bad
+        got = knn_votes(self._bank(feats, tags), self.PAIR, queries, 5)
+        finite = np.setdiff1d(np.arange(len(queries)), rows)
+        assert np.array_equal(
+            got[finite], knn_oracle(feats, tags, self.PAIR, queries[finite], 5)
+        )
+        assert np.array_equal(got, dense_votes(feats, tags, self.PAIR, queries, 5))
+
+    def test_nan_bank_rows(self) -> None:
+        feats, tags, queries = line_bank(7, 400, 700)
+        feats[[3, 200], 0] = np.nan
+        got = knn_votes(self._bank(feats, tags), self.PAIR, queries, 5)
+        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
+        assert np.array_equal(got, dense_votes(feats, tags, self.PAIR, queries, 5))
+
+    def test_query_counts_around_the_sweep_blocks(self) -> None:
+        feats, tags, all_queries = line_bank(8, 700, 700)
+        bank = self._bank(feats, tags)
+        first, rows = experts_mod._FIRST_ROWS, experts_mod._SWEEP_ROWS
+        for n in (0, 1, rows - 1, rows, rows + 1, first + rows - 1, first + rows,
+                  first + rows + 1):
+            queries = all_queries[:n]
+            got = knn_votes(bank, self.PAIR, queries, 5)
+            assert got.shape == (n,)
+            assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
+
+    def test_k_equal_to_and_above_the_bank_size(self) -> None:
+        feats, tags, queries = line_bank(9, 301, 400)
+        bank = self._bank(feats, tags)
+        expected = knn_oracle(feats, tags, self.PAIR, queries, 301)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(knn_votes(bank, self.PAIR, queries, 301), expected)
+        with pytest.warns(UserWarning, match="exceeds bank size"):
+            assert np.array_equal(knn_votes(bank, self.PAIR, queries, 303), expected)

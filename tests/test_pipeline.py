@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from fragpair.config import ConfigError, ExperimentConfig
+from fragpair.experts import KShrinkWarning
 from fragpair.metrics import mrae
 from fragpair.pipeline import (
     PipelineError,
@@ -80,6 +83,40 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{field}: must be"):
             small_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"expert_lr": True}, "expert_lr"),
+            ({"expert_lr": "0.1"}, "expert_lr"),
+            ({"regressor_lr": float("inf")}, "regressor_lr"),
+            ({"regressor_lr": None}, "regressor_lr"),
+            ({"jitter": None}, "jitter"),
+            ({"jitter": float("nan")}, "jitter"),
+            ({"test_frac": "0.2"}, "test_frac"),
+            ({"reference_rho": True}, "reference_rho"),
+            ({"reference_rho": float("inf")}, "reference_rho"),
+            ({"dataset": {"kind": "synthetic", "label_lo": "0"}}, "dataset.label_lo"),
+            ({"dataset": {"kind": "synthetic", "label_hi": "9"}}, "dataset.label_hi"),
+            ({"dataset": {"kind": "synthetic", "label_hi": float("inf")}}, "dataset.label_hi"),
+            ({"dataset": {"kind": "synthetic", "feature_noise_std": False}},
+             "dataset.feature_noise_std"),
+            ({"noise": {"kind": "symmetric", "rate": "0.4"}}, "noise.rate"),
+            ({"noise": {"kind": "symmetric"}}, "noise.rate"),
+            ({"noise": {"kind": "gaussian", "max_std_frac": True}}, "noise.max_std_frac"),
+            ({"noise": {"kind": "gaussian", "max_std_frac": float("nan")}},
+             "noise.max_std_frac"),
+        ],
+    )
+    def test_real_fields_reject_other_types(self, overrides, field) -> None:
+        with pytest.raises(ConfigError, match=f"^{field}: must be a finite number"):
+            small_config(**overrides)
+
+    def test_real_fields_accept_integers(self) -> None:
+        cfg = small_config(expert_lr=1, jitter=0, reference_rho=2,
+                           dataset={"kind": "synthetic", "n": 240, "label_lo": 0,
+                                    "label_hi": 100})
+        assert cfg.expert_lr == 1 and cfg.dataset["label_hi"] == 100
+
     def test_pairing_override_must_cover_fragments(self) -> None:
         with pytest.raises(ConfigError, match="pairing_override"):
             small_config(pairing_override=[[1, 2]])
@@ -100,6 +137,18 @@ class TestRunExperiment:
         first = run_experiment(cfg)
         second = run_experiment(cfg)
         assert first.history == second.history
+
+    def test_k_shrink_warned_once_per_run(self) -> None:
+        # Both pair banks hold fewer than 41 rows in every epoch.
+        cfg = small_config(dataset={"kind": "synthetic", "n": 60}, knn_k=41, epochs=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(cfg)
+        shrinks = [str(w.message) for w in caught if w.category is KShrinkWarning]
+        assert len(shrinks) == 1
+        assert re.fullmatch(
+            r"K=41 exceeds bank size (\d+) for pair \(\d, \d\); using K=\d+", shrinks[0]
+        )
 
     def test_metrics_jsonl_byte_identical(self, tmp_path) -> None:
         cfg = small_config()

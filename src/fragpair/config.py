@@ -6,15 +6,15 @@ import hashlib
 import json
 import math
 from numbers import Real
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 from .fragments import MAX_FRAGMENTS, MIN_FRAGMENTS, Pairing, max_jitter
+from .net import ACTIVATIONS
 
 MODES = ("select", "select_regr", "vanilla")
 COMBINES = ("union", "intersection", "pred_only", "repr_only")
-ACTIVATIONS = ("relu", "tanh")
 
 
 class ConfigError(ValueError):
@@ -222,54 +222,31 @@ class ExperimentConfig:
         object.__setattr__(self, "noise", spec)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": dict(self.dataset),
-            "noise": None if self.noise is None else dict(self.noise),
-            "fragments": self.fragments,
-            "jitter": self.jitter,
-            "knn_k": self.knn_k,
-            "expert_net": self.expert_net.to_dict(),
-            "regressor_net": self.regressor_net.to_dict(),
-            "epochs": self.epochs,
-            "expert_lr": self.expert_lr,
-            "regressor_lr": self.regressor_lr,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "test_frac": self.test_frac,
-            "pairing_override": None
-            if self.pairing_override is None
-            else [list(p) for p in self.pairing_override],
-            "mode": self.mode,
-            "selection_combine": self.selection_combine,
-            "reference_rho": self.reference_rho,
-        }
+        """Every field as JSON data: nets as objects, pairs as lists, dicts copied."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, NetConfig):
+                value = value.to_dict()
+            elif isinstance(value, dict):
+                value = dict(value)
+            elif f.name == "pairing_override" and value is not None:
+                value = [list(p) for p in value]
+            out[f.name] = value
+        return out
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         defaults = ExperimentConfig(dataset={"kind": "synthetic"}).to_dict()
         merged = _take(raw, defaults, "config")
+        for name in ("expert_net", "regressor_net"):
+            merged[name] = NetConfig.from_dict(merged[name], name)
         override = merged["pairing_override"]
-        return ExperimentConfig(
-            dataset=merged["dataset"],
-            noise=merged["noise"],
-            fragments=merged["fragments"],
-            jitter=merged["jitter"],
-            knn_k=merged["knn_k"],
-            expert_net=NetConfig.from_dict(merged["expert_net"], "expert_net"),
-            regressor_net=NetConfig.from_dict(merged["regressor_net"], "regressor_net"),
-            epochs=merged["epochs"],
-            expert_lr=merged["expert_lr"],
-            regressor_lr=merged["regressor_lr"],
-            batch_size=merged["batch_size"],
-            seed=merged["seed"],
-            test_frac=merged["test_frac"],
-            pairing_override=None
-            if override is None
-            else tuple(sorted((min(int(a), int(b)), max(int(a), int(b))) for a, b in override)),
-            mode=merged["mode"],
-            selection_combine=merged["selection_combine"],
-            reference_rho=merged["reference_rho"],
-        )
+        if override is not None:
+            merged["pairing_override"] = tuple(
+                sorted((min(int(a), int(b)), max(int(a), int(b))) for a, b in override)
+            )
+        return ExperimentConfig(**merged)
 
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":

@@ -162,26 +162,37 @@ def classify_pair(ens: ExpertEnsemble, pair: Pair, x: np.ndarray) -> int:
 
 @dataclass
 class FeatureBank:
-    """Per-expert feature vectors of this epoch's pair members, tagged by fragment."""
+    """One epoch's expert pass and the feature bank it yields, per pair.
+
+    ``outputs`` and ``row_features`` hold the pair expert's output and
+    features for every training row; ``features`` is the bank, the pass's
+    rows of this epoch's pair members, tagged by fragment in ``frag_ids``.
+    """
 
     features: dict[Pair, np.ndarray] = field(default_factory=dict)
     frag_ids: dict[Pair, np.ndarray] = field(default_factory=dict)
+    outputs: dict[Pair, np.ndarray] = field(default_factory=dict)
+    row_features: dict[Pair, np.ndarray] = field(default_factory=dict)
 
     def size(self, pair: Pair) -> int:
         return 0 if pair not in self.frag_ids else len(self.frag_ids[pair])
 
 
 def build_feature_bank(ens: ExpertEnsemble, ds: Dataset, js: JitteredScheme) -> FeatureBank:
-    """Extract every pair member's features with the pair's current expert.
+    """Run each pair's current expert once over every training row.
 
-    Rebuilt after each training epoch: the feature space drifts as the
-    experts train, so stale banks would vote in the wrong geometry.
+    The bank is the pass's rows of the pair's members, so a sample's bank
+    entry and its K-NN query are the same bits.  Rebuilt after each training
+    epoch: the feature space drifts as the experts train, so stale banks
+    would vote in the wrong geometry.
     """
     bank = FeatureBank()
     for pair in ens.pairing.pairs:
         rows, tags = _pair_training_set(ds, js, pair)
-        feats = pair_features(ens, pair, ds.x[rows]) if len(rows) else np.zeros((0, 1))
-        bank.features[pair] = feats
+        out, feats = forward_batch(ens.expert_for(pair), ds.x)
+        bank.outputs[pair] = out[:, 0]
+        bank.row_features[pair] = feats
+        bank.features[pair] = feats[rows]
         bank.frag_ids[pair] = tags
     return bank
 

@@ -10,12 +10,13 @@ import numpy as np
 from .data import Dataset
 from .experts import (
     ExpertEnsemble,
+    ExpertError,
     FeatureBank,
     classify_pair,
     knn_classify,
     knn_votes,
     pair_features,
-    pair_logits,
+    pair_logits,  # not called here; benchmark/tracing.py patches selection.pair_logits
     predict_label,
 )
 from .fragments import FragmentationScheme
@@ -107,35 +108,35 @@ def neighborhood_gate(self_matrix: np.ndarray) -> np.ndarray:
 
 def self_agreement_matrix(
     ens: ExpertEnsemble,
-    X: np.ndarray,
     scheme: FragmentationScheme,
-    banks: Optional[FeatureBank],
+    banks: FeatureBank,
     K: int,
     kind: str,
 ) -> np.ndarray:
-    """(n, F) self-agreement votes for every sample and fragment at once.
+    """(n, F) self-agreement votes for every training row and fragment at once.
 
-    ``kind`` selects the vote source: "pred" reads the expert's hard
-    classification, "repr" the K-NN vote in its feature space, "regr" the
-    regression output's nearest pair mean.
+    Every vote reads the epoch's one expert pass held in ``banks``.  ``kind``
+    selects the vote source: "pred" the expert's hard classification, "repr"
+    the K-NN vote in its feature space, "regr" the regression output's
+    nearest pair mean.
     """
-    n = X.shape[0]
-    F = ens.pairing.num_fragments
-    votes = np.zeros((n, F))
+    n = len(banks.outputs[ens.pairing.pairs[0]])
+    votes = np.zeros((n, ens.pairing.num_fragments))
     for pair in ens.pairing.pairs:
         i, j = pair
+        out = banks.outputs[pair]
         if kind == "pred":
-            logit = pair_logits(ens, pair, X)
-            own_i = logit > 0.0
+            own_i = out > 0.0
             own_j = ~own_i
         elif kind == "repr":
-            if banks is None:
-                raise ValueError("representational agreement requires feature banks")
-            winner = knn_votes(banks, pair, pair_features(ens, pair, X), K)
+            winner = knn_votes(banks, pair, banks.row_features[pair], K)
             own_i = winner == i
             own_j = winner == j
         elif kind == "regr":
-            h = predict_label(ens, pair, X)
+            if ens.objective != "regress":
+                raise ExpertError("regression agreement requires a regression ensemble")
+            # The expression of ``predict_label``.
+            h = ens.label_lo + out * ens.label_range
             di = np.abs(scheme.means[i - 1] - h)
             dj = np.abs(scheme.means[j - 1] - h)
             own_i = di < dj
@@ -156,14 +157,24 @@ def selection_probability(
     banks: Optional[FeatureBank] = None,
     K: int = 5,
 ) -> float:
-    """Mixture probability that (x, y) is clean under one agreement variant."""
-    if variant not in ("pred", "repr", "regr"):
+    """Mixture probability that (x, y) is clean under one agreement variant.
+
+    The scalar rules composed one sample at a time: the reference that the
+    vectorized :func:`select_clean` is tested against.
+    """
+    fragments = range(1, ens.pairing.num_fragments + 1)
+    if variant == "pred":
+        votes = [self_agreement_pred(x, f, ens) for f in fragments]
+    elif variant == "repr":
+        if banks is None:
+            raise ValueError("representational agreement requires feature banks")
+        votes = [self_agreement_repr(x, f, ens, banks, K) for f in fragments]
+    elif variant == "regr":
+        votes = [self_agreement_regr(x, f, ens, scheme) for f in fragments]
+    else:
         raise ValueError("variant must be 'pred', 'repr' or 'regr'")
-    X = np.asarray(x, dtype=np.float64)[None, :]
-    self_m = self_agreement_matrix(ens, X, scheme, banks, K, variant)
-    alpha = neighborhood_gate(self_m)[0]
-    rho = fragment_prior(float(y), scheme)
-    return float(rho @ alpha)
+    alpha = np.array([neighborhood_agreement(f, votes) for f in fragments], dtype=np.float64)
+    return float(fragment_prior(float(y), scheme) @ alpha)
 
 
 @dataclass
@@ -275,12 +286,8 @@ def selection_probabilities(
         raise ValueError(f"predictive must be one of {PREDICTIVE_KINDS}")
     pred_kind = "pred" if predictive == "classifier" else "regr"
     rho = prior_rows(ds.y, scheme.means, scheme.label_range)
-    alpha_pred = neighborhood_gate(
-        self_agreement_matrix(ens, ds.x, scheme, banks, K, pred_kind)
-    )
-    alpha_repr = neighborhood_gate(
-        self_agreement_matrix(ens, ds.x, scheme, banks, K, "repr")
-    )
+    alpha_pred = neighborhood_gate(self_agreement_matrix(ens, scheme, banks, K, pred_kind))
+    alpha_repr = neighborhood_gate(self_agreement_matrix(ens, scheme, banks, K, "repr"))
     return (rho * alpha_pred).sum(axis=1), (rho * alpha_repr).sum(axis=1)
 
 

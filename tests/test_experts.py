@@ -19,7 +19,7 @@ from fragpair.experts import (
     train_experts_epoch,
 )
 from fragpair.fragments import JitteredScheme, Pairing, fragment_labels
-from fragpair.net import forward
+from fragpair.net import forward, forward_batch
 
 STRIDE = Pairing(pairs=((1, 3), (2, 4)))
 
@@ -28,13 +28,19 @@ def clean_dataset(n: int = 400, seed: int = 0) -> Dataset:
     return generate_synthetic(n, 2, 0.0, 100.0, feature_noise_std=0.05, seed=seed)
 
 
-def make_ensemble(ds: Dataset, seed: int = 0, objective: str = "classify"):
+def make_ensemble(
+    ds: Dataset,
+    seed: int = 0,
+    objective: str = "classify",
+    hidden_dims: tuple[int, ...] = (16, 8),
+    activation: str = "relu",
+):
     scheme = fragment_labels(ds, 4)
     ens = init_ensemble(
         STRIDE,
         input_dim=ds.d,
-        hidden_dims=(16, 8),
-        activation="relu",
+        hidden_dims=hidden_dims,
+        activation=activation,
         seed=seed,
         objective=objective,
         label_lo=ds.label_min,
@@ -188,6 +194,27 @@ class TestFeatureBank:
             _, feats = forward(ens.experts[pair], ds.x[ds_idx])
             # Single-row and batched matmuls may differ in the last ulp.
             assert np.allclose(bank.features[pair][row_pos], feats, rtol=0, atol=1e-12)
+
+    # A last hidden layer of width 1 makes a row's features depend on which
+    # rows share the matrix product: a separate pass over the bank rows
+    # differs from the full pass in the last ulp on this dataset.
+    @pytest.mark.parametrize(
+        "hidden_dims, activation", [((16, 8), "relu"), ((16, 1), "tanh")]
+    )
+    def test_bank_is_the_pass_rows_bit_for_bit(self, hidden_dims, activation) -> None:
+        ds = clean_dataset(n=390)
+        ens, scheme = make_ensemble(ds, hidden_dims=hidden_dims, activation=activation)
+        js = JitteredScheme(base=scheme, delta=5.0)
+        train_experts_epoch(ens, ds, js, lr=0.1, batch_size=32, seed=0)
+        bank = build_feature_bank(ens, ds, js)
+        rows, frags = js.membership_rows_of(ds.y)
+        for pair in STRIDE.pairs:
+            out, feats = forward_batch(ens.experts[pair], ds.x)
+            keep = np.isin(frags, pair)
+            assert np.array_equal(bank.features[pair], feats[rows[keep]])
+            assert np.array_equal(bank.frag_ids[pair], frags[keep])
+            assert np.array_equal(bank.row_features[pair], feats)
+            assert np.array_equal(bank.outputs[pair], out[:, 0])
 
 
 class TestKnn:

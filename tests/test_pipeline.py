@@ -129,6 +129,16 @@ class TestConfigValidation:
         a, b = small_config(), small_config()
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != small_config(seed=1).config_hash()
+        # Pinned: a change to how fields are written changes every run's hash.
+        assert ExperimentConfig(dataset={"kind": "synthetic"}).config_hash() == "02efc3080eddb640"
+        raw = {
+            "dataset": {"kind": "synthetic", "n": 2000, "d": 2},
+            "noise": {"kind": "symmetric", "rate": 0.4},
+            "mode": "select_regr",
+            "pairing_override": [[1, 3], [2, 4]],
+            "reference_rho": 2.5,
+        }
+        assert ExperimentConfig.from_dict(raw).config_hash() == "4a98fbe8ebdf0c26"
 
 
 class TestRunExperiment:
@@ -217,6 +227,22 @@ class TestRunExperiment:
         cfg = small_config(fragments=6)
         run_experiment(cfg)
         assert len(calls) == cfg.epochs
+
+    @pytest.mark.parametrize("mode", ["select", "select_regr"])
+    def test_one_expert_pass_per_pair_per_epoch(self, monkeypatch, mode) -> None:
+        import fragpair.experts
+
+        calls = []
+        forward_batch = fragpair.experts.forward_batch
+        monkeypatch.setattr(
+            fragpair.experts,
+            "forward_batch",
+            lambda net, X: calls.append(len(X)) or forward_batch(net, X),
+        )
+        cfg = small_config(fragments=6, mode=mode)
+        result = run_experiment(cfg)
+        n_train = prepare_splits(cfg)[0].n
+        assert calls == [n_train] * (len(result.pairing.pairs) * cfg.epochs)
 
     def test_resolved_config_round_trips(self, tmp_path) -> None:
         cfg = small_config()

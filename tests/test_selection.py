@@ -17,6 +17,7 @@ from fragpair.selection import (
     prior_rows,
     select_clean,
     selection_probability,
+    self_agreement_matrix,
     self_agreement_pred,
     self_agreement_regr,
     self_agreement_repr,
@@ -297,6 +298,58 @@ class TestSelectCleanEndToEnd:
         assert rows[3]["index"] == 3
         assert rows[3]["y_gt"] == ds.y_gt[3]
         assert rows[3]["chosen_repr"] is True
+
+
+class TestVectorizedMatchesScalarRules:
+    """``select_clean`` row by row against the scalar rules composed one
+    sample at a time: the prior times the gated self-agreements."""
+
+    # The vectorized sum and the scalar dot product add at most four
+    # non-negative terms of a total <= 1 in different orders.
+    TOL = 4 * np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("objective", ["classify", "regress"])
+    def test_probabilities_match_row_by_row(self, objective) -> None:
+        from fragpair.data import inject_symmetric_noise
+
+        ds = inject_symmetric_noise(
+            generate_synthetic(160, 2, 0.0, 100.0, 0.05, seed=7), 0.3, seed=8
+        )
+        scheme = fragment_labels(ds, 4)
+        ens = init_ensemble(
+            STRIDE, input_dim=2, hidden_dims=(8, 4), activation="relu", seed=2,
+            objective=objective, label_lo=ds.label_min, label_range=ds.label_range,
+        )
+        js = JitteredScheme(base=scheme, delta=4.0)
+        for epoch in range(5):
+            train_experts_epoch(ens, ds, js, lr=0.1, batch_size=16, seed=epoch)
+        banks = build_feature_bank(ens, ds, js)
+        if objective == "classify":
+            predictive, kind = "classifier", "pred"
+            pred = lambda x, f: self_agreement_pred(x, f, ens)  # noqa: E731
+        else:
+            predictive, kind = "regression", "regr"
+            pred = lambda x, f: self_agreement_regr(x, f, ens, scheme)  # noqa: E731
+        repr_ = lambda x, f: self_agreement_repr(x, f, ens, banks, 5)  # noqa: E731
+        outcome = select_clean(ds, ens, scheme, banks, K=5, seed=0, epoch=1, predictive=predictive)
+        gates = {
+            k: neighborhood_gate(self_agreement_matrix(ens, scheme, banks, 5, k))
+            for k in (kind, "repr")
+        }
+        fragments = range(1, 5)
+        for row in range(ds.n):
+            x, y = ds.x[row], float(ds.y[row])
+            rho = fragment_prior(y, scheme)
+            for k, agrees, p in ((kind, pred, outcome.p_pred), ("repr", repr_, outcome.p_repr)):
+                votes = [agrees(x, f) for f in fragments]
+                alpha = np.array([neighborhood_agreement(f, votes) for f in fragments])
+                assert np.array_equal(gates[k][row], alpha)
+                assert p[row] == pytest.approx(float(rho @ alpha), rel=0, abs=self.TOL)
+                scalar = selection_probability(x, y, ens, k, scheme, banks, K=5)
+                assert scalar == float(rho @ alpha)
+        # Both vote sources vary across rows, so the comparison is not vacuous.
+        assert len(np.unique(outcome.p_pred)) > 2
+        assert len(np.unique(outcome.p_repr)) > 2
 
 
 class TestSelectionJsonl:

@@ -35,7 +35,8 @@ from .fragments import (
     select_contrastive_pairing,
 )
 from .metrics import MetricsReport, error_residual_ratio, mae, mrae, selection_rate
-from .net import Net, NetSpec, forward, forward_batch, gradient_check, init_net, load_net, save_net, train_step
+from .net import Net, NetSpec, forward, forward_batch, gradient_check, init_net, load_net, save_net
+from .net import train_epoch, train_step
 from .pipeline import (
     RunResult,
     compare_pairings,

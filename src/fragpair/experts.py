@@ -8,7 +8,9 @@ import numpy as np
 
 from .data import Dataset
 from .fragments import JitteredScheme, Pairing
-from .net import Net, NetSpec, forward_batch, init_net, train_step
+from .net import Net, NetSpec, forward_batch, init_net, train_epoch
+# Not called here; benchmark/tracing.py patches experts.train_step.
+from .net import train_step  # noqa: F401
 from .rng import derive_seed, stream
 
 Pair = tuple[int, int]
@@ -104,8 +106,6 @@ def train_experts_epoch(
     """
     if js.num_fragments != ens.pairing.num_fragments:
         raise ExpertError("jittered scheme and pairing disagree on fragment count")
-    if batch_size < 1:
-        raise ExpertError("batch_size must be >= 1")
     losses: dict[Pair, float] = {}
     for pair in ens.pairing.pairs:
         rows, tags = _pair_training_set(ds, js, pair)
@@ -114,7 +114,6 @@ def train_experts_epoch(
             raise ExpertError(
                 f"expert ({i}, {j}) has an empty training set for one fragment"
             )
-        X = ds.x[rows]
         if ens.objective == "classify":
             targets = (tags == i).astype(np.float64)
             loss_name = "bce_logits"
@@ -122,13 +121,10 @@ def train_experts_epoch(
             targets = (ds.y[rows] - ens.label_lo) / ens.label_range
             loss_name = "mse"
         order = stream(seed, "shuffle", pair).permutation(len(rows))
-        net = ens.experts[pair]
-        total = 0.0
-        for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
-            total += len(batch) * train_step(net, X[batch], targets[batch], loss_name, lr)
         # Sample-weighted mean: invariant to the shuffle when lr is zero.
-        losses[pair] = total / len(order)
+        losses[pair] = train_epoch(
+            ens.experts[pair], ds.x[rows], targets, order, loss_name, lr, batch_size
+        )
     return losses
 
 

@@ -9,7 +9,8 @@ feature representation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
@@ -48,20 +49,37 @@ class NetSpec:
 
 @dataclass
 class Net:
+    """Weights and biases are views into one float64 buffer, ``flat``, that the
+    constructor fills with copies of the given arrays; a step updates it at once."""
+
     spec: NetSpec
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        parts = [a.ravel() for wb in zip(self.weights, self.biases) for a in wb]
+        self.flat = np.concatenate(parts, dtype=np.float64)
+        self.weights, self.biases = _layer_views(self.flat, self.spec)
 
     @property
     def num_layers(self) -> int:
         return len(self.weights)
 
     def copy(self) -> "Net":
-        return Net(
-            spec=self.spec,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return Net(spec=self.spec, weights=self.weights, biases=self.biases)
+
+
+def _layer_views(buf: np.ndarray, spec: NetSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (out, in) weight and bias views into a flat parameter-sized buffer."""
+    dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(buf[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(buf[at : at + fan_out])
+        at += fan_out
+    return weights, biases
 
 
 def init_net(spec: NetSpec) -> Net:
@@ -77,29 +95,29 @@ def init_net(spec: NetSpec) -> Net:
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+    """Applies the activation in place."""
     if activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=z)
+    return np.tanh(z, out=z)
 
 
-def _activate_grad(z: np.ndarray, a: np.ndarray, activation: str) -> np.ndarray:
+def _activate_grad(a: np.ndarray, activation: str) -> np.ndarray:
+    """The activation's derivative, read from its output (relu: a > 0 iff z > 0)."""
     if activation == "relu":
-        return (z > 0.0).astype(np.float64)
+        return a > 0.0
     return 1.0 - a * a
 
 
 def _forward_cached(net: Net, X: np.ndarray):
-    """Returns (output, pre-activations per hidden layer, activations incl. input)."""
+    """Returns (output, activations: the input, then each hidden layer's)."""
     acts = [X]
-    zs = []
-    h = X
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = h @ W.T + b
-        h = _activate(z, net.spec.activation)
-        zs.append(z)
-        acts.append(h)
-    out = h @ net.weights[-1].T + net.biases[-1]
-    return out, zs, acts
+        z = acts[-1] @ W.T
+        z += b
+        acts.append(_activate(z, net.spec.activation))
+    out = acts[-1] @ net.weights[-1].T
+    out += net.biases[-1]
+    return out, acts
 
 
 def forward_batch(net: Net, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,7 +127,7 @@ def forward_batch(net: Net, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NetError(
             f"expected input of shape (n, {net.spec.input_dim}), got {X.shape}"
         )
-    out, _, acts = _forward_cached(net, X)
+    out, acts = _forward_cached(net, X)
     return out, acts[-1]
 
 
@@ -120,17 +138,18 @@ def forward(net: Net, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _loss_and_output_grad(out, T, loss):
+    # np.add.reduce over all axes, then / size, is np.mean without its wrapper.
     if loss == "mse":
         diff = out - T
-        return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+        return float(np.add.reduce(diff * diff, axis=None) / diff.size), 2.0 * diff / diff.size
     # bce on logits, numerically stable for any finite logit
     z, t = out, T
     per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     grad = (1.0 / (1.0 + np.exp(-z)) - t) / z.size
-    return float(np.mean(per)), grad
+    return float(np.add.reduce(per, axis=None) / per.size), grad
 
 
-def _check_batch(net: Net, X: np.ndarray, T: np.ndarray, loss: str):
+def _check_batch(net: Net, X: np.ndarray, T: np.ndarray, loss: str, lr: float = 0.0):
     X = np.asarray(X, dtype=np.float64)
     T = np.asarray(T, dtype=np.float64)
     if T.ndim == 1:
@@ -143,48 +162,84 @@ def _check_batch(net: Net, X: np.ndarray, T: np.ndarray, loss: str):
         raise NetError(f"expected targets of shape (n, {net.spec.output_dim})")
     if loss == "bce_logits" and not np.all((T == 0.0) | (T == 1.0)):
         raise NetError("bce_logits targets must be 0 or 1")
+    if lr < 0:
+        raise NetError("learning rate must be >= 0")
     return X, T
 
 
 def loss_value(net: Net, X: np.ndarray, T: np.ndarray, loss: str) -> float:
     X, T = _check_batch(net, X, T, loss)
-    out, _, _ = _forward_cached(net, X)
+    out, _ = _forward_cached(net, X)
     value, _ = _loss_and_output_grad(out, T, loss)
     return value
 
 
+def _step(net: Net, X, T, loss: str, lr: float, grad, grad_w, grad_b) -> float:
+    """The one forward/backward pass, on a checked batch; returns its mean loss.
+
+    Writes the exact gradients into ``grad`` (laid out like ``net.flat`` and
+    viewed per layer as ``grad_w``, ``grad_b``); when ``lr > 0`` it then
+    scales them by ``lr`` and updates every parameter at once.
+    """
+    out, acts = _forward_cached(net, X)
+    value, delta = _loss_and_output_grad(out, T, loss)
+    if not math.isfinite(value):
+        raise NetError(f"non-finite {loss} loss ({value}); training diverged")
+    for layer in range(len(acts) - 1, -1, -1):
+        np.matmul(delta.T, acts[layer], out=grad_w[layer])
+        np.add.reduce(delta, axis=0, out=grad_b[layer])
+        if layer > 0:
+            delta = delta @ net.weights[layer]
+            delta *= _activate_grad(acts[layer], net.spec.activation)
+    if lr > 0:
+        grad *= lr
+        net.flat -= grad
+    return value
+
+
+def _checked_step(net: Net, X, T, loss: str, lr: float) -> tuple[float, np.ndarray]:
+    """One step on a new batch: (mean loss, flat gradient, scaled by lr if lr > 0)."""
+    X, T = _check_batch(net, X, T, loss, lr)
+    grad = np.empty_like(net.flat)
+    return _step(net, X, T, loss, lr, grad, *_layer_views(grad, net.spec)), grad
+
+
 def gradients(net: Net, X: np.ndarray, T: np.ndarray, loss: str):
     """Mean-loss value plus exact gradients for every weight matrix and bias."""
-    X, T = _check_batch(net, X, T, loss)
-    out, zs, acts = _forward_cached(net, X)
-    value, delta = _loss_and_output_grad(out, T, loss)
-    if not np.isfinite(value):
-        raise NetError(f"non-finite {loss} loss ({value}); training diverged")
-    # Collected output layer first, then reversed into layer order.
-    grad_w = [delta.T @ acts[-1]]
-    grad_b = [delta.sum(axis=0)]
-    upstream = delta @ net.weights[-1]
-    for layer in range(len(zs) - 1, -1, -1):
-        dz = upstream * _activate_grad(zs[layer], acts[layer + 1], net.spec.activation)
-        grad_w.append(dz.T @ acts[layer])
-        grad_b.append(dz.sum(axis=0))
-        if layer > 0:
-            upstream = dz @ net.weights[layer]
-    grad_w.reverse()
-    grad_b.reverse()
-    return value, grad_w, grad_b
+    value, grad = _checked_step(net, X, T, loss, 0.0)
+    return (value, *_layer_views(grad, net.spec))
 
 
 def train_step(net: Net, X: np.ndarray, T: np.ndarray, loss: str, lr: float) -> float:
     """One full-batch gradient step in place; returns the pre-step mean loss."""
-    if lr < 0:
-        raise NetError("learning rate must be >= 0")
-    value, grad_w, grad_b = gradients(net, X, T, loss)
-    if lr > 0:
-        for W, b, gw, gb in zip(net.weights, net.biases, grad_w, grad_b):
-            W -= lr * gw
-            b -= lr * gb
-    return value
+    return _checked_step(net, X, T, loss, lr)[0]
+
+
+def train_epoch(
+    net: Net, X: np.ndarray, T: np.ndarray, rows: np.ndarray, loss: str, lr: float, batch_size: int
+) -> float:
+    """Mini-batch steps over ``X[rows]``, ``T[rows]`` in that order, in place.
+
+    Returns the sample-weighted mean of the pre-step batch losses.  The
+    inputs are checked and gathered once per epoch, and every step reuses one
+    flat gradient buffer, so a step is the same arithmetic as ``train_step``
+    on ``X[rows[s:e]]`` without its per-call checks, gathers and allocations.
+    """
+    X, T = _check_batch(net, X, T, loss, lr)
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or len(rows) == 0:
+        raise NetError("rows must be a non-empty 1-d index array")
+    if batch_size < 1:
+        raise NetError("batch_size must be >= 1")
+    X, T = X[rows], T[rows]
+    grad = np.empty_like(net.flat)
+    grad_w, grad_b = _layer_views(grad, net.spec)
+    total = 0.0
+    for start in range(0, len(rows), batch_size):
+        stop = min(start + batch_size, len(rows))
+        value = _step(net, X[start:stop], T[start:stop], loss, lr, grad, grad_w, grad_b)
+        total += (stop - start) * value
+    return total / len(rows)
 
 
 def gradient_check(
@@ -199,30 +254,26 @@ def gradient_check(
     if not 1e-7 <= eps <= 1e-3:
         raise NetError("eps must lie in [1e-7, 1e-3]")
     X, T = _check_batch(net, X, T, loss)
-    _, grad_w, grad_b = gradients(net, X, T, loss)
-    analytic = grad_w + grad_b
-    params = net.weights + net.biases
+    _, grad = _checked_step(net, X, T, loss, 0.0)
+    flat = net.flat
     worst = 0.0
-    for tensor, grad in zip(params, analytic):
-        flat = tensor.reshape(-1)
-        gflat = grad.reshape(-1)
-        for p in range(flat.size):
-            original = flat[p]
-            flat[p] = original + eps
-            out_plus, zs_plus, _ = _forward_cached(net, X)
-            up, _ = _loss_and_output_grad(out_plus, T, loss)
-            flat[p] = original - eps
-            out_minus, zs_minus, _ = _forward_cached(net, X)
-            down, _ = _loss_and_output_grad(out_minus, T, loss)
-            flat[p] = original
-            if net.spec.activation == "relu" and any(
-                np.any((zp > 0) != (zm > 0)) for zp, zm in zip(zs_plus, zs_minus)
-            ):
-                continue
-            numeric = (up - down) / (2.0 * eps)
-            scale = max(abs(gflat[p]), abs(numeric))
-            err = abs(gflat[p] - numeric) if scale < 1e-8 else abs(gflat[p] - numeric) / scale
-            worst = max(worst, err)
+    for p in range(flat.size):
+        original = flat[p]
+        flat[p] = original + eps
+        out_plus, acts_plus = _forward_cached(net, X)
+        up, _ = _loss_and_output_grad(out_plus, T, loss)
+        flat[p] = original - eps
+        out_minus, acts_minus = _forward_cached(net, X)
+        down, _ = _loss_and_output_grad(out_minus, T, loss)
+        flat[p] = original
+        if net.spec.activation == "relu" and any(
+            np.any((ap > 0) != (am > 0)) for ap, am in zip(acts_plus[1:], acts_minus[1:])
+        ):
+            continue
+        numeric = (up - down) / (2.0 * eps)
+        scale = max(abs(grad[p]), abs(numeric))
+        err = abs(grad[p] - numeric) if scale < 1e-8 else abs(grad[p] - numeric) / scale
+        worst = max(worst, err)
     return worst
 
 
@@ -255,6 +306,6 @@ def load_net(path: str | Path) -> Net:
             seed=int(header["seed"]),
         )
         n_layers = len(spec.hidden_dims) + 1
-        weights = [archive[f"w{k}"].copy() for k in range(n_layers)]
-        biases = [archive[f"b{k}"].copy() for k in range(n_layers)]
+        weights = [archive[f"w{k}"] for k in range(n_layers)]
+        biases = [archive[f"b{k}"] for k in range(n_layers)]
     return Net(spec=spec, weights=weights, biases=biases)

@@ -29,6 +29,7 @@ from .experts import (
     train_experts_epoch,
 )
 from .fragments import (
+    FragmentationError,
     FragmentationScheme,
     Pairing,
     fragment_edge_weights,
@@ -37,7 +38,9 @@ from .fragments import (
     select_contrastive_pairing,
 )
 from .metrics import MetricsReport, error_residual_ratio, mae, mrae, selection_rate
-from .net import Net, NetSpec, forward_batch, init_net, save_net, train_step
+from .net import Net, NetSpec, forward_batch, init_net, save_net, train_epoch
+# Not called here; benchmark/tracing.py patches pipeline.train_step.
+from .net import train_step  # noqa: F401
 from .rng import derive_seed, stream
 from .selection import SelectionOutcome, select_clean
 
@@ -127,22 +130,6 @@ def resolve_pairing(cfg: ExperimentConfig, train: Dataset, scheme) -> Pairing:
 def _predict_labels(reg: Net, X: np.ndarray, lo: float, span: float) -> np.ndarray:
     out, _ = forward_batch(reg, X)
     return lo + out[:, 0] * span
-
-
-def _train_regressor_epoch(
-    reg: Net,
-    X: np.ndarray,
-    targets: np.ndarray,
-    lr: float,
-    batch_size: int,
-    seed: int,
-) -> float:
-    order = stream(seed, "regressor_shuffle").permutation(len(X))
-    total = 0.0
-    for start in range(0, len(order), batch_size):
-        batch = order[start : start + batch_size]
-        total += len(batch) * train_step(reg, X[batch], targets[batch], "mse", lr)
-    return total / len(order)
 
 
 class _ArtifactWriter:
@@ -270,6 +257,11 @@ def run_experiment(
         ens: Optional[ExpertEnsemble] = None
         if cfg.mode != "vanilla":
             stage = "pairing"
+            empty = [str(f) for f in np.flatnonzero(scheme.counts == 0) + 1]
+            if empty:
+                raise FragmentationError(
+                    f"empty fragment {', '.join(empty)}: every pair expert needs both its fragments"
+                )
             pairing = resolve_pairing(cfg, train, scheme)
             ens = init_ensemble(
                 pairing,
@@ -344,13 +336,11 @@ def run_experiment(
             if len(selected) == 0:
                 warnings.warn(f"epoch {epoch}: empty selection, regressor skips the epoch")
             else:
-                record["regressor_loss"] = _train_regressor_epoch(
-                    reg,
-                    train.x[selected],
-                    norm_targets[selected],
-                    cfg.regressor_lr,
-                    cfg.batch_size,
-                    derive_seed(cfg.seed, "regressor_epoch", epoch),
+                shuffle = stream(derive_seed(cfg.seed, "regressor_epoch", epoch), "regressor_shuffle")
+                order = shuffle.permutation(len(selected))
+                record["regressor_loss"] = train_epoch(
+                    reg, train.x, norm_targets, selected[order], "mse",
+                    cfg.regressor_lr, cfg.batch_size,
                 )
 
             stage = "evaluate"

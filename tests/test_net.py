@@ -14,6 +14,7 @@ from fragpair.net import (
     load_net,
     loss_value,
     save_net,
+    train_epoch,
     train_step,
 )
 
@@ -124,6 +125,124 @@ class TestTrainStep:
         net.weights[1][:] = 1e300
         with np.errstate(over="ignore"), pytest.raises(NetError, match="diverged"):
             train_step(net, np.array([[1e10]]), np.array([0.0]), "mse", 0.1)
+
+
+def per_step_epoch(net, X, T, rows, loss, lr, batch_size) -> float:
+    """Oracle for train_epoch: one train_step per slice of the shuffled rows."""
+    total = 0.0
+    for start in range(0, len(rows), batch_size):
+        batch = rows[start : start + batch_size]
+        total += len(batch) * train_step(net, X[batch], T[batch], loss, lr)
+    return total / len(rows)
+
+
+class TestTrainEpoch:
+    @pytest.mark.parametrize(
+        "activation, loss, hidden, n, batch_size, lr",
+        [
+            ("relu", "mse", (16, 8), 150, 32, 0.05),  # ragged last batch
+            ("tanh", "mse", (16, 8), 150, 32, 0.05),
+            ("relu", "bce_logits", (16, 8), 130, 64, 0.5),
+            ("tanh", "bce_logits", (16, 8), 130, 64, 0.5),
+            ("relu", "mse", (16, 8), 40, 64, 0.05),  # batch_size > n
+            ("tanh", "bce_logits", (16, 8), 40, 40, 0.5),  # batch_size == n
+            ("relu", "bce_logits", (16, 8), 100, 32, 0.0),
+            ("tanh", "mse", (16, 1), 150, 32, 0.05),
+            ("relu", "bce_logits", (16, 1), 97, 16, 0.5),
+        ],
+    )
+    def test_equals_per_step_loop_bit_for_bit(self, activation, loss, hidden, n, batch_size, lr) -> None:
+        rng = np.random.default_rng(n + batch_size)
+        X = rng.normal(size=(n, 3))
+        T = (rng.random(n) > 0.5).astype(float) if loss == "bce_logits" else rng.normal(size=n)
+        net = tiny_net(hidden=hidden, activation=activation, input_dim=3, seed=5)
+        oracle = net.copy()
+        for epoch in range(3):
+            rows = rng.permutation(n)
+            value = train_epoch(net, X, T, rows, loss, lr, batch_size)
+            expected = per_step_epoch(oracle, X, T, rows, loss, lr, batch_size)
+            assert value == expected
+            for a, b in zip(net.weights + net.biases, oracle.weights + oracle.biases):
+                assert np.array_equal(a, b)
+        if lr == 0.0:
+            assert np.array_equal(net.flat, tiny_net(hidden, activation, 5, 3).flat)
+
+    def test_rows_select_a_subset_in_order(self) -> None:
+        rng = np.random.default_rng(4)
+        X, T = rng.normal(size=(50, 2)), rng.normal(size=(50, 1))
+        rows = np.array([7, 3, 3, 40, 12, 0, 49])
+        net, oracle = tiny_net(seed=3), tiny_net(seed=3)
+        assert train_epoch(net, X, T, rows, "mse", 0.1, 3) == per_step_epoch(
+            oracle, X, T, rows, "mse", 0.1, 3
+        )
+        assert np.array_equal(net.flat, oracle.flat)
+
+    @pytest.mark.parametrize(
+        "X, T, rows, loss, lr, match",
+        [
+            (np.ones((4, 3)), np.zeros(4), np.arange(4), "mse", 0.1, "input"),
+            (np.ones((4, 2)), np.zeros(3), np.arange(3), "mse", 0.1, "targets"),
+            (np.ones((4, 2)), np.array([0.0, 1.0, 0.5, 1.0]), np.arange(4), "bce_logits", 0.1, "0 or 1"),
+            (np.ones((4, 2)), np.zeros(4), np.arange(4), "mse", -0.1, "learning rate"),
+            (np.ones((4, 2)), np.zeros(4), np.arange(0), "mse", 0.1, "non-empty"),
+            (np.ones((4, 2)), np.zeros(4), np.arange(4), "hinge", 0.1, "loss"),
+        ],
+    )
+    def test_rejects_bad_inputs_before_any_step(self, X, T, rows, loss, lr, match) -> None:
+        net = tiny_net(seed=2)
+        before = net.flat.copy()
+        with pytest.raises(NetError, match=match):
+            train_epoch(net, X, T, rows, loss, lr, 2)
+        assert np.array_equal(net.flat, before)
+
+    def test_divergence_partway_through_an_epoch(self) -> None:
+        # Saturated tanh units and lr=100 make the head oscillate with a
+        # growing amplitude; the squared error overflows at step 52.
+        net = tiny_net(hidden=(4,), activation="tanh", input_dim=1, seed=1)
+        X = np.linspace(1.0, 2.0, 200)[:, None]
+        T = 1e3 * X[:, 0]
+        with np.errstate(all="ignore"):
+            head = net.copy()
+            assert np.isfinite(train_epoch(head, X, T, np.arange(40), "mse", 100.0, 1))
+            with pytest.raises(NetError, match="diverged"):
+                train_epoch(net, X, T, np.arange(200), "mse", 100.0, 1)
+
+
+class TestFlatBuffer:
+    def test_views_share_one_buffer(self) -> None:
+        net = tiny_net(hidden=(5, 3), input_dim=4)
+        params = net.weights + net.biases
+        assert all(p.base is net.flat for p in params)
+        assert sum(p.size for p in params) == net.flat.size
+        net.weights[1][:] = 0.0
+        net.biases[2][:] = 7.0
+        assert np.count_nonzero(net.flat == 7.0) == 1
+        assert np.array_equal(np.concatenate([p.ravel() for wb in zip(net.weights, net.biases) for p in wb]), net.flat)
+
+    def test_copy_is_independent(self) -> None:
+        net = tiny_net(hidden=(5, 3), input_dim=4)
+        clone = net.copy()
+        assert all(p.base is clone.flat for p in clone.weights + clone.biases)
+        clone.weights[0][:] = 1.0
+        train_step(clone, np.ones((2, 4)), np.zeros(2), "mse", 0.1)
+        assert not np.shares_memory(net.flat, clone.flat)
+        assert np.array_equal(net.flat, tiny_net(hidden=(5, 3), input_dim=4).flat)
+
+    def test_load_net_builds_views(self, tmp_path) -> None:
+        net = tiny_net(hidden=(6, 1), activation="tanh", input_dim=3, seed=8)
+        save_net(net, tmp_path / "net.npz")
+        back = load_net(tmp_path / "net.npz")
+        assert all(p.base is back.flat for p in back.weights + back.biases)
+        assert np.array_equal(back.flat, net.flat)
+
+    def test_gradient_check_on_loaded_net(self, tmp_path) -> None:
+        rng = np.random.default_rng(17)
+        net = tiny_net(hidden=(6, 4), activation="tanh", input_dim=3, seed=6)
+        save_net(net, tmp_path / "net.npz")
+        back = load_net(tmp_path / "net.npz")
+        X, T = rng.normal(size=(8, 3)), rng.normal(size=(8, 1))
+        assert gradient_check(back, X, T, "mse", eps=1e-5) < 1e-4
+        assert np.array_equal(back.flat, net.flat)  # perturbations restored
 
 
 class TestGradientCheck:

@@ -279,6 +279,25 @@ class TestRunExperiment:
         with pytest.raises(PipelineError, match="stage prepare"):
             run_experiment(cfg)
 
+    @pytest.mark.filterwarnings("ignore:fragment .* is empty")
+    @pytest.mark.parametrize("seed, fragment", [(0, 4), (2, 4), (4, 7)])
+    def test_empty_fragment_rejected_at_pairing(self, seed, fragment) -> None:
+        # n=40 over 12 fragments leaves one empty. Jitter can fill it for a
+        # while (seed 0 until epoch 15), so only the base scheme shows it.
+        cfg = ExperimentConfig.from_dict({"dataset": {"kind": "synthetic", "n": 40},
+                                          "fragments": 12, "jitter": 0.04,
+                                          "mode": "select", "seed": seed})
+        with pytest.raises(PipelineError, match=f"epoch 0, stage pairing: empty fragment {fragment}:"):
+            run_experiment(cfg)
+
+    def test_empty_fragment_still_warns_and_runs_in_vanilla(self) -> None:
+        cfg = ExperimentConfig.from_dict({"dataset": {"kind": "synthetic", "n": 40},
+                                          "fragments": 12, "jitter": 0.04, "mode": "vanilla",
+                                          "epochs": 2, "seed": 2})
+        with pytest.warns(UserWarning, match="fragment 4 is empty"):
+            result = run_experiment(cfg)
+        assert len(result.history) == 2
+
     def test_selection_combine_variants_run(self) -> None:
         for combine in ("intersection", "pred_only", "repr_only"):
             result = run_experiment(small_config(selection_combine=combine))

@@ -3,8 +3,6 @@
 from .config import ExperimentConfig, NetConfig
 from .data import (
     Dataset,
-    NoiseSpec,
-    Sample,
     generate_synthetic,
     inject_gaussian_noise,
     inject_symmetric_noise,

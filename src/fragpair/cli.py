@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig
+from .config import MODES, ExperimentConfig
 from .data import (
     default_feature_cols,
     inject_gaussian_noise,
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute one seeded experiment")
     add_config_args(run)
-    run.add_argument("--mode", choices=("select", "select_regr", "vanilla"), default=None)
+    run.add_argument("--mode", choices=MODES, default=None)
     run.add_argument("--out-dir", help="artifact directory (relative paths live under the output root)")
     run.add_argument("--with-reference", action="store_true",
                      help="train a noise-free reference first and report relative error")

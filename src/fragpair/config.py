@@ -10,11 +10,11 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .fragments import MAX_FRAGMENTS, MIN_FRAGMENTS, Pairing, max_jitter
+from .fragments import Pairing, check_fragment_count, check_jitter
 from .net import ACTIVATIONS
+from .selection import COMBINES
 
 MODES = ("select", "select_regr", "vanilla")
-COMBINES = ("union", "intersection", "pred_only", "repr_only")
 
 
 class ConfigError(ValueError):
@@ -44,6 +44,14 @@ def _require_real(value, name: str) -> None:
     )
 
 
+def _require_rule(name: str, rule, *args):
+    """A rule that another module owns; its ValueError becomes a ConfigError naming ``name``."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def _take(raw: dict, allowed: dict, context: str) -> dict:
     unknown = set(raw) - set(allowed)
     _require(not unknown, f"unknown {context} keys: {', '.join(sorted(unknown))}")
@@ -70,8 +78,9 @@ class NetConfig:
         return {"hidden_dims": list(self.hidden_dims), "activation": self.activation}
 
     @staticmethod
-    def from_dict(raw: dict, name: str) -> "NetConfig":
-        merged = _take(raw, {"hidden_dims": [16, 8], "activation": "relu"}, name)
+    def from_dict(raw: dict, default: "NetConfig", name: str) -> "NetConfig":
+        """``raw``'s keys over ``default``, the field's own default net."""
+        merged = _take(raw, default.to_dict(), name)
         _require(
             isinstance(merged["hidden_dims"], (list, tuple)),
             f"{name}.hidden_dims: must be a list of integers",
@@ -111,15 +120,9 @@ class ExperimentConfig:
         self._validate_noise()
         F = self.fragments
         _require_int(F, "fragments")
-        _require(
-            F % 2 == 0 and MIN_FRAGMENTS <= F <= MAX_FRAGMENTS,
-            f"fragments: must be even and within [{MIN_FRAGMENTS}, {MAX_FRAGMENTS}]",
-        )
+        _require_rule("fragments", check_fragment_count, F)
         _require_real(self.jitter, "jitter")
-        _require(
-            0.0 <= self.jitter <= max_jitter(F) + 1e-12,
-            f"jitter: must lie in [0, {max_jitter(F):.6g}] for fragments={F}",
-        )
+        _require_rule("jitter", check_jitter, self.jitter, F)
         _require_int(self.knn_k, "knn_k", 1)
         _require(self.knn_k % 2 == 1, "knn_k: must be an odd integer >= 1")
         self.expert_net.validate("expert_net")
@@ -135,20 +138,28 @@ class ExperimentConfig:
         _require(self.mode in MODES, f"mode: must be one of {MODES}")
         _require(
             self.selection_combine in COMBINES,
-            f"selection_combine: must be one of {COMBINES}",
+            f"selection_combine: must be one of {tuple(COMBINES)}",
         )
         if self.pairing_override is not None:
-            try:
-                pairing = Pairing.from_json(self.pairing_override)
-            except ValueError as exc:
-                raise ConfigError(f"pairing_override: {exc}") from None
-            _require(
-                pairing.num_fragments == F,
-                f"pairing_override: covers {pairing.num_fragments} fragments, expected {F}",
-            )
+            self._validate_pairing_override()
         if self.reference_rho is not None:
             _require_real(self.reference_rho, "reference_rho")
             _require(self.reference_rho > 0, "reference_rho: must be > 0")
+
+    def _validate_pairing_override(self) -> None:
+        shape = "pairing_override: must be a list of [i, j] fragment pairs"
+        _require(isinstance(self.pairing_override, (list, tuple)), shape)
+        for pair in self.pairing_override:
+            _require(isinstance(pair, (list, tuple)) and len(pair) == 2, shape)
+            for f in pair:
+                _require_int(f, "pairing_override")
+        pairing = _require_rule("pairing_override", Pairing.from_json, self.pairing_override)
+        F = self.fragments
+        _require(
+            pairing.num_fragments == F,
+            f"pairing_override: covers {pairing.num_fragments} fragments, expected {F}",
+        )
+        object.__setattr__(self, "pairing_override", pairing.pairs)
 
     def _validate_dataset(self) -> None:
         _require(isinstance(self.dataset, dict), "dataset: must be an object")
@@ -237,15 +248,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        defaults = ExperimentConfig(dataset={"kind": "synthetic"}).to_dict()
-        merged = _take(raw, defaults, "config")
+        defaults = ExperimentConfig(dataset={"kind": "synthetic"})
+        merged = _take(raw, defaults.to_dict(), "config")
         for name in ("expert_net", "regressor_net"):
-            merged[name] = NetConfig.from_dict(merged[name], name)
-        override = merged["pairing_override"]
-        if override is not None:
-            merged["pairing_override"] = tuple(
-                sorted((min(int(a), int(b)), max(int(a), int(b))) for a, b in override)
-            )
+            merged[name] = NetConfig.from_dict(merged[name], getattr(defaults, name), name)
         return ExperimentConfig(**merged)
 
     @staticmethod

@@ -18,15 +18,6 @@ class DataError(ValueError):
     """Raised for malformed datasets, files or noise parameters."""
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One observation: feature vector, observed label, optional ground truth."""
-
-    x: np.ndarray
-    y: float
-    y_gt: Optional[float] = None
-
-
 @dataclass
 class Dataset:
     """Feature matrix plus observed (possibly noisy) and optional ground-truth labels.
@@ -73,10 +64,6 @@ class Dataset:
     @property
     def label_range(self) -> float:
         return self.label_max - self.label_min
-
-    def sample(self, i: int) -> Sample:
-        y_gt = None if self.y_gt is None else float(self.y_gt[i])
-        return Sample(x=self.x[i].copy(), y=float(self.y[i]), y_gt=y_gt)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
@@ -133,35 +120,6 @@ def generate_synthetic(
     if feature_noise_std > 0:
         x = x + rng.normal(0.0, feature_noise_std, size=(n, d))
     return Dataset(x=x, y=y_gt.copy(), y_gt=y_gt)
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Parameters of one label-noise injection.
-
-    ``rate`` applies to symmetric noise only, ``max_std_frac`` to gaussian
-    noise only; exactly the parameters of the selected kind may be set.
-    """
-
-    kind: str
-    rate: Optional[float] = None
-    max_std_frac: Optional[float] = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind == "symmetric":
-            if self.rate is None or self.max_std_frac is not None:
-                raise DataError("symmetric noise takes 'rate' only")
-        elif self.kind == "gaussian":
-            if self.max_std_frac is None or self.rate is not None:
-                raise DataError("gaussian noise takes 'max_std_frac' only")
-        else:
-            raise DataError(f"unknown noise kind {self.kind!r}")
-
-    def apply(self, ds: Dataset) -> Dataset:
-        if self.kind == "symmetric":
-            return inject_symmetric_noise(ds, self.rate, self.seed)
-        return inject_gaussian_noise(ds, self.max_std_frac, self.seed)
 
 
 def _ground_truth(ds: Dataset) -> np.ndarray:

@@ -19,7 +19,8 @@ class FragmentationError(ValueError):
     """Raised for invalid fragment counts, pairings or jitter parameters."""
 
 
-def _check_fragment_count(F: int) -> None:
+def check_fragment_count(F: int) -> None:
+    """The fragment-count rule: an even count within [MIN_FRAGMENTS, MAX_FRAGMENTS]."""
     if F % 2 != 0 or not MIN_FRAGMENTS <= F <= MAX_FRAGMENTS:
         raise FragmentationError(
             f"fragment count must be even and within [{MIN_FRAGMENTS}, {MAX_FRAGMENTS}], got {F}"
@@ -84,7 +85,7 @@ class FragmentationScheme:
 
 def fragment_labels(ds: Dataset, F: int) -> FragmentationScheme:
     """Partition the observed label range of ``ds`` into F equal-width fragments."""
-    _check_fragment_count(F)
+    check_fragment_count(F)
     boundaries = np.linspace(ds.label_min, ds.label_max, F + 1)
     scheme = FragmentationScheme(
         boundaries=boundaries,
@@ -142,7 +143,7 @@ def list_perfect_matchings(F: int) -> list[Matching]:
     Each matching is a tuple of (i, j) pairs with i < j, sorted by first
     element; the list itself is in lexicographic order.
     """
-    _check_fragment_count(F)
+    check_fragment_count(F)
 
     def extend(free: tuple[int, ...]) -> Iterable[Matching]:
         if not free:
@@ -235,6 +236,14 @@ def max_jitter(F: int) -> float:
     return 1.0 / (2.0 * (F - 1))
 
 
+def check_jitter(J: float, F: int) -> None:
+    """The jitter-bound rule: a buffer fraction in [0, max_jitter(F)]."""
+    if not 0.0 <= J <= max_jitter(F) + 1e-12:
+        raise FragmentationError(
+            f"jitter fraction must lie in [0, {max_jitter(F):.6g}] for F={F}, got {J}"
+        )
+
+
 @dataclass(frozen=True)
 class JitteredScheme:
     """One epoch's expanded fragment coverage.
@@ -262,9 +271,6 @@ class JitteredScheme:
         if f < self.num_fragments:
             hi += self.delta
         return lo, hi
-
-    def membership(self, y: float) -> tuple[int, ...]:
-        return jittered_membership(y, self)
 
     def membership_many(self, y: np.ndarray) -> list[tuple[int, ...]]:
         base_ids = self.base.assign_many(y)
@@ -319,11 +325,7 @@ def jitter_scheme(
     scheme: FragmentationScheme, J: float, seed: int, epoch: int
 ) -> JitteredScheme:
     """Draw this epoch's shared boundary shift, uniform on [0, J * label range]."""
-    F = scheme.num_fragments
-    if not 0.0 <= J <= max_jitter(F) + 1e-12:
-        raise FragmentationError(
-            f"jitter fraction must lie in [0, {max_jitter(F):.6g}] for F={F}, got {J}"
-        )
+    check_jitter(J, scheme.num_fragments)
     if J == 0.0:
         return JitteredScheme(base=scheme, delta=0.0)
     delta = float(stream(seed, "jitter", epoch).uniform(0.0, J * scheme.label_range))

@@ -42,10 +42,6 @@ class NetSpec:
         if self.activation not in ACTIVATIONS:
             raise NetError(f"activation must be one of {ACTIVATIONS}")
 
-    @property
-    def feature_dim(self) -> int:
-        return self.hidden_dims[-1]
-
 
 @dataclass
 class Net:
@@ -61,10 +57,6 @@ class Net:
         parts = [a.ravel() for wb in zip(self.weights, self.biases) for a in wb]
         self.flat = np.concatenate(parts, dtype=np.float64)
         self.weights, self.biases = _layer_views(self.flat, self.spec)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.weights)
 
     def copy(self) -> "Net":
         return Net(spec=self.spec, weights=self.weights, biases=self.biases)
@@ -202,12 +194,6 @@ def _checked_step(net: Net, X, T, loss: str, lr: float) -> tuple[float, np.ndarr
     X, T = _check_batch(net, X, T, loss, lr)
     grad = np.empty_like(net.flat)
     return _step(net, X, T, loss, lr, grad, *_layer_views(grad, net.spec)), grad
-
-
-def gradients(net: Net, X: np.ndarray, T: np.ndarray, loss: str):
-    """Mean-loss value plus exact gradients for every weight matrix and bias."""
-    value, grad = _checked_step(net, X, T, loss, 0.0)
-    return (value, *_layer_views(grad, net.spec))
 
 
 def train_step(net: Net, X: np.ndarray, T: np.ndarray, loss: str, lr: float) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import Dataset, generate_synthetic, load_csv, split_dataset
-from .data import NoiseSpec
+from .data import inject_gaussian_noise, inject_symmetric_noise
 from .experts import (
     ExpertEnsemble,
     KShrinkWarning,
@@ -108,16 +108,13 @@ def prepare_splits(
             raise PipelineError("reference run requires ground-truth labels")
         ds = Dataset(x=ds.x.copy(), y=ds.y_gt.copy(), y_gt=ds.y_gt.copy())
     elif cfg.noise is not None:
-        noise_seed = cfg.noise.get("seed")
+        noise_seed = cfg.noise["seed"]
         if noise_seed is None:
             noise_seed = derive_seed(cfg.seed, "noise")
-        spec = NoiseSpec(
-            kind=cfg.noise["kind"],
-            rate=cfg.noise.get("rate"),
-            max_std_frac=cfg.noise.get("max_std_frac"),
-            seed=noise_seed,
-        )
-        ds = spec.apply(ds)
+        if cfg.noise["kind"] == "symmetric":
+            ds = inject_symmetric_noise(ds, cfg.noise["rate"], noise_seed)
+        else:
+            ds = inject_gaussian_noise(ds, cfg.noise["max_std_frac"], noise_seed)
     return split_dataset(ds, cfg.test_frac, derive_seed(cfg.seed, "split"))
 
 
@@ -242,9 +239,13 @@ def run_experiment(
     out_dir: Optional[str | Path] = None,
     use_ground_truth: bool = False,
 ) -> RunResult:
-    """Execute the full seeded loop; write artifacts when ``out_dir`` is given."""
+    """Execute the full seeded loop; write artifacts when ``out_dir`` is given.
+
+    A failed run still leaves the metrics of its finished epochs on disk.
+    """
     stage = "prepare"
     epoch = 0
+    writer: Optional[_ArtifactWriter] = None
     try:
         train, test = prepare_splits(cfg, use_ground_truth=use_ground_truth)
         eval_targets = test.y_gt if test.y_gt is not None else test.y
@@ -311,16 +312,7 @@ def run_experiment(
 
                 stage = "select"
                 with _first_k_shrink_only(shown):
-                    outcome = select_clean(
-                        train,
-                        ens,
-                        scheme,
-                        banks,
-                        cfg.knn_k,
-                        cfg.seed,
-                        epoch,
-                        predictive="classifier" if cfg.mode == "select" else "regression",
-                    )
+                    outcome = select_clean(train, ens, scheme, banks, cfg.knn_k, cfg.seed, epoch)
                 selected = outcome.combine(cfg.selection_combine)
                 record["n_pred"] = int(outcome.chosen_pred.sum())
                 record["n_repr"] = int(outcome.chosen_repr.sum())
@@ -363,7 +355,6 @@ def run_experiment(
             result.history.append(record)
             writer.metrics_line(record)
 
-        writer.close()
         if writer.out_dir is not None:
             result.out_dir = writer.out_dir
             _write_final_artifacts(writer.out_dir, cfg, scheme, pairing, ens, reg, result)
@@ -372,6 +363,9 @@ def run_experiment(
         raise
     except Exception as exc:
         raise PipelineError(f"epoch {epoch}, stage {stage}: {exc}") from exc
+    finally:
+        if writer is not None:
+            writer.close()
 
 
 def run_noise_free_reference(

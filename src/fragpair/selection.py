@@ -10,7 +10,6 @@ import numpy as np
 from .data import Dataset
 from .experts import (
     ExpertEnsemble,
-    ExpertError,
     FeatureBank,
     classify_pair,
     knn_classify,
@@ -26,8 +25,6 @@ from .rng import stream
 # one-hot; capping here removes the division-by-zero singularity at exact
 # fragment means without changing the argmax.
 GATE_CAP = 1e6
-
-PREDICTIVE_KINDS = ("classifier", "regression")
 
 
 def prior_rows(
@@ -116,25 +113,24 @@ def self_agreement_matrix(
     """(n, F) self-agreement votes for every training row and fragment at once.
 
     Every vote reads the epoch's one expert pass held in ``banks``.  ``kind``
-    selects the vote source: "pred" the expert's hard classification, "repr"
-    the K-NN vote in its feature space, "regr" the regression output's
-    nearest pair mean.
+    selects the vote source: "pred" the expert's output, read as the ensemble's
+    objective makes it (a ``classify`` expert's hard classification, a
+    ``regress`` expert's nearest pair mean), "repr" the K-NN vote in its
+    feature space.
     """
     n = len(banks.outputs[ens.pairing.pairs[0]])
     votes = np.zeros((n, ens.pairing.num_fragments))
     for pair in ens.pairing.pairs:
         i, j = pair
         out = banks.outputs[pair]
-        if kind == "pred":
-            own_i = out > 0.0
-            own_j = ~own_i
-        elif kind == "repr":
+        if kind == "repr":
             winner = knn_votes(banks, pair, banks.row_features[pair], K)
             own_i = winner == i
             own_j = winner == j
-        elif kind == "regr":
-            if ens.objective != "regress":
-                raise ExpertError("regression agreement requires a regression ensemble")
+        elif kind == "pred" and ens.objective == "classify":
+            own_i = out > 0.0
+            own_j = ~own_i
+        elif kind == "pred":
             # The expression of ``predict_label``.
             h = ens.label_lo + out * ens.label_range
             di = np.abs(scheme.means[i - 1] - h)
@@ -160,7 +156,8 @@ def selection_probability(
     """Mixture probability that (x, y) is clean under one agreement variant.
 
     The scalar rules composed one sample at a time: the reference that the
-    vectorized :func:`select_clean` is tested against.
+    vectorized :func:`select_clean` is tested against.  "pred" and "regr" are
+    the predictive votes of a ``classify`` and a ``regress`` ensemble.
     """
     fragments = range(1, ens.pairing.num_fragments + 1)
     if variant == "pred":
@@ -177,6 +174,16 @@ def selection_probability(
     return float(fragment_prior(float(y), scheme) @ alpha)
 
 
+# Each selection combination: its name and the picks it keeps, from the
+# (chosen_pred, chosen_repr) masks.
+COMBINES = {
+    "union": lambda pred, repr_: pred | repr_,
+    "intersection": lambda pred, repr_: pred & repr_,
+    "pred_only": lambda pred, repr_: pred,
+    "repr_only": lambda pred, repr_: repr_,
+}
+
+
 @dataclass
 class SelectionOutcome:
     """Per-sample probabilities and Bernoulli picks for both agreement variants."""
@@ -187,31 +194,14 @@ class SelectionOutcome:
     chosen_repr: np.ndarray
 
     @property
-    def selected_pred(self) -> np.ndarray:
-        return np.flatnonzero(self.chosen_pred)
-
-    @property
-    def selected_repr(self) -> np.ndarray:
-        return np.flatnonzero(self.chosen_repr)
-
-    @property
     def selected_union(self) -> np.ndarray:
-        return np.flatnonzero(self.chosen_pred | self.chosen_repr)
-
-    @property
-    def selected_intersection(self) -> np.ndarray:
-        return np.flatnonzero(self.chosen_pred & self.chosen_repr)
+        return self.combine("union")
 
     def combine(self, how: str) -> np.ndarray:
-        if how == "union":
-            return self.selected_union
-        if how == "intersection":
-            return self.selected_intersection
-        if how == "pred_only":
-            return self.selected_pred
-        if how == "repr_only":
-            return self.selected_repr
-        raise ValueError(f"unknown selection combination {how!r}")
+        """Indices of the samples that the combination named ``how`` keeps."""
+        if how not in COMBINES:
+            raise ValueError(f"unknown selection combination {how!r}")
+        return np.flatnonzero(COMBINES[how](self.chosen_pred, self.chosen_repr))
 
     # One selection-file row in the key order of ``records``; the last field
     # is the sample's label tail from ``jsonl_tails``.  Not a dataclass field.
@@ -273,24 +263,6 @@ class SelectionOutcome:
         return rows
 
 
-def selection_probabilities(
-    ds: Dataset,
-    ens: ExpertEnsemble,
-    scheme: FragmentationScheme,
-    banks: FeatureBank,
-    K: int,
-    predictive: str = "classifier",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-sample clean probabilities (predictive, representational)."""
-    if predictive not in PREDICTIVE_KINDS:
-        raise ValueError(f"predictive must be one of {PREDICTIVE_KINDS}")
-    pred_kind = "pred" if predictive == "classifier" else "regr"
-    rho = prior_rows(ds.y, scheme.means, scheme.label_range)
-    alpha_pred = neighborhood_gate(self_agreement_matrix(ens, scheme, banks, K, pred_kind))
-    alpha_repr = neighborhood_gate(self_agreement_matrix(ens, scheme, banks, K, "repr"))
-    return (rho * alpha_pred).sum(axis=1), (rho * alpha_repr).sum(axis=1)
-
-
 def bernoulli_select(
     p_pred: np.ndarray, p_repr: np.ndarray, seed: int, epoch: int
 ) -> SelectionOutcome:
@@ -317,8 +289,14 @@ def select_clean(
     K: int,
     seed: int,
     epoch: int,
-    predictive: str = "classifier",
 ) -> SelectionOutcome:
-    """Compute both clean probabilities and sample the per-epoch clean sets."""
-    p_pred, p_repr = selection_probabilities(ds, ens, scheme, banks, K, predictive)
+    """Both per-sample clean probabilities, then the epoch's Bernoulli picks.
+
+    The predictive vote is the one the ensemble's objective gives (see
+    :func:`self_agreement_matrix`).
+    """
+    rho = prior_rows(ds.y, scheme.means, scheme.label_range)
+    alpha_pred = neighborhood_gate(self_agreement_matrix(ens, scheme, banks, K, "pred"))
+    alpha_repr = neighborhood_gate(self_agreement_matrix(ens, scheme, banks, K, "repr"))
+    p_pred, p_repr = (rho * alpha_pred).sum(axis=1), (rho * alpha_repr).sum(axis=1)
     return bernoulli_select(p_pred, p_repr, seed, epoch)

@@ -198,7 +198,7 @@ def test_criterion_5_prior_distribution_and_argmax() -> None:
 def test_criterion_6_bernoulli_sampling_concentration() -> None:
     p = np.full(10000, 0.5)
     outcome = bernoulli_select(p, p, seed=0, epoch=1)
-    rate = len(outcome.selected_pred) / 10000
+    rate = len(outcome.combine("pred_only")) / 10000
     ok = 0.48 <= rate <= 0.52
     assert report(6, ok, f"|S^p|/|D| = {rate:.4f} in [0.48, 0.52]")
 

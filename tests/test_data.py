@@ -6,7 +6,6 @@ import pytest
 from fragpair.data import (
     DataError,
     Dataset,
-    NoiseSpec,
     default_feature_cols,
     feature_curve,
     generate_synthetic,
@@ -68,12 +67,6 @@ class TestDatasetInvariants:
     def test_non_finite_rejected(self) -> None:
         with pytest.raises(DataError):
             Dataset(x=np.ones((2, 1)), y=np.array([1.0, np.nan]))
-
-    def test_sample_accessor(self) -> None:
-        ds = Dataset(x=np.arange(4.0).reshape(2, 2), y=np.array([1.0, 2.0]),
-                     y_gt=np.array([1.0, 3.0]))
-        s = ds.sample(1)
-        assert s.y == 2.0 and s.y_gt == 3.0 and np.allclose(s.x, [2.0, 3.0])
 
 
 class TestSyntheticGeneration:
@@ -194,16 +187,32 @@ class TestGaussianNoise:
 
 
 class TestNoiseSpec:
+    """A config's ``noise`` object: checked by the config, applied by ``prepare_splits``."""
+
+    DATASET = {"kind": "synthetic", "n": 200, "d": 2, "label_lo": 0.0, "label_hi": 10.0}
+
     def test_symmetric_dispatch(self) -> None:
-        ds = generate_synthetic(200, 2, 0.0, 10.0, 0.1, seed=0)
-        spec = NoiseSpec(kind="symmetric", rate=0.5, seed=7)
-        assert np.array_equal(spec.apply(ds).y, inject_symmetric_noise(ds, 0.5, 7).y)
+        from fragpair.config import ExperimentConfig
+        from fragpair.pipeline import load_source_dataset, prepare_splits
+        from fragpair.rng import derive_seed
+
+        cfg = ExperimentConfig.from_dict(
+            {"dataset": self.DATASET, "noise": {"kind": "symmetric", "rate": 0.5, "seed": 7}}
+        )
+        train, test = prepare_splits(cfg)
+        noisy = inject_symmetric_noise(load_source_dataset(cfg), 0.5, 7)
+        want_train, want_test = split_dataset(noisy, cfg.test_frac, derive_seed(cfg.seed, "split"))
+        assert np.array_equal(train.y, want_train.y)
+        assert np.array_equal(test.y, want_test.y)
 
     def test_wrong_parameter_combination(self) -> None:
-        with pytest.raises(DataError):
-            NoiseSpec(kind="symmetric", rate=0.5, max_std_frac=0.3)
-        with pytest.raises(DataError):
-            NoiseSpec(kind="gaussian")
+        from fragpair.config import ConfigError, ExperimentConfig
+
+        with pytest.raises(ConfigError, match="unknown noise keys: max_std_frac"):
+            ExperimentConfig.from_dict({"dataset": self.DATASET, "noise": {
+                "kind": "symmetric", "rate": 0.5, "max_std_frac": 0.3}})
+        with pytest.raises(ConfigError, match="noise.max_std_frac"):
+            ExperimentConfig.from_dict({"dataset": self.DATASET, "noise": {"kind": "gaussian"}})
 
 
 class TestRoundTrip:

@@ -77,6 +77,10 @@ class TestConfigValidation:
             ({"expert_net": {"hidden_dims": [True]}}, "expert_net.hidden_dims"),
             ({"regressor_net": {"hidden_dims": [16, 8.0]}}, "regressor_net.hidden_dims"),
             ({"regressor_net": {"hidden_dims": 16}}, "regressor_net.hidden_dims"),
+            ({"pairing_override": [[1.7, 3], [2, 4]]}, "pairing_override"),
+            ({"pairing_override": [[True, 3], [2, 4]]}, "pairing_override"),
+            ({"pairing_override": [["a", 2], [3, 4]]}, "pairing_override"),
+            ({"pairing_override": [[1, 2, 3], [3, 4]]}, "pairing_override"),
         ],
     )
     def test_integer_fields_reject_other_types(self, overrides, field) -> None:
@@ -272,6 +276,19 @@ class TestRunExperiment:
     def test_contrastive_pairing_discovered(self) -> None:
         result = run_experiment(small_config())
         assert result.pairing.pairs == ((1, 3), (2, 4))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_failed_run_keeps_finished_epochs(self, tmp_path) -> None:
+        # The regressor diverges at epoch 8; the caller still holds the failure.
+        cfg = small_config(dataset={"kind": "synthetic", "n": 400}, mode="vanilla",
+                           epochs=20, regressor_lr=1e4)
+        with pytest.raises(PipelineError, match="epoch 8, stage train_regressor"):
+            try:
+                run_experiment(cfg, out_dir=tmp_path / "run")
+            except PipelineError:
+                lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
+                assert [json.loads(line)["epoch"] for line in lines] == list(range(1, 8))
+                raise
 
     def test_stage_reported_on_failure(self) -> None:
         cfg = small_config(dataset={"kind": "csv", "path": "missing.csv",

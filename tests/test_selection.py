@@ -217,7 +217,7 @@ class TestSelectionProbability:
 class TestBernoulliSelection:
     def test_probability_one_selects_everything(self) -> None:
         outcome = bernoulli_select(np.ones(500), np.ones(500), seed=1, epoch=1)
-        assert len(outcome.selected_pred) == 500
+        assert len(outcome.combine("pred_only")) == 500
         assert len(outcome.selected_union) == 500
 
     def test_probability_zero_selects_nothing(self) -> None:
@@ -227,7 +227,7 @@ class TestBernoulliSelection:
     def test_half_probability_concentrates(self) -> None:
         p = np.full(10000, 0.5)
         outcome = bernoulli_select(p, p, seed=3, epoch=1)
-        rate = len(outcome.selected_pred) / 10000
+        rate = len(outcome.combine("pred_only")) / 10000
         assert 0.48 <= rate <= 0.52
 
     def test_deterministic_per_seed_epoch(self) -> None:
@@ -241,7 +241,7 @@ class TestBernoulliSelection:
     def test_union_is_exactly_pred_or_repr(self) -> None:
         rng = np.random.default_rng(6)
         outcome = bernoulli_select(rng.random(300), rng.random(300), seed=0, epoch=5)
-        expected = np.union1d(outcome.selected_pred, outcome.selected_repr)
+        expected = np.union1d(outcome.combine("pred_only"), outcome.combine("repr_only"))
         assert np.array_equal(outcome.selected_union, expected)
         combined = set(outcome.combine("pred_only")) | set(outcome.combine("repr_only"))
         assert combined == set(outcome.combine("union"))
@@ -324,28 +324,33 @@ class TestVectorizedMatchesScalarRules:
         for epoch in range(5):
             train_experts_epoch(ens, ds, js, lr=0.1, batch_size=16, seed=epoch)
         banks = build_feature_bank(ens, ds, js)
+        # The matrix's "pred" vote follows the ensemble's objective; the scalar
+        # oracle names the two predictive votes apart.
         if objective == "classify":
-            predictive, kind = "classifier", "pred"
+            variant = "pred"
             pred = lambda x, f: self_agreement_pred(x, f, ens)  # noqa: E731
         else:
-            predictive, kind = "regression", "regr"
+            variant = "regr"
             pred = lambda x, f: self_agreement_regr(x, f, ens, scheme)  # noqa: E731
         repr_ = lambda x, f: self_agreement_repr(x, f, ens, banks, 5)  # noqa: E731
-        outcome = select_clean(ds, ens, scheme, banks, K=5, seed=0, epoch=1, predictive=predictive)
+        outcome = select_clean(ds, ens, scheme, banks, K=5, seed=0, epoch=1)
         gates = {
             k: neighborhood_gate(self_agreement_matrix(ens, scheme, banks, 5, k))
-            for k in (kind, "repr")
+            for k in ("pred", "repr")
         }
         fragments = range(1, 5)
         for row in range(ds.n):
             x, y = ds.x[row], float(ds.y[row])
             rho = fragment_prior(y, scheme)
-            for k, agrees, p in ((kind, pred, outcome.p_pred), ("repr", repr_, outcome.p_repr)):
+            for k, oracle, agrees, p in (
+                ("pred", variant, pred, outcome.p_pred),
+                ("repr", "repr", repr_, outcome.p_repr),
+            ):
                 votes = [agrees(x, f) for f in fragments]
                 alpha = np.array([neighborhood_agreement(f, votes) for f in fragments])
                 assert np.array_equal(gates[k][row], alpha)
                 assert p[row] == pytest.approx(float(rho @ alpha), rel=0, abs=self.TOL)
-                scalar = selection_probability(x, y, ens, k, scheme, banks, K=5)
+                scalar = selection_probability(x, y, ens, oracle, scheme, banks, K=5)
                 assert scalar == float(rho @ alpha)
         # Both vote sources vary across rows, so the comparison is not vacuous.
         assert len(np.unique(outcome.p_pred)) > 2

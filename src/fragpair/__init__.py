@@ -15,9 +15,8 @@ from .experts import (
     ExpertEnsemble,
     FeatureBank,
     build_feature_bank,
-    classify_pair,
     init_ensemble,
-    knn_classify,
+    pair_sets,
     train_experts_epoch,
 )
 from .fragments import (
@@ -27,13 +26,12 @@ from .fragments import (
     fragment_edge_weights,
     fragment_labels,
     jitter_scheme,
-    jittered_membership,
     list_perfect_matchings,
     max_jitter,
     select_contrastive_pairing,
 )
 from .metrics import MetricsReport, error_residual_ratio, mae, mrae, selection_rate
-from .net import Net, NetSpec, forward, forward_batch, gradient_check, init_net, load_net, save_net
+from .net import Net, NetSpec, forward_batch, init_net, load_net, save_net
 from .net import train_epoch, train_step
 from .pipeline import (
     RunResult,
@@ -41,15 +39,6 @@ from .pipeline import (
     run_experiment,
     run_noise_free_reference,
 )
-from .selection import (
-    SelectionOutcome,
-    fragment_prior,
-    neighborhood_agreement,
-    select_clean,
-    selection_probability,
-    self_agreement_pred,
-    self_agreement_regr,
-    self_agreement_repr,
-)
+from .selection import SelectionOutcome, select_clean
 
 __version__ = "0.1.0"

@@ -80,6 +80,7 @@ class NetConfig:
     @staticmethod
     def from_dict(raw: dict, default: "NetConfig", name: str) -> "NetConfig":
         """``raw``'s keys over ``default``, the field's own default net."""
+        _require(isinstance(raw, dict), f"{name}: must be an object")
         merged = _take(raw, default.to_dict(), name)
         _require(
             isinstance(merged["hidden_dims"], (list, tuple)),
@@ -230,6 +231,8 @@ class ExperimentConfig:
             )
         else:
             raise ConfigError("noise.kind: must be 'symmetric' or 'gaussian'")
+        if spec["seed"] is not None:
+            _require_int(spec["seed"], "noise.seed")
         object.__setattr__(self, "noise", spec)
 
     def to_dict(self) -> dict:

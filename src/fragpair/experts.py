@@ -14,6 +14,8 @@ from .net import train_step  # noqa: F401
 from .rng import derive_seed, stream
 
 Pair = tuple[int, int]
+# Each pair's (sample rows, fragment tags) under one epoch's jittered coverage.
+PairSets = dict[Pair, tuple[np.ndarray, np.ndarray]]
 
 OBJECTIVES = ("classify", "regress")
 
@@ -75,24 +77,31 @@ def init_ensemble(
     )
 
 
-def _pair_training_set(
-    ds: Dataset, js: JitteredScheme, pair: Pair
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs and fragment tags for one pair under this epoch's jittered coverage.
+def pair_sets(pairing: Pairing, js: JitteredScheme, y: np.ndarray) -> PairSets:
+    """Each pair's training rows and fragment tags under this epoch's jittered coverage.
 
-    A sample lying in the overlap of both pair members appears once per
-    containing fragment, tagged with that fragment's id.
+    The membership is computed once and shared by every pair.  A sample lying
+    in the overlap of both pair members appears once per containing fragment,
+    tagged with that fragment's id.  Every expert needs both its fragments, so
+    a pair with an empty fragment raises :class:`ExpertError` naming it.
     """
-    i, j = pair
-    rows, frags = js.membership_rows_of(ds.y)
-    keep = (frags == i) | (frags == j)
-    return rows[keep], frags[keep]
+    rows, frags = js.membership_rows(y)
+    sets: PairSets = {}
+    for i, j in pairing.pairs:
+        keep = (frags == i) | (frags == j)
+        tags = frags[keep]
+        if not np.any(tags == i) or not np.any(tags == j):
+            raise ExpertError(
+                f"expert ({i}, {j}) has an empty training set for one fragment"
+            )
+        sets[(i, j)] = rows[keep], tags
+    return sets
 
 
 def train_experts_epoch(
     ens: ExpertEnsemble,
     ds: Dataset,
-    js: JitteredScheme,
+    sets: PairSets,
     lr: float,
     batch_size: int,
     seed: int,
@@ -101,21 +110,14 @@ def train_experts_epoch(
 
     Classification experts train with binary cross-entropy on logits (target
     1 for the lower-indexed fragment); regression experts train with mean
-    squared error on normalized labels.  Shuffling is deterministic per
-    (seed, pair).
+    squared error on normalized labels.  ``sets`` is the epoch's
+    :func:`pair_sets`.  Shuffling is deterministic per (seed, pair).
     """
-    if js.num_fragments != ens.pairing.num_fragments:
-        raise ExpertError("jittered scheme and pairing disagree on fragment count")
     losses: dict[Pair, float] = {}
     for pair in ens.pairing.pairs:
-        rows, tags = _pair_training_set(ds, js, pair)
-        i, j = pair
-        if not np.any(tags == i) or not np.any(tags == j):
-            raise ExpertError(
-                f"expert ({i}, {j}) has an empty training set for one fragment"
-            )
+        rows, tags = sets[pair]
         if ens.objective == "classify":
-            targets = (tags == i).astype(np.float64)
+            targets = (tags == pair[0]).astype(np.float64)
             loss_name = "bce_logits"
         else:
             targets = (ds.y[rows] - ens.label_lo) / ens.label_range
@@ -128,6 +130,8 @@ def train_experts_epoch(
     return losses
 
 
+# pair_logits, pair_features and predict_label: src/ calls none of them; the
+# tests' oracles do, and benchmark/tracing.py patches them by name.
 def pair_logits(ens: ExpertEnsemble, pair: Pair, X: np.ndarray) -> np.ndarray:
     out, _ = forward_batch(ens.expert_for(pair), X)
     return out[:, 0]
@@ -143,17 +147,6 @@ def predict_label(ens: ExpertEnsemble, pair: Pair, X: np.ndarray) -> np.ndarray:
     if ens.objective != "regress":
         raise ExpertError("predict_label requires a regression ensemble")
     return ens.label_lo + pair_logits(ens, pair, X) * ens.label_range
-
-
-def classify_pair(ens: ExpertEnsemble, pair: Pair, x: np.ndarray) -> int:
-    """Hard classification into one of the pair's fragments.
-
-    Positive logit means the lower-indexed fragment; an exact zero logit is
-    resolved to the higher-indexed fragment.
-    """
-    logit = float(pair_logits(ens, pair, np.asarray(x, dtype=np.float64)[None, :])[0])
-    i, j = pair
-    return i if logit > 0.0 else j
 
 
 @dataclass
@@ -174,17 +167,17 @@ class FeatureBank:
         return 0 if pair not in self.frag_ids else len(self.frag_ids[pair])
 
 
-def build_feature_bank(ens: ExpertEnsemble, ds: Dataset, js: JitteredScheme) -> FeatureBank:
+def build_feature_bank(ens: ExpertEnsemble, ds: Dataset, sets: PairSets) -> FeatureBank:
     """Run each pair's current expert once over every training row.
 
-    The bank is the pass's rows of the pair's members, so a sample's bank
-    entry and its K-NN query are the same bits.  Rebuilt after each training
-    epoch: the feature space drifts as the experts train, so stale banks
-    would vote in the wrong geometry.
+    The bank is the pass's rows of the pair's set in the epoch's
+    :func:`pair_sets`, so a sample's bank entry and its K-NN query are the
+    same bits.  Rebuilt after each training epoch: the feature space drifts as
+    the experts train, so stale banks would vote in the wrong geometry.
     """
     bank = FeatureBank()
     for pair in ens.pairing.pairs:
-        rows, tags = _pair_training_set(ds, js, pair)
+        rows, tags = sets[pair]
         out, feats = forward_batch(ens.expert_for(pair), ds.x)
         bank.outputs[pair] = out[:, 0]
         bank.row_features[pair] = feats
@@ -455,9 +448,3 @@ def knn_votes(bank: FeatureBank, pair: Pair, queries: np.ndarray, K: int) -> np.
     i, j = pair
     lower = _sweep_lower_votes(queries, q_norms, feats, f_norms, tags == i, k)
     return np.where(2 * lower > k, i, j)
-
-
-def knn_classify(bank: FeatureBank, pair: Pair, feature: np.ndarray, K: int) -> int:
-    """Single-query K-NN vote in one expert's feature space."""
-    feature = np.asarray(feature, dtype=np.float64)
-    return int(knn_votes(bank, pair, feature[None, :], K)[0])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,9 +63,6 @@ class FragmentationScheme:
     def interval(self, f: int) -> tuple[float, float]:
         """Base interval of fragment ``f`` (1-based)."""
         return float(self.boundaries[f - 1]), float(self.boundaries[f])
-
-    def assign(self, y: float) -> int:
-        return int(self.assign_many(np.asarray([y]))[0])
 
     def assign_many(self, y: np.ndarray) -> np.ndarray:
         """Fragment id (1..F) per label; labels must lie within the range."""
@@ -160,7 +157,7 @@ def list_perfect_matchings(F: int) -> list[Matching]:
 
 @dataclass(frozen=True)
 class Pairing:
-    """A perfect matching of fragments; ``partner`` maps each fragment to its mate."""
+    """A perfect matching of fragments 1..F into ordered pairs (i, j), i < j."""
 
     pairs: Matching
 
@@ -177,20 +174,6 @@ class Pairing:
     @property
     def num_fragments(self) -> int:
         return 2 * len(self.pairs)
-
-    def partner(self, f: int) -> int:
-        for i, j in self.pairs:
-            if f == i:
-                return j
-            if f == j:
-                return i
-        raise FragmentationError(f"fragment {f} not covered by the pairing")
-
-    def pair_of(self, f: int) -> tuple[int, int]:
-        for pair in self.pairs:
-            if f in pair:
-                return pair
-        raise FragmentationError(f"fragment {f} not covered by the pairing")
 
     def to_json(self) -> list[list[int]]:
         return [[i, j] for i, j in self.pairs]
@@ -257,8 +240,6 @@ class JitteredScheme:
 
     base: FragmentationScheme
     delta: float
-    # [label array, rows, fragment ids] of the last membership_rows_of call.
-    _last_membership: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def num_fragments(self) -> int:
@@ -272,17 +253,13 @@ class JitteredScheme:
             hi += self.delta
         return lo, hi
 
-    def membership_many(self, y: np.ndarray) -> list[tuple[int, ...]]:
-        base_ids = self.base.assign_many(y)
-        return [
-            _expand_membership(float(v), int(f), self) for v, f in zip(y, base_ids)
-        ]
-
     def membership_rows(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flattened membership as (sample row, fragment id) arrays.
 
-        Vectorized equivalent of :meth:`membership_many`: samples appear once
-        per containing fragment, ordered by row then fragment id.
+        A sample appears once per fragment whose coverage contains it, ordered
+        by row then fragment id.  A sample lies in its base fragment and in at
+        most one neighbour: where an extreme jitter reaches both neighbours,
+        only the one whose shared boundary is nearer is kept.
         """
         y = np.asarray(y, dtype=np.float64)
         base = self.base.assign_many(y)
@@ -301,22 +278,6 @@ class JitteredScheme:
         order = np.lexsort((frags, rows))
         return rows[order], frags[order]
 
-    def membership_rows_of(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`membership_rows` of ``y``, computed once per label array.
-
-        Every expert's training set and feature bank of an epoch reads the
-        same membership; the arrays are returned read-only.  The label array
-        is matched by identity, so it must not be modified in place while
-        this scheme is in use.
-        """
-        memo = self._last_membership
-        if not memo or memo[0] is not y:
-            rows, frags = self.membership_rows(y)
-            rows.flags.writeable = False
-            frags.flags.writeable = False
-            memo[:] = [y, rows, frags]
-        return memo[1], memo[2]
-
     def to_json(self) -> dict:
         return {"delta": float(self.delta), "base": self.base.to_json()}
 
@@ -330,30 +291,3 @@ def jitter_scheme(
         return JitteredScheme(base=scheme, delta=0.0)
     delta = float(stream(seed, "jitter", epoch).uniform(0.0, J * scheme.label_range))
     return JitteredScheme(base=scheme, delta=delta)
-
-
-def _expand_membership(y: float, base_id: int, js: JitteredScheme) -> tuple[int, ...]:
-    F = js.num_fragments
-    b = js.base.boundaries
-    in_left = base_id > 1 and y < b[base_id - 1] + js.delta
-    in_right = base_id < F and y >= b[base_id] - js.delta
-    if in_left and in_right:
-        # Extreme jitter draws can reach both neighbors; keep only the
-        # neighbor whose shared boundary is nearer so membership stays <= 2.
-        if y - b[base_id - 1] <= b[base_id] - y:
-            in_right = False
-        else:
-            in_left = False
-    members = []
-    if in_left:
-        members.append(base_id - 1)
-    members.append(base_id)
-    if in_right:
-        members.append(base_id + 1)
-    return tuple(members)
-
-
-def jittered_membership(y: float, js: JitteredScheme) -> tuple[int, ...]:
-    """The 1 or 2 fragments whose jittered coverage contains ``y``."""
-    base_id = js.base.assign(y)
-    return _expand_membership(float(y), base_id, js)

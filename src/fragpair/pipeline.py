@@ -26,6 +26,7 @@ from .experts import (
     KShrinkWarning,
     build_feature_bank,
     init_ensemble,
+    pair_sets,
     train_experts_epoch,
 )
 from .fragments import (
@@ -297,10 +298,11 @@ def run_experiment(
                 record["jitter_delta"] = js.delta
 
                 stage = "train_experts"
+                sets = pair_sets(pairing, js, train.y)
                 losses = train_experts_epoch(
                     ens,
                     train,
-                    js,
+                    sets,
                     cfg.expert_lr,
                     cfg.batch_size,
                     derive_seed(cfg.seed, "expert_epoch", epoch),
@@ -308,7 +310,7 @@ def run_experiment(
                 record["expert_loss"] = float(np.mean(list(losses.values())))
 
                 stage = "build_banks"
-                banks = build_feature_bank(ens, train, js)
+                banks = build_feature_bank(ens, train, sets)
 
                 stage = "select"
                 with _first_k_shrink_only(shown):

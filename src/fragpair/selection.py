@@ -3,21 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .data import Dataset
-from .experts import (
-    ExpertEnsemble,
-    FeatureBank,
-    classify_pair,
-    knn_classify,
-    knn_votes,
-    pair_features,
-    pair_logits,  # not called here; benchmark/tracing.py patches selection.pair_logits
-    predict_label,
-)
+from .experts import ExpertEnsemble, FeatureBank, knn_votes
+# Not called here; benchmark/tracing.py patches these names in this module.
+from .experts import pair_features, pair_logits, predict_label  # noqa: F401
 from .fragments import FragmentationScheme
 from .rng import stream
 
@@ -40,60 +32,10 @@ def prior_rows(
     return weights / weights.sum(axis=1, keepdims=True)
 
 
-def fragment_prior(y: float, scheme: FragmentationScheme) -> np.ndarray:
-    """Mixture weight of each fragment for an observed label (sums to 1)."""
-    if not scheme.label_min <= y <= scheme.label_max:
-        raise ValueError("label outside the fragmented range")
-    return prior_rows(np.asarray([y]), scheme.means, scheme.label_range)[0]
-
-
-def self_agreement_pred(x: np.ndarray, f: int, ens: ExpertEnsemble) -> int:
-    """1 iff the pair expert classifies x into fragment f rather than its partner."""
-    pair = ens.pairing.pair_of(f)
-    return int(classify_pair(ens, pair, x) == f)
-
-
-def self_agreement_repr(
-    x: np.ndarray, f: int, ens: ExpertEnsemble, bank: FeatureBank, K: int
-) -> int:
-    """1 iff the K-NN vote in the pair expert's feature space lands on f."""
-    pair = ens.pairing.pair_of(f)
-    feature = pair_features(ens, pair, np.asarray(x, dtype=np.float64)[None, :])[0]
-    return int(knn_classify(bank, pair, feature, K) == f)
-
-
-def self_agreement_regr(
-    x: np.ndarray, f: int, ens: ExpertEnsemble, scheme: FragmentationScheme
-) -> int:
-    """1 iff the pair's regression output is strictly nearer f's mean label.
-
-    The strict inequality makes an exact midpoint count as disagreement for
-    both fragments of the pair.
-    """
-    pair = ens.pairing.pair_of(f)
-    partner = ens.pairing.partner(f)
-    h = float(predict_label(ens, pair, np.asarray(x, dtype=np.float64)[None, :])[0])
-    own = abs(scheme.means[f - 1] - h)
-    other = abs(scheme.means[partner - 1] - h)
-    return int(own < other)
-
-
-def neighborhood_agreement(f: int, self_agreements: np.ndarray) -> int:
-    """Self-agreement of f gated by at least one adjacent fragment agreeing.
-
-    At the range boundaries only the existing neighbor is consulted.
-    """
-    self_agreements = np.asarray(self_agreements)
-    F = len(self_agreements)
-    if not 1 <= f <= F:
-        raise ValueError(f"fragment id {f} outside 1..{F}")
-    neighbors = [g for g in (f - 1, f + 1) if 1 <= g <= F]
-    ngb = int(any(self_agreements[g - 1] for g in neighbors))
-    return int(self_agreements[f - 1]) * ngb
-
-
 def neighborhood_gate(self_matrix: np.ndarray) -> np.ndarray:
-    """Row-wise neighborhood agreement for an (n, F) self-agreement matrix."""
+    """Each fragment's self-agreement gated by at least one adjacent fragment
+    agreeing, row by row of an (n, F) self-agreement matrix.  At the range
+    boundaries only the existing neighbor is consulted."""
     self_matrix = np.asarray(self_matrix, dtype=bool)
     F = self_matrix.shape[1]
     ngb = np.zeros_like(self_matrix)
@@ -142,36 +84,6 @@ def self_agreement_matrix(
         votes[:, i - 1] = own_i
         votes[:, j - 1] = own_j
     return votes
-
-
-def selection_probability(
-    x: np.ndarray,
-    y: float,
-    ens: ExpertEnsemble,
-    variant: str,
-    scheme: FragmentationScheme,
-    banks: Optional[FeatureBank] = None,
-    K: int = 5,
-) -> float:
-    """Mixture probability that (x, y) is clean under one agreement variant.
-
-    The scalar rules composed one sample at a time: the reference that the
-    vectorized :func:`select_clean` is tested against.  "pred" and "regr" are
-    the predictive votes of a ``classify`` and a ``regress`` ensemble.
-    """
-    fragments = range(1, ens.pairing.num_fragments + 1)
-    if variant == "pred":
-        votes = [self_agreement_pred(x, f, ens) for f in fragments]
-    elif variant == "repr":
-        if banks is None:
-            raise ValueError("representational agreement requires feature banks")
-        votes = [self_agreement_repr(x, f, ens, banks, K) for f in fragments]
-    elif variant == "regr":
-        votes = [self_agreement_regr(x, f, ens, scheme) for f in fragments]
-    else:
-        raise ValueError("variant must be 'pred', 'repr' or 'regr'")
-    alpha = np.array([neighborhood_agreement(f, votes) for f in fragments], dtype=np.float64)
-    return float(fragment_prior(float(y), scheme) @ alpha)
 
 
 # Each selection combination: its name and the picks it keeps, from the
@@ -245,6 +157,7 @@ class SelectionOutcome:
             for pair in zip(ds.y.tolist(), ds.y_gt.tolist())
         ]
 
+    # Not called in src/; the tests' oracle, and benchmark/tracing.py patches it.
     def records(self, ds: Dataset) -> list[dict]:
         """Per-row view of one epoch's selection; ``jsonl`` writes the same rows."""
         rows = []

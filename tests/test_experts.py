@@ -11,15 +11,15 @@ from fragpair.experts import (
     ExpertError,
     FeatureBank,
     build_feature_bank,
-    classify_pair,
     init_ensemble,
-    knn_classify,
     knn_votes,
     pair_features,
+    pair_sets,
     train_experts_epoch,
 )
 from fragpair.fragments import JitteredScheme, Pairing, fragment_labels
-from fragpair.net import forward, forward_batch
+from fragpair.net import forward_batch
+from oracles import classify_pair, forward, knn_classify
 
 STRIDE = Pairing(pairs=((1, 3), (2, 4)))
 
@@ -69,9 +69,9 @@ class TestTraining:
     def test_separated_fragments_reach_high_accuracy(self) -> None:
         ds = clean_dataset(n=400)
         ens, scheme = make_ensemble(ds)
-        js = JitteredScheme(base=scheme, delta=0.0)
+        sets = pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), ds.y)
         for epoch in range(50):
-            train_experts_epoch(ens, ds, js, lr=0.1, batch_size=32, seed=epoch)
+            train_experts_epoch(ens, ds, sets, lr=0.1, batch_size=32, seed=epoch)
         assignment = scheme.assign_many(ds.y)
         for pair in STRIDE.pairs:
             members = np.flatnonzero(np.isin(assignment, pair))
@@ -84,9 +84,9 @@ class TestTraining:
     def test_lr_zero_keeps_losses_constant(self) -> None:
         ds = clean_dataset(n=200)
         ens, scheme = make_ensemble(ds)
-        js = JitteredScheme(base=scheme, delta=0.0)
-        first = train_experts_epoch(ens, ds, js, lr=0.0, batch_size=64, seed=1)
-        second = train_experts_epoch(ens, ds, js, lr=0.0, batch_size=64, seed=2)
+        sets = pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), ds.y)
+        first = train_experts_epoch(ens, ds, sets, lr=0.0, batch_size=64, seed=1)
+        second = train_experts_epoch(ens, ds, sets, lr=0.0, batch_size=64, seed=2)
         for pair in STRIDE.pairs:
             assert first[pair] == pytest.approx(second[pair], abs=1e-12)
 
@@ -95,9 +95,9 @@ class TestTraining:
         trajectories = []
         for _ in range(2):
             ens, scheme = make_ensemble(ds, seed=5)
-            js = JitteredScheme(base=scheme, delta=0.0)
+            sets = pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), ds.y)
             trajectories.append(
-                [train_experts_epoch(ens, ds, js, 0.1, 32, seed=e) for e in range(5)]
+                [train_experts_epoch(ens, ds, sets, 0.1, 32, seed=e) for e in range(5)]
             )
         assert trajectories[0] == trajectories[1]
 
@@ -114,17 +114,15 @@ class TestTraining:
             ens, _ = make_ensemble(ds)
         js = JitteredScheme(base=scheme, delta=0.0)
         with pytest.raises(ExpertError, match=r"\(1, 3\)"):
-            train_experts_epoch(ens, ds, js, 0.1, 32, seed=0)
+            pair_sets(ens.pairing, js, ds.y)
 
     def test_overlap_duplicates_with_both_labels(self) -> None:
         # Adjacent pair plus a wide jitter buffer: samples near the shared
         # boundary must appear once per fragment in the pair's training set.
-        from fragpair.experts import _pair_training_set
-
         ds = clean_dataset(n=300)
         scheme = fragment_labels(ds, 4)
         js = JitteredScheme(base=scheme, delta=4.0)
-        rows, tags = _pair_training_set(ds, js, (1, 2))
+        rows, tags = pair_sets(Pairing(pairs=((1, 2), (3, 4))), js, ds.y)[(1, 2)]
         duplicated = [r for r in np.unique(rows) if (rows == r).sum() == 2]
         assert duplicated
         for r in duplicated:
@@ -167,7 +165,7 @@ class TestFeatureBank:
         ds = clean_dataset(n=100)
         ens, scheme = make_ensemble(ds)
         js = JitteredScheme(base=scheme, delta=0.0)
-        bank = build_feature_bank(ens, ds, js)
+        bank = build_feature_bank(ens, ds, pair_sets(STRIDE, js, ds.y))
         total = sum(bank.size(pair) for pair in STRIDE.pairs)
         assert total == 100
         for pair in STRIDE.pairs:
@@ -176,8 +174,12 @@ class TestFeatureBank:
     def test_jitter_overlap_adds_entries(self) -> None:
         ds = clean_dataset(n=300)
         ens, scheme = make_ensemble(ds)
-        bank0 = build_feature_bank(ens, ds, JitteredScheme(base=scheme, delta=0.0))
-        bank5 = build_feature_bank(ens, ds, JitteredScheme(base=scheme, delta=5.0))
+        bank0 = build_feature_bank(
+            ens, ds, pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), ds.y)
+        )
+        bank5 = build_feature_bank(
+            ens, ds, pair_sets(STRIDE, JitteredScheme(base=scheme, delta=5.0), ds.y)
+        )
         assert sum(bank5.size(p) for p in STRIDE.pairs) > sum(
             bank0.size(p) for p in STRIDE.pairs
         )
@@ -186,7 +188,7 @@ class TestFeatureBank:
         ds = clean_dataset(n=60)
         ens, scheme = make_ensemble(ds)
         js = JitteredScheme(base=scheme, delta=0.0)
-        bank = build_feature_bank(ens, ds, js)
+        bank = build_feature_bank(ens, ds, pair_sets(STRIDE, js, ds.y))
         assignment = scheme.assign_many(ds.y)
         pair = (1, 3)
         member_rows = np.flatnonzero(np.isin(assignment, pair))
@@ -205,9 +207,10 @@ class TestFeatureBank:
         ds = clean_dataset(n=390)
         ens, scheme = make_ensemble(ds, hidden_dims=hidden_dims, activation=activation)
         js = JitteredScheme(base=scheme, delta=5.0)
-        train_experts_epoch(ens, ds, js, lr=0.1, batch_size=32, seed=0)
-        bank = build_feature_bank(ens, ds, js)
-        rows, frags = js.membership_rows_of(ds.y)
+        sets = pair_sets(STRIDE, js, ds.y)
+        train_experts_epoch(ens, ds, sets, lr=0.1, batch_size=32, seed=0)
+        bank = build_feature_bank(ens, ds, sets)
+        rows, frags = js.membership_rows(ds.y)
         for pair in STRIDE.pairs:
             out, feats = forward_batch(ens.experts[pair], ds.x)
             keep = np.isin(frags, pair)

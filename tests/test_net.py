@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,15 @@ from fragpair.net import (
     Net,
     NetError,
     NetSpec,
-    forward,
+    _loss_and_output_grad,
     forward_batch,
-    gradient_check,
     init_net,
     load_net,
-    loss_value,
     save_net,
     train_epoch,
     train_step,
 )
+from oracles import forward, gradient_check, loss_value
 
 
 def tiny_net(hidden=(8,), activation="relu", seed=0, input_dim=2, output_dim=1) -> Net:
@@ -300,6 +301,16 @@ class TestNumericalStability:
             for target in (0.0, 1.0):
                 value = loss_value(net, np.array([[1.0]]), np.array([target]), "bce_logits")
                 assert np.isfinite(value)
+
+    def test_bce_gradient_at_logits_beyond_exp_range(self) -> None:
+        # exp(800) overflows; the sigmoid's limits 1 and 0 give the gradient.
+        z = np.array([[800.0], [-800.0], [800.0], [-800.0]])
+        t = np.array([[1.0], [1.0], [0.0], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = _loss_and_output_grad(z, t, "bce_logits")
+        assert np.array_equal(grad, np.array([[0.0], [-1.0], [1.0], [0.0]]) / 4)
+        assert value == 400.0
 
 
 class TestCheckpoint:

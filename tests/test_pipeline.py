@@ -81,11 +81,22 @@ class TestConfigValidation:
             ({"pairing_override": [[True, 3], [2, 4]]}, "pairing_override"),
             ({"pairing_override": [["a", 2], [3, 4]]}, "pairing_override"),
             ({"pairing_override": [[1, 2, 3], [3, 4]]}, "pairing_override"),
+            ({"noise": {"kind": "symmetric", "rate": 0.4, "seed": 1.7}}, "noise.seed"),
+            ({"noise": {"kind": "symmetric", "rate": 0.4, "seed": True}}, "noise.seed"),
+            ({"noise": {"kind": "gaussian", "max_std_frac": 0.3, "seed": "x"}}, "noise.seed"),
         ],
     )
     def test_integer_fields_reject_other_types(self, overrides, field) -> None:
         with pytest.raises(ConfigError, match=f"^{field}: must be"):
             small_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("expert_net", [16, 8]), ("regressor_net", None), ("expert_net", "relu")],
+    )
+    def test_net_fields_must_be_objects(self, field, value) -> None:
+        with pytest.raises(ConfigError, match=f"^{field}: must be an object$"):
+            small_config(**{field: value})
 
     @pytest.mark.parametrize(
         "overrides,field",

@@ -6,18 +6,26 @@ import numpy as np
 import pytest
 
 from fragpair.data import generate_synthetic
-from fragpair.experts import FeatureBank, build_feature_bank, init_ensemble, train_experts_epoch
+from fragpair.experts import (
+    FeatureBank,
+    build_feature_bank,
+    init_ensemble,
+    pair_sets,
+    train_experts_epoch,
+)
 from fragpair.fragments import JitteredScheme, Pairing, fragment_labels
 from fragpair.selection import (
     SelectionOutcome,
     bernoulli_select,
-    fragment_prior,
-    neighborhood_agreement,
     neighborhood_gate,
     prior_rows,
     select_clean,
-    selection_probability,
     self_agreement_matrix,
+)
+from oracles import (
+    fragment_prior,
+    neighborhood_agreement,
+    selection_probability,
     self_agreement_pred,
     self_agreement_regr,
     self_agreement_repr,
@@ -261,10 +269,10 @@ class TestSelectCleanEndToEnd:
             STRIDE, input_dim=2, hidden_dims=(16, 8), activation="relu", seed=1,
             label_lo=noisy.label_min, label_range=noisy.label_range,
         )
-        js = JitteredScheme(base=scheme, delta=0.0)
+        sets = pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), noisy.y)
         for epoch in range(40):
-            train_experts_epoch(ens, noisy, js, lr=0.1, batch_size=32, seed=epoch)
-        banks = build_feature_bank(ens, noisy, js)
+            train_experts_epoch(ens, noisy, sets, lr=0.1, batch_size=32, seed=epoch)
+        banks = build_feature_bank(ens, noisy, sets)
         outcome = select_clean(noisy, ens, scheme, banks, K=5, seed=0, epoch=9)
         corrupted = noisy.y != noisy.y_gt
         assert outcome.p_pred[~corrupted].mean() > outcome.p_pred[corrupted].mean() + 0.2
@@ -277,9 +285,9 @@ class TestSelectCleanEndToEnd:
             STRIDE, input_dim=2, hidden_dims=(16, 8), activation="relu", seed=1,
             label_lo=ds.label_min, label_range=ds.label_range,
         )
-        js = JitteredScheme(base=scheme, delta=0.0)
+        sets = pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), ds.y)
         for epoch in range(50):
-            train_experts_epoch(ens, ds, js, lr=0.1, batch_size=32, seed=epoch)
+            train_experts_epoch(ens, ds, sets, lr=0.1, batch_size=32, seed=epoch)
         assignment = scheme.assign_many(ds.y)
         agreements = [
             self_agreement_pred(ds.x[i], int(assignment[i]), ens) for i in range(ds.n)
@@ -320,10 +328,10 @@ class TestVectorizedMatchesScalarRules:
             STRIDE, input_dim=2, hidden_dims=(8, 4), activation="relu", seed=2,
             objective=objective, label_lo=ds.label_min, label_range=ds.label_range,
         )
-        js = JitteredScheme(base=scheme, delta=4.0)
+        sets = pair_sets(STRIDE, JitteredScheme(base=scheme, delta=4.0), ds.y)
         for epoch in range(5):
-            train_experts_epoch(ens, ds, js, lr=0.1, batch_size=16, seed=epoch)
-        banks = build_feature_bank(ens, ds, js)
+            train_experts_epoch(ens, ds, sets, lr=0.1, batch_size=16, seed=epoch)
+        banks = build_feature_bank(ens, ds, sets)
         # The matrix's "pred" vote follows the ensemble's objective; the scalar
         # oracle names the two predictive votes apart.
         if objective == "classify":

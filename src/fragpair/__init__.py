@@ -30,7 +30,7 @@ from .fragments import (
     max_jitter,
     select_contrastive_pairing,
 )
-from .metrics import MetricsReport, error_residual_ratio, mae, mrae, selection_rate
+from .metrics import error_residual_ratio, mae, mrae, selection_rate
 from .net import Net, NetSpec, forward_batch, init_net, load_net, save_net
 from .net import train_epoch, train_step
 from .pipeline import (

@@ -196,12 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    synthetic = ExperimentConfig(dataset={"kind": "synthetic"}).dataset
     gen = sub.add_parser("generate", help="write a synthetic dataset")
-    gen.add_argument("--n", type=int, default=2000)
-    gen.add_argument("--d", type=int, default=2)
-    gen.add_argument("--label-lo", type=float, default=0.0)
-    gen.add_argument("--label-hi", type=float, default=100.0)
-    gen.add_argument("--feature-noise-std", type=float, default=0.1)
+    gen.add_argument("--n", type=int, default=synthetic["n"])
+    gen.add_argument("--d", type=int, default=synthetic["d"])
+    gen.add_argument("--label-lo", type=float, default=synthetic["label_lo"])
+    gen.add_argument("--label-hi", type=float, default=synthetic["label_hi"])
+    gen.add_argument("--feature-noise-std", type=float, default=synthetic["feature_noise_std"])
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help=".csv or .jsonl output path")
     gen.set_defaults(func=_cmd_generate)
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--rate", type=float, default=0.4, help="symmetric corruption probability")
     noise.add_argument("--max-std-frac", type=float, default=0.3, help="gaussian std cap (range fraction)")
     noise.add_argument("--seed", type=int, default=0)
-    noise.add_argument("--d", type=int, default=2, help="feature count when --feature-cols is omitted")
+    noise.add_argument("--d", type=int, default=synthetic["d"], help="feature count when --feature-cols is omitted")
     noise.add_argument("--feature-cols", help="comma-separated feature column names")
     noise.add_argument("--label-col", default="label")
     noise.add_argument("--gt-col", default=None)

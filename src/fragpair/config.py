@@ -126,8 +126,10 @@ class ExperimentConfig:
         _require_rule("jitter", check_jitter, self.jitter, F)
         _require_int(self.knn_k, "knn_k", 1)
         _require(self.knn_k % 2 == 1, "knn_k: must be an odd integer >= 1")
-        self.expert_net.validate("expert_net")
-        self.regressor_net.validate("regressor_net")
+        for name in ("expert_net", "regressor_net"):
+            net = getattr(self, name)
+            _require(isinstance(net, NetConfig), f"{name}: must be a NetConfig, got {net!r}")
+            net.validate(name)
         _require_int(self.epochs, "epochs", 1)
         for name in ("expert_lr", "regressor_lr"):
             _require_real(getattr(self, name), name)

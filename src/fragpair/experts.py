@@ -254,7 +254,8 @@ def _count_nearest(
         d2 = d2_buf[:size].reshape(shape)
         part = part_buf[:size].reshape(shape)
         mask = mask_buf[:size].reshape(shape)
-        # (|q|^2 + |f|^2) - 2 q.f in that order: the same bits as the dense matrix.
+        # (|q|^2 + |f|^2) - 2 q.f in that order for every window; q.f may still
+        # round differently in another product shape (see knn_votes).
         np.copyto(d2, f_norms)
         np.add(d2, q_norms[start:stop, None], out=d2)
         np.matmul(queries[start:stop], feats.T, out=part)
@@ -306,66 +307,57 @@ def _sweep_lower_votes(
     n, m = len(queries), len(feats)
     floats = max(_BUFFER_FLOATS, m)
     buffers = (np.empty(floats), np.empty(floats), np.empty(floats, dtype=bool))
-    out = _counts(n)
-    if n == 0 or not np.isfinite(feats).all():
-        _count_nearest(queries, q_norms, feats, f_norms, is_lower, k, buffers, out)
-        return out[0]
-    axis = _leading_axis(feats)
-    f_proj = feats @ axis
-    f_order = np.argsort(f_proj, kind="stable")
-    f_proj = f_proj[f_order]
-    s_feats, s_norms, s_lower = feats[f_order], f_norms[f_order], is_lower[f_order]
-    # The query order only decides which block a row joins.
-    q_proj = queries @ axis
-    q_order = np.argsort(q_proj)
-    q_proj = q_proj[q_order]
-    s_queries, s_qnorms = queries[q_order], q_norms[q_order]
-    lower, kth, within = out
-    # Each row's window [lo, hi) in sorted bank order; whole-bank rows are exact.
-    lo_of = np.zeros(n, dtype=np.intp)
-    hi_of = np.full(n, m, dtype=np.intp)
-    exact = np.zeros(n, dtype=bool)
-    width = np.inf
-    stops = list(range(min(_FIRST_ROWS, n), n, _SWEEP_ROWS)) + [n]
-    for start, stop in zip([0] + stops[:-1], stops):
-        here = slice(start, stop)
-        lo = int(np.searchsorted(f_proj, q_proj[start] - width, "left"))
-        hi = int(np.searchsorted(f_proj, q_proj[stop - 1] + width, "right"))
-        block_out = (lower[here], kth[here], within[here])
-        if hi - lo == m or hi - lo < k:
+    lower, kth, within = out = _counts(n)
+    # Rows in sweep order; a non-finite bank has no axis and skips the sweep.
+    q_order = np.arange(n)
+    certified = np.zeros(n, dtype=bool)
+    if n and np.isfinite(feats).all():
+        axis = _leading_axis(feats)
+        f_proj = feats @ axis
+        f_order = np.argsort(f_proj, kind="stable")
+        f_proj = f_proj[f_order]
+        s_feats, s_norms, s_lower = feats[f_order], f_norms[f_order], is_lower[f_order]
+        # The query order only decides which block a row joins.
+        q_proj = queries @ axis
+        q_order = np.argsort(q_proj)
+        q_proj = q_proj[q_order]
+        queries, q_norms = queries[q_order], q_norms[q_order]
+        # Each row's window [lo, hi) in sorted bank order.
+        lo_of = np.empty(n, dtype=np.intp)
+        hi_of = np.empty(n, dtype=np.intp)
+        width = np.inf
+        stops = list(range(min(_FIRST_ROWS, n), n, _SWEEP_ROWS)) + [n]
+        for start, stop in zip([0] + stops[:-1], stops):
+            here = slice(start, stop)
+            lo = int(np.searchsorted(f_proj, q_proj[start] - width, "left"))
+            hi = int(np.searchsorted(f_proj, q_proj[stop - 1] + width, "right"))
+            lo = max(0, min(lo, hi - k))  # at least k rows
+            hi = max(hi, lo + k)
             _count_nearest(
-                s_queries[here], s_qnorms[here], feats, f_norms, is_lower, k, buffers,
-                block_out,
-            )
-            exact[here] = True
-        else:
-            _count_nearest(
-                s_queries[here], s_qnorms[here], s_feats[lo:hi], s_norms[lo:hi],
-                s_lower[lo:hi], k, buffers, block_out,
+                queries[here], q_norms[here], s_feats[lo:hi], s_norms[lo:hi],
+                s_lower[lo:hi], k, buffers, (lower[here], kth[here], within[here]),
             )
             lo_of[here] = lo
             hi_of[here] = hi
-        top = (9 * (stop - start)) // 10
-        width = _WINDOW_REACH * float(np.sqrt(np.partition(kth[here], top)[top]))
-    # Certify each windowed row: the projection gap to the nearest bank row
-    # outside its window, less the rounding margins, must clear its K-th
-    # distance, and no tie may straddle the cut.
-    h = feats.shape[1]
-    c = 8 * (h + 2) * np.finfo(np.float64).eps / 2
-    underflow = (h + 3) * np.finfo(np.float64).smallest_subnormal
-    reach = np.sqrt(s_qnorms) + np.sqrt(f_norms.max())
-    padded = np.concatenate(([-np.inf], f_proj, [np.inf]))
-    with np.errstate(invalid="ignore"):  # inf - inf where a query is infinite
-        gap = np.minimum(q_proj - padded[lo_of], padded[hi_of + 1] - q_proj)
-        gap -= c * reach + underflow
-    margin = c * reach * reach + underflow
-    exact |= (within == k) & (gap > 0.0) & (gap * gap > kth + margin)
-    redo = np.flatnonzero(~exact)
+            top = (9 * (stop - start)) // 10
+            width = _WINDOW_REACH * float(np.sqrt(np.partition(kth[here], top)[top]))
+        # Certify each row: the projection gap to the nearest bank row outside
+        # its window, less the rounding margins, must clear its K-th distance,
+        # and no tie may straddle the cut.
+        h = feats.shape[1]
+        c = 8 * (h + 2) * np.finfo(np.float64).eps / 2
+        underflow = (h + 3) * np.finfo(np.float64).smallest_subnormal
+        reach = np.sqrt(q_norms) + np.sqrt(f_norms.max())
+        padded = np.concatenate(([-np.inf], f_proj, [np.inf]))
+        with np.errstate(invalid="ignore"):  # inf - inf where a query is infinite
+            gap = np.minimum(q_proj - padded[lo_of], padded[hi_of + 1] - q_proj)
+            gap -= c * reach + underflow
+        margin = c * reach * reach + underflow
+        certified = (within == k) & (gap > 0.0) & (gap * gap > kth + margin)
+    redo = np.flatnonzero(~certified)
     if redo.size:
         redone = _counts(redo.size)
-        _count_nearest(
-            s_queries[redo], s_qnorms[redo], feats, f_norms, is_lower, k, buffers, redone
-        )
+        _count_nearest(queries[redo], q_norms[redo], feats, f_norms, is_lower, k, buffers, redone)
         lower[redo] = redone[0]
     votes = np.empty(n, dtype=np.int32)
     votes[q_order] = lower
@@ -387,12 +379,16 @@ def knn_votes(bank: FeatureBank, pair: Pair, queries: np.ndarray, K: int) -> np.
     computes distances only against the contiguous run of sorted bank rows
     whose projections lie within ``[first - w, last + w]``, its own first and
     last projections widened by ``w``, 1.2 times the previous block's
-    90th-percentile K-th distance.  The first block has no previous one and
-    takes the whole bank.  Each distance is formed in the same association
-    order as against the whole bank, and an element of a matrix product does
-    not depend on which other rows and columns share the product (OpenBLAS
-    accumulates the short inner dimension in one order for every element), so
-    a windowed distance has the same bits as the dense one.
+    90th-percentile K-th distance, and a window under K rows is widened to K
+    rows.  The first block has no previous one and takes the whole bank in
+    sorted order.  Each distance is formed in the same association order as
+    against the whole bank, but BLAS may round ``q.f`` differently in a
+    window than in the whole bank, since the product's shape picks its
+    kernel: on 40 captured ``select-2k`` calls (numpy 2.4.6, OpenBLAS at one
+    thread), 7,469 of 10.6 M sampled window products differed in bits from
+    the dense ones.  So the votes equal the dense search's except where two
+    distances tie to within rounding; there the product's shape decides.  On
+    200 such calls (320,000 votes) none differed.
 
     **Certification.**  A windowed row's result is kept when exactly K window
     entries lie at or below its K-th distance ``kth`` (no tie straddles the
@@ -417,15 +413,15 @@ def knn_votes(bank: FeatureBank, pair: Pair, queries: np.ndarray, K: int) -> np.
     the test itself; both grow with h, so a wider last hidden layer stays
     exact.  Each margin also carries ``(h + 3)`` smallest subnormals for
     underflow.  Overflow gives an infinite or NaN ``kth`` or margin, which
-    fails the test.
+    fails the test.  A window that spans the bank has an infinite gap, so
+    its rows stand unless a tie straddles the K-th distance.
 
-    **Fallback.**  Every windowed row not certified (a window that missed a
-    neighbour, a straddling tie, a NaN or infinite feature) is recomputed by
+    **Fallback.**  Every row not certified (a window that missed a neighbour,
+    a straddling tie, a NaN or infinite feature) is recomputed in one call of
     the dense kernel against the whole bank in bank order, which applies the
-    tie rule directly.  The dense kernel also takes every block whose window
-    spans the whole bank (or holds fewer than K rows), and a bank with a
-    non-finite entry whole.  It walks its rows in blocks of about 256 KB of
-    distances through buffers allocated once per call.
+    tie rule directly.  A bank with a non-finite entry has no axis, so all its
+    rows take that call.  The kernel walks its rows in blocks of about 256 KB
+    of distances through buffers allocated once per call.
 
     **One thread.**  The sweep's operations are small, a 128-row block
     against a window of tens to a few hundred bank rows, so threads spend
@@ -434,8 +430,8 @@ def knn_votes(bank: FeatureBank, pair: Pair, queries: np.ndarray, K: int) -> np.
     queries took 7.8 ms a call against 5.6 ms for one thread sweeping all.
     Everything runs in the calling thread.
 
-    The votes do not depend on the block sizes, the window reach or the axis
-    chosen; those decide only how much is pruned.
+    Up to such near-ties, the votes do not depend on the block sizes, the
+    window reach or the axis chosen; those decide only how much is pruned.
     """
     if pair not in bank.features:
         raise ExpertError(f"feature bank holds no entries for pair {pair}")

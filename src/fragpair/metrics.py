@@ -1,8 +1,7 @@
-"""Evaluation metrics and per-epoch report records."""
+"""Evaluation metrics for the per-epoch record."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -62,25 +61,3 @@ def selection_rate(selected_indices: np.ndarray, ds: Dataset) -> float:
         raise MetricsError("selected indices must be unique")
     return idx.size / ds.n
 
-
-@dataclass
-class MetricsReport:
-    """One epoch's evaluation row; undefined metrics stay absent in the JSON."""
-
-    epoch: int
-    mae: float
-    selection_rate: float
-    err: Optional[float] = None
-    mrae: Optional[float] = None
-
-    def to_json(self) -> dict:
-        record: dict = {
-            "epoch": self.epoch,
-            "mae": self.mae,
-            "selection_rate": self.selection_rate,
-        }
-        if self.err is not None:
-            record["err"] = self.err
-        if self.mrae is not None:
-            record["mrae"] = self.mrae
-        return record

@@ -38,7 +38,7 @@ from .fragments import (
     jitter_scheme,
     select_contrastive_pairing,
 )
-from .metrics import MetricsReport, error_residual_ratio, mae, mrae, selection_rate
+from .metrics import error_residual_ratio, mae, mrae, selection_rate
 from .net import Net, NetSpec, forward_batch, init_net, save_net, train_epoch
 # Not called here; benchmark/tracing.py patches pipeline.train_step.
 from .net import train_step  # noqa: F401
@@ -117,17 +117,6 @@ def prepare_splits(
         else:
             ds = inject_gaussian_noise(ds, cfg.noise["max_std_frac"], noise_seed)
     return split_dataset(ds, cfg.test_frac, derive_seed(cfg.seed, "split"))
-
-
-def resolve_pairing(cfg: ExperimentConfig, train: Dataset, scheme) -> Pairing:
-    if cfg.pairing_override is not None:
-        return Pairing.from_json(cfg.pairing_override)
-    return select_contrastive_pairing(fragment_edge_weights(train, scheme))
-
-
-def _predict_labels(reg: Net, X: np.ndarray, lo: float, span: float) -> np.ndarray:
-    out, _ = forward_batch(reg, X)
-    return lo + out[:, 0] * span
 
 
 class _ArtifactWriter:
@@ -264,7 +253,10 @@ def run_experiment(
                 raise FragmentationError(
                     f"empty fragment {', '.join(empty)}: every pair expert needs both its fragments"
                 )
-            pairing = resolve_pairing(cfg, train, scheme)
+            if cfg.pairing_override is not None:
+                pairing = Pairing.from_json(cfg.pairing_override)
+            else:
+                pairing = select_contrastive_pairing(fragment_edge_weights(train, scheme))
             ens = init_ensemble(
                 pairing,
                 input_dim=train.d,
@@ -338,22 +330,15 @@ def run_experiment(
                 )
 
             stage = "evaluate"
-            epoch_mae = mae(_predict_labels(reg, test.x, lo, span), eval_targets)
-            err = (
-                error_residual_ratio(selected, train)
-                if train.y_gt is not None
-                else None
-            )
-            report = MetricsReport(
-                epoch=epoch,
-                mae=epoch_mae,
-                selection_rate=selection_rate(selected, train),
-                err=err,
-                mrae=mrae(epoch_mae, cfg.reference_rho)
-                if cfg.reference_rho is not None
-                else None,
-            )
-            record.update(report.to_json())
+            out, _ = forward_batch(reg, test.x)
+            record["mae"] = mae(lo + out[:, 0] * span, eval_targets)
+            record["selection_rate"] = selection_rate(selected, train)
+            # Undefined metrics stay absent from the record.
+            err = error_residual_ratio(selected, train) if train.y_gt is not None else None
+            if err is not None:
+                record["err"] = err
+            if cfg.reference_rho is not None:
+                record["mrae"] = mrae(record["mae"], cfg.reference_rho)
             result.history.append(record)
             writer.metrics_line(record)
 

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from fragpair.cli import main
+from fragpair.cli import build_parser, main
+from fragpair.config import ExperimentConfig
 from fragpair.data import default_feature_cols, load_csv
 
 
@@ -43,6 +44,17 @@ class TestGenerate:
         main(["generate", "--n", "10", "--out", str(out)])
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(rows) == 10 and "label" in rows[0]
+
+    def test_defaults_are_the_configs(self) -> None:
+        synthetic = ExperimentConfig(dataset={"kind": "synthetic"}).dataset
+        defaults = {key: value for key, value in synthetic.items() if key != "kind"}
+        parser = build_parser()
+        gen = vars(parser.parse_args(["generate", "--out", "data.csv"]))
+        assert {key: gen[key] for key in defaults} == defaults
+        noise = parser.parse_args(
+            ["inject-noise", "--data", "a.csv", "--out", "b.csv", "--kind", "symmetric"]
+        )
+        assert noise.d == synthetic["d"]
 
 
 class TestInjectNoise:

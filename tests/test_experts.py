@@ -467,6 +467,27 @@ class TestKnnSweep:
         got = knn_votes(self._bank(feats, tags), self.PAIR, queries, K)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
 
+    def test_one_dense_call_per_vote(self, monkeypatch) -> None:
+        # Triplicated bank rows on a line: queries on them see straddling ties,
+        # which only the dense kernel settles, so some rows fail certification.
+        rng = np.random.default_rng(15)
+        points = rng.permutation(np.repeat(np.arange(120.0), 3))
+        feats = points[:, None] * np.array((0.6, 0.8, 0.0))
+        tags = rng.choice(self.PAIR, size=len(points))
+        queries = rng.integers(0, 240, 900)[:, None] / 2.0 * np.array((0.6, 0.8, 0.0))
+        assert straddling_rows(feats, queries, 5) > 0
+        whole_bank = []
+        kernel = experts_mod._count_nearest
+
+        def counting(q, q_norms, f, *args):
+            whole_bank.append(f is feats)
+            return kernel(q, q_norms, f, *args)
+
+        monkeypatch.setattr(experts_mod, "_count_nearest", counting)
+        got = knn_votes(self._bank(feats, tags), self.PAIR, queries, 5)
+        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
+        assert sum(whole_bank) == 1
+
     def test_query_off_the_line_falls_back(self, monkeypatch) -> None:
         feats, tags, queries = line_bank(5, 600, 1000, h=2)
         centre = feats.mean(axis=0)

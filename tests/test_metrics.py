@@ -6,7 +6,6 @@ import pytest
 from fragpair.data import Dataset, generate_synthetic, inject_symmetric_noise
 from fragpair.metrics import (
     MetricsError,
-    MetricsReport,
     error_residual_ratio,
     mae,
     mrae,
@@ -127,13 +126,3 @@ class TestSelectionRate:
         with pytest.raises(MetricsError):
             selection_rate(np.array([1, 1]), ds)
 
-
-class TestMetricsReport:
-    def test_absent_metrics_omitted(self) -> None:
-        record = MetricsReport(epoch=3, mae=1.5, selection_rate=0.5).to_json()
-        assert record == {"epoch": 3, "mae": 1.5, "selection_rate": 0.5}
-
-    def test_present_metrics_serialized(self) -> None:
-        record = MetricsReport(epoch=1, mae=2.0, selection_rate=1.0, err=0.4, mrae=0.1)
-        assert record.to_json()["err"] == 0.4
-        assert record.to_json()["mrae"] == 0.1

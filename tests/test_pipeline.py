@@ -98,6 +98,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{field}: must be an object$"):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("field", ["expert_net", "regressor_net"])
+    @pytest.mark.parametrize("value", [{"hidden_dims": [4]}, [16, 8], None])
+    def test_constructed_net_fields_must_be_net_configs(self, field, value) -> None:
+        with pytest.raises(ConfigError, match=f"^{field}: must be a NetConfig"):
+            ExperimentConfig(dataset={"kind": "synthetic"}, **{field: value})
+
     @pytest.mark.parametrize(
         "overrides,field",
         [
@@ -372,6 +378,28 @@ class TestReferenceRun:
         result = run_experiment(cfg.replace(reference_rho=rho))
         for record in result.history:
             assert record["mrae"] == pytest.approx(record["mae"] / rho - 1.0)
+
+    def test_mrae_written_only_with_a_reference(self) -> None:
+        cfg = small_config(epochs=2)
+        assert all("mrae" not in record for record in run_experiment(cfg).history)
+        for record in run_experiment(cfg.replace(reference_rho=2.0)).history:
+            assert list(record)[0] == "epoch"
+            assert list(record)[-4:] == ["mae", "selection_rate", "err", "mrae"]
+            assert record["mrae"] == mrae(record["mae"], 2.0)
+
+    def test_csv_run_without_ground_truth_writes_no_err(self, tmp_path) -> None:
+        path = tmp_path / "plain.csv"
+        path.write_text("a,label\n" + "\n".join(f"{i},{i}" for i in range(60)) + "\n")
+        cfg = small_config(
+            dataset={"kind": "csv", "path": str(path), "feature_cols": ["a"],
+                      "label_col": "label"},
+            noise=None, mode="vanilla", epochs=2,
+        )
+        run_experiment(cfg, out_dir=tmp_path / "run")
+        lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert len(records) == 2
+        assert all(list(r)[-2:] == ["mae", "selection_rate"] for r in records)
 
     def test_reference_requires_ground_truth(self, tmp_path) -> None:
         path = tmp_path / "plain.csv"

@@ -23,7 +23,6 @@ from .data import (
     write_jsonl,
 )
 from .pipeline import (
-    RunResult,
     compare_pairings,
     run_experiment,
     run_noise_free_reference,
@@ -95,6 +94,8 @@ def _apply_set_overrides(raw: dict, assignments: list[str]) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             target = target.setdefault(part, {})
+            if not isinstance(target, dict):
+                raise SystemExit(f"--set {key}: {part} is {json.dumps(target)}, not an object")
         target[parts[-1]] = value
     return raw
 
@@ -135,11 +136,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _parse_pairings(text: str) -> list[list[list[int]]]:
     matchings = []
     for chunk in text.split(";"):
-        pairs = []
-        for pair in chunk.split(","):
-            a, b = pair.split("-")
-            pairs.append([int(a), int(b)])
-        matchings.append(pairs)
+        try:
+            matchings.append([[int(a), int(b)] for a, b in (p.split("-") for p in chunk.split(","))])
+        except ValueError:
+            raise SystemExit(f"--pairings expects i-j pairs split by ',', got {chunk!r}") from None
     return matchings
 
 
@@ -160,7 +160,7 @@ def _cmd_compare_pairings(args: argparse.Namespace) -> int:
 
 def _cmd_reference(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    out_dir = _resolve_out_dir(args.out_dir, cfg.replace(mode="vanilla")) if args.out_dir else None
+    out_dir = _resolve_out_dir(args.out_dir, cfg) if args.out_dir else None
     rho, _ = run_noise_free_reference(cfg, out_dir=out_dir)
     print(f"noise-free reference MAE: {rho:.6g}")
     return 0
@@ -171,10 +171,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for run_dir in args.runs:
         run_path = Path(run_dir)
         cfg = ExperimentConfig.from_file(run_path / "config.json")
-        with (run_path / "metrics.jsonl").open() as fh:
-            history = [json.loads(line) for line in fh]
-        result = RunResult(config=cfg, pairing=None, history=history, rho=cfg.reference_rho)
-        rows.append(summary_row(cfg, result))
+        final = json.loads((run_path / "metrics.jsonl").read_text().splitlines()[-1])
+        rows.append(summary_row(cfg, final))
     if not rows:
         print("no runs to report", file=sys.stderr)
         return 1

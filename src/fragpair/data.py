@@ -88,12 +88,6 @@ def feature_curve(t: np.ndarray, d: int) -> np.ndarray:
     return np.stack([basis[k % 4](t) for k in range(d)], axis=-1)
 
 
-def invert_feature_curve(x: np.ndarray, label_lo: float, label_hi: float) -> np.ndarray:
-    """Recover labels from noiseless curve features (first coordinate is t)."""
-    x = np.asarray(x, dtype=np.float64)
-    return label_lo + x[..., 0] * (label_hi - label_lo)
-
-
 def generate_synthetic(
     n: int,
     d: int,

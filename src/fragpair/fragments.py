@@ -60,10 +60,6 @@ class FragmentationScheme:
     def width(self) -> float:
         return self.label_range / self.num_fragments
 
-    def interval(self, f: int) -> tuple[float, float]:
-        """Base interval of fragment ``f`` (1-based)."""
-        return float(self.boundaries[f - 1]), float(self.boundaries[f])
-
     def assign_many(self, y: np.ndarray) -> np.ndarray:
         """Fragment id (1..F) per label; labels must lie within the range."""
         y = np.asarray(y, dtype=np.float64)
@@ -233,9 +229,10 @@ class JitteredScheme:
 
     Every interior boundary is pushed outward by ``delta`` (label units) on
     both sides, so fragment f covers ``[b[f-1] - delta, b[f] + delta)`` and
-    adjacent fragments overlap by ``2 * delta``.  Exterior boundaries stay
-    fixed; interval openness matches the base scheme so ``delta = 0``
-    reproduces base membership exactly.
+    adjacent fragments overlap by ``2 * delta``, save that a sample both
+    neighbours reach joins only the nearer one (``membership_rows``).
+    Exterior boundaries stay fixed; interval openness matches the base scheme
+    so ``delta = 0`` reproduces base membership exactly.
     """
 
     base: FragmentationScheme
@@ -244,14 +241,6 @@ class JitteredScheme:
     @property
     def num_fragments(self) -> int:
         return self.base.num_fragments
-
-    def interval(self, f: int) -> tuple[float, float]:
-        lo, hi = self.base.interval(f)
-        if f > 1:
-            lo -= self.delta
-        if f < self.num_fragments:
-            hi += self.delta
-        return lo, hi
 
     def membership_rows(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flattened membership as (sample row, fragment id) arrays.
@@ -277,9 +266,6 @@ class JitteredScheme:
         frags = np.concatenate([base[in_left] - 1, base, base[in_right] + 1])
         order = np.lexsort((frags, rows))
         return rows[order], frags[order]
-
-    def to_json(self) -> dict:
-        return {"delta": float(self.delta), "base": self.base.to_json()}
 
 
 def jitter_scheme(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 import numpy as np
 
@@ -216,15 +216,7 @@ def train_epoch(
 
 def save_net(net: Net, path: str | Path) -> None:
     """Bit-exact checkpoint: spec header plus raw float64 parameter arrays."""
-    header = json.dumps(
-        {
-            "input_dim": net.spec.input_dim,
-            "hidden_dims": list(net.spec.hidden_dims),
-            "output_dim": net.spec.output_dim,
-            "activation": net.spec.activation,
-            "seed": net.spec.seed,
-        }
-    )
+    header = json.dumps(asdict(net.spec))
     arrays = {"spec": np.frombuffer(header.encode(), dtype=np.uint8)}
     for k, (W, b) in enumerate(zip(net.weights, net.biases)):
         arrays[f"w{k}"] = W
@@ -234,14 +226,7 @@ def save_net(net: Net, path: str | Path) -> None:
 
 def load_net(path: str | Path) -> Net:
     with np.load(Path(path)) as archive:
-        header = json.loads(archive["spec"].tobytes().decode())
-        spec = NetSpec(
-            input_dim=int(header["input_dim"]),
-            hidden_dims=tuple(header["hidden_dims"]),
-            output_dim=int(header["output_dim"]),
-            activation=header["activation"],
-            seed=int(header["seed"]),
-        )
+        spec = NetSpec(**json.loads(archive["spec"].tobytes().decode()))
         n_layers = len(spec.hidden_dims) + 1
         weights = [archive[f"w{k}"] for k in range(n_layers)]
         biases = [archive[f"b{k}"] for k in range(n_layers)]

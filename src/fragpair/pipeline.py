@@ -31,7 +31,6 @@ from .experts import (
 )
 from .fragments import (
     FragmentationError,
-    FragmentationScheme,
     Pairing,
     fragment_edge_weights,
     fragment_labels,
@@ -39,7 +38,7 @@ from .fragments import (
     select_contrastive_pairing,
 )
 from .metrics import error_residual_ratio, mae, mrae, selection_rate
-from .net import Net, NetSpec, forward_batch, init_net, save_net, train_epoch
+from .net import NetSpec, forward_batch, init_net, save_net, train_epoch
 # Not called here; benchmark/tracing.py patches pipeline.train_step.
 from .net import train_step  # noqa: F401
 from .rng import derive_seed, stream
@@ -55,7 +54,6 @@ class RunResult:
     config: ExperimentConfig
     pairing: Optional[Pairing]
     history: list[dict] = field(default_factory=list)
-    rho: Optional[float] = None
     out_dir: Optional[Path] = None
     last_selection: Optional[SelectionOutcome] = None
 
@@ -119,65 +117,9 @@ def prepare_splits(
     return split_dataset(ds, cfg.test_frac, derive_seed(cfg.seed, "split"))
 
 
-class _ArtifactWriter:
-    """Single-threaded appenders for the run directory."""
-
-    def __init__(self, out_dir: Optional[Path]):
-        self.out_dir = out_dir
-        self._tails: Optional[list[str]] = None
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "selection").mkdir(exist_ok=True)
-            self._metrics = (out_dir / "metrics.jsonl").open("w")
-        else:
-            self._metrics = None
-
-    def metrics_line(self, record: dict) -> None:
-        if self._metrics is not None:
-            self._metrics.write(json.dumps(record) + "\n")
-
-    def selection_epoch(self, epoch: int, outcome: SelectionOutcome, train: Dataset) -> None:
-        # The labels never change during a run: format their row tails once.
-        if self._tails is None:
-            self._tails = SelectionOutcome.jsonl_tails(train)
-        path = self.out_dir / "selection" / f"epoch_{epoch:04d}.jsonl"
-        path.write_text(outcome.jsonl(self._tails))
-
-    def close(self) -> None:
-        if self._metrics is not None:
-            self._metrics.close()
-
-
-def _write_final_artifacts(
-    out_dir: Path,
-    cfg: ExperimentConfig,
-    scheme: FragmentationScheme,
-    pairing: Optional[Pairing],
-    ens: Optional[ExpertEnsemble],
-    reg: Net,
-    result: RunResult,
-) -> None:
-    with (out_dir / "config.json").open("w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    layout: dict = {"fragmentation": scheme.to_json()}
-    if pairing is not None:
-        layout["pairing"] = pairing.to_json()
-        layout["jitter_deltas"] = [rec.get("jitter_delta") for rec in result.history]
-    with (out_dir / "layout.json").open("w") as fh:
-        json.dump(layout, fh, indent=2, sort_keys=True)
-    ckpt_dir = out_dir / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
-    save_net(reg, ckpt_dir / "regressor.npz")
-    if ens is not None:
-        for (i, j), net in ens.experts.items():
-            save_net(net, ckpt_dir / f"expert_{i}_{j}.npz")
-    write_summary_csv(out_dir / "summary.csv", [summary_row(cfg, result)])
-
-
-def summary_row(cfg: ExperimentConfig, result: RunResult) -> dict:
+def summary_row(cfg: ExperimentConfig, final: dict) -> dict:
+    """One ``summary.csv`` row from a run's config and its last epoch record."""
     noise = cfg.noise or {}
-    final = result.final
     return {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
@@ -192,7 +134,7 @@ def summary_row(cfg: ExperimentConfig, result: RunResult) -> dict:
         "final_selection_rate": final["selection_rate"],
         "final_err": final.get("err", ""),
         "final_mrae": final.get("mrae", ""),
-        "rho": result.rho if result.rho is not None else "",
+        "rho": cfg.reference_rho if cfg.reference_rho is not None else "",
     }
 
 
@@ -229,14 +171,26 @@ def run_experiment(
     out_dir: Optional[str | Path] = None,
     use_ground_truth: bool = False,
 ) -> RunResult:
-    """Execute the full seeded loop; write artifacts when ``out_dir`` is given.
+    """Execute the full seeded loop; write the run directory when ``out_dir`` is given.
 
-    A failed run still leaves the metrics of its finished epochs on disk.
+    The directory is written in run order: ``config.json`` and an open
+    ``metrics.jsonl`` first, then each epoch's ``selection/epoch_NNNN.jsonl``
+    and metrics line, and last ``layout.json``, ``checkpoints/`` and
+    ``summary.csv``.  A failed run keeps ``config.json`` and the metrics lines
+    and selection files of its finished epochs.
     """
-    stage = "prepare"
+    stage = "artifacts"
     epoch = 0
-    writer: Optional[_ArtifactWriter] = None
+    out_dir = Path(out_dir) if out_dir is not None else None
+    metrics_fh = None
     try:
+        if out_dir is not None:
+            (out_dir / "selection").mkdir(parents=True, exist_ok=True)
+            config_text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
+            (out_dir / "config.json").write_text(config_text)
+            metrics_fh = (out_dir / "metrics.jsonl").open("w")
+
+        stage = "prepare"
         train, test = prepare_splits(cfg, use_ground_truth=use_ground_truth)
         eval_targets = test.y_gt if test.y_gt is not None else test.y
         lo, span = train.label_min, train.label_range
@@ -278,8 +232,10 @@ def run_experiment(
             )
         )
 
-        writer = _ArtifactWriter(Path(out_dir) if out_dir is not None else None)
-        result = RunResult(config=cfg, pairing=pairing, rho=cfg.reference_rho)
+        result = RunResult(config=cfg, pairing=pairing, out_dir=out_dir)
+        # The labels never change during a run: format their selection-row tails once.
+        paired_dir = out_dir is not None and ens is not None
+        tails = SelectionOutcome.jsonl_tails(train) if paired_dir else None
         shown: set = set()
 
         for epoch in range(1, cfg.epochs + 1):
@@ -311,8 +267,9 @@ def run_experiment(
                 record["n_pred"] = int(outcome.chosen_pred.sum())
                 record["n_repr"] = int(outcome.chosen_repr.sum())
                 result.last_selection = outcome
-                if writer.out_dir is not None:
-                    writer.selection_epoch(epoch, outcome, train)
+                if tails is not None:
+                    path = out_dir / "selection" / f"epoch_{epoch:04d}.jsonl"
+                    path.write_text(outcome.jsonl(tails))
             else:
                 selected = np.arange(train.n)
 
@@ -340,19 +297,31 @@ def run_experiment(
             if cfg.reference_rho is not None:
                 record["mrae"] = mrae(record["mae"], cfg.reference_rho)
             result.history.append(record)
-            writer.metrics_line(record)
+            if metrics_fh is not None:
+                metrics_fh.write(json.dumps(record) + "\n")
 
-        if writer.out_dir is not None:
-            result.out_dir = writer.out_dir
-            _write_final_artifacts(writer.out_dir, cfg, scheme, pairing, ens, reg, result)
+        if out_dir is not None:
+            stage = "artifacts"
+            layout: dict = {"fragmentation": scheme.to_json()}
+            if pairing is not None:
+                layout["pairing"] = pairing.to_json()
+                layout["jitter_deltas"] = [rec.get("jitter_delta") for rec in result.history]
+            (out_dir / "layout.json").write_text(json.dumps(layout, indent=2, sort_keys=True))
+            ckpt_dir = out_dir / "checkpoints"
+            ckpt_dir.mkdir(exist_ok=True)
+            save_net(reg, ckpt_dir / "regressor.npz")
+            if ens is not None:
+                for (i, j), net in ens.experts.items():
+                    save_net(net, ckpt_dir / f"expert_{i}_{j}.npz")
+            write_summary_csv(out_dir / "summary.csv", [summary_row(cfg, result.final)])
         return result
     except PipelineError:
         raise
     except Exception as exc:
         raise PipelineError(f"epoch {epoch}, stage {stage}: {exc}") from exc
     finally:
-        if writer is not None:
-            writer.close()
+        if metrics_fh is not None:
+            metrics_fh.close()
 
 
 def run_noise_free_reference(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -166,3 +167,37 @@ class TestReportCommand:
         main(["report", "--runs", str(output_root / "one")])
         out = capsys.readouterr().out
         assert "config_hash" in out
+
+    def test_stdout_rows_match_the_run_summary(self, tmp_path, output_root, capsys) -> None:
+        cfg = small_config_file(tmp_path, reference_rho=2.5)
+        main(["run", "--config", cfg, "--out-dir", "one"])
+        capsys.readouterr()
+        assert main(["report", "--runs", str(output_root / "one")]) == 0
+        printed = list(csv.reader(capsys.readouterr().out.splitlines()))
+        with (output_root / "one" / "summary.csv").open(newline="") as fh:
+            written = list(csv.reader(fh))
+        assert printed == written
+        assert written[1][written[0].index("rho")] == "2.5"
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("sets, named", [
+        (["noise=null", "noise.rate=0.2"], "noise.rate"),
+        (["epochs.x=2"], "epochs.x"),
+    ])
+    def test_set_through_a_non_object(self, tmp_path, sets, named) -> None:
+        argv = ["run", "--config", small_config_file(tmp_path)]
+        for assignment in sets:
+            argv += ["--set", assignment]
+        with pytest.raises(SystemExit, match=f"--set {named}: "):
+            main(argv)
+
+    @pytest.mark.parametrize("pairings, chunk", [
+        ("1-3,2-4;1-2,3", "'1-2,3'"),
+        ("1-3,2-x", "'1-3,2-x'"),
+    ])
+    def test_malformed_pairings(self, tmp_path, pairings, chunk) -> None:
+        argv = ["compare-pairings", "--config", small_config_file(tmp_path),
+                "--pairings", pairings]
+        with pytest.raises(SystemExit, match=chunk):
+            main(argv)

@@ -71,7 +71,7 @@ class TestFragmentLabels:
         scheme = fragment_labels(uniform_dataset(n=20000), 4)
         assert np.allclose(scheme.means, [12.5, 37.5, 62.5, 87.5], atol=0.6)
         for f in range(1, 5):
-            lo, hi = scheme.interval(f)
+            lo, hi = scheme.boundaries[f - 1], scheme.boundaries[f]
             assert lo <= scheme.means[f - 1] <= hi
 
     def test_odd_or_out_of_range_count_rejected(self) -> None:
@@ -86,7 +86,7 @@ class TestFragmentLabels:
         with pytest.warns(UserWarning, match="empty"):
             scheme = fragment_labels(ds, 4)
         assert scheme.counts[1] == 0
-        lo, hi = scheme.interval(2)
+        lo, hi = scheme.boundaries[1], scheme.boundaries[2]
         assert scheme.means[1] == pytest.approx((lo + hi) / 2)
 
 
@@ -250,8 +250,12 @@ class TestJitter:
 
     def test_hand_computed_overlap(self) -> None:
         js = JitteredScheme(base=self._scheme(), delta=5.0)
-        assert js.interval(2) == (20.0, 55.0)
+        # Fragment 2 covers [25 - 5, 50 + 5) = [20, 55).
+        assert jittered_membership(19.999, js) == (1,)
+        assert jittered_membership(20.0, js) == (1, 2)
         assert jittered_membership(22.0, js) == (1, 2)
+        assert jittered_membership(54.999, js) == (2, 3)
+        assert jittered_membership(55.0, js) == (3,)
 
     def test_boundary_label_with_positive_shift_in_two_fragments(self) -> None:
         js = JitteredScheme(base=self._scheme(), delta=2.0)
@@ -292,18 +296,3 @@ class TestJitter:
             for f in members
         ]
         assert list(zip(rows.tolist(), frags.tolist())) == expected
-
-    def test_jittered_intervals_cover_range(self) -> None:
-        scheme = self._scheme()
-        js = JitteredScheme(base=scheme, delta=4.0)
-        intervals = sorted(js.interval(f) for f in range(1, 5))
-        assert intervals[0][0] == scheme.label_min
-        assert intervals[-1][1] == scheme.label_max
-        for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
-            assert lo <= hi  # expanded neighbors overlap, no gaps
-
-    def test_serialization_includes_delta(self) -> None:
-        js = JitteredScheme(base=self._scheme(), delta=3.25)
-        payload = js.to_json()
-        assert payload["delta"] == 3.25
-        assert payload["base"]["boundaries"][0] == 0.0

@@ -324,3 +324,15 @@ class TestCheckpoint:
         assert back.spec == net.spec
         for a, b in zip(net.weights + net.biases, back.weights + back.biases):
             assert np.array_equal(a, b)
+
+    def test_header_bytes_pinned_for_a_64_bit_seed(self, tmp_path) -> None:
+        net = tiny_net(hidden=(16, 8), activation="tanh", seed=2**64 - 59)
+        path = tmp_path / "net.npz"
+        save_net(net, path)
+        with np.load(path) as archive:
+            header = archive["spec"].tobytes()
+        assert header == (
+            b'{"input_dim": 2, "hidden_dims": [16, 8], "output_dim": 1, '
+            b'"activation": "tanh", "seed": 18446744073709551557}'
+        )
+        assert load_net(path).spec == net.spec

@@ -305,7 +305,22 @@ class TestRunExperiment:
             except PipelineError:
                 lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
                 assert [json.loads(line)["epoch"] for line in lines] == list(range(1, 8))
+                assert ExperimentConfig.from_file(tmp_path / "run" / "config.json") == cfg
                 raise
+
+    def test_final_artifact_failure_names_the_artifacts_stage(self, tmp_path, monkeypatch) -> None:
+        import fragpair.pipeline
+
+        def disk_full(net, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fragpair.pipeline, "save_net", disk_full)
+        cfg = small_config(epochs=2)
+        with pytest.raises(PipelineError, match="^epoch 2, stage artifacts: disk full$"):
+            run_experiment(cfg, out_dir=tmp_path / "run")
+        lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
+        assert len(lines) == 2
+        assert len(list((tmp_path / "run" / "selection").iterdir())) == 2
 
     def test_stage_reported_on_failure(self) -> None:
         cfg = small_config(dataset={"kind": "csv", "path": "missing.csv",

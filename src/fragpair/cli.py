@@ -1,7 +1,8 @@
 """Command-line interface: dataset tooling, experiment runs and reports.
 
 Run directories default to ``$FRAGPAIR_OUTPUT_ROOT`` (or ``./runs``) unless an
-absolute ``--out-dir`` is given.
+absolute ``--out-dir`` is given.  ``main`` turns bad input into one
+``fragpair <command>: <message>`` exit; a failed run raises ``PipelineError``.
 """
 
 from __future__ import annotations
@@ -9,11 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sys
 from pathlib import Path
 
-from .config import MODES, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, read_json
 from .data import (
+    DataError,
     default_feature_cols,
     inject_gaussian_noise,
     inject_symmetric_noise,
@@ -84,7 +85,7 @@ def _cmd_inject_noise(args: argparse.Namespace) -> int:
 def _apply_set_overrides(raw: dict, assignments: list[str]) -> dict:
     for assignment in assignments:
         if "=" not in assignment:
-            raise SystemExit(f"--set expects key=value, got {assignment!r}")
+            raise ConfigError(f"--set expects key=value, got {assignment!r}")
         key, text = assignment.split("=", 1)
         try:
             value = json.loads(text)
@@ -95,24 +96,14 @@ def _apply_set_overrides(raw: dict, assignments: list[str]) -> dict:
         for part in parts[:-1]:
             target = target.setdefault(part, {})
             if not isinstance(target, dict):
-                raise SystemExit(f"--set {key}: {part} is {json.dumps(target)}, not an object")
+                raise ConfigError(f"--set {key}: {part} is {json.dumps(target)}, not an object")
         target[parts[-1]] = value
     return raw
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    raw = {}
-    if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = args.seed
-    if getattr(args, "epochs", None) is not None:
-        raw["epochs"] = args.epochs
-    if getattr(args, "mode", None) is not None:
-        raw["mode"] = args.mode
-    raw = _apply_set_overrides(raw, getattr(args, "set", []) or [])
-    return ExperimentConfig.from_dict(raw)
+    raw = read_json(args.config) if args.config else {}
+    return ExperimentConfig.from_dict(_apply_set_overrides(raw, args.set or []))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -139,7 +130,7 @@ def _parse_pairings(text: str) -> list[list[list[int]]]:
         try:
             matchings.append([[int(a), int(b)] for a, b in (p.split("-") for p in chunk.split(","))])
         except ValueError:
-            raise SystemExit(f"--pairings expects i-j pairs split by ',', got {chunk!r}") from None
+            raise ConfigError(f"--pairings expects i-j pairs split by ',', got {chunk!r}") from None
     return matchings
 
 
@@ -168,14 +159,12 @@ def _cmd_reference(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     rows = []
-    for run_dir in args.runs:
-        run_path = Path(run_dir)
-        cfg = ExperimentConfig.from_file(run_path / "config.json")
-        final = json.loads((run_path / "metrics.jsonl").read_text().splitlines()[-1])
-        rows.append(summary_row(cfg, final))
-    if not rows:
-        print("no runs to report", file=sys.stderr)
-        return 1
+    for run_dir in map(Path, args.runs):
+        cfg = ExperimentConfig.from_file(run_dir / "config.json")
+        records = (run_dir / "metrics.jsonl").read_text().splitlines()
+        if not records:
+            raise ConfigError(f"{run_dir}: metrics.jsonl holds no finished epoch")
+        rows.append(summary_row(cfg, json.loads(records[-1])))
     if args.out:
         write_summary_csv(Path(args.out), rows)
         print(f"wrote {args.out}")
@@ -220,14 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_config_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config field (dotted paths allowed)")
 
     run = sub.add_parser("run", help="execute one seeded experiment")
     add_config_args(run)
-    run.add_argument("--mode", choices=MODES, default=None)
     run.add_argument("--out-dir", help="artifact directory (relative paths live under the output root)")
     run.add_argument("--with-reference", action="store_true",
                      help="train a noise-free reference first and report relative error")
@@ -255,7 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, DataError, OSError, json.JSONDecodeError) as exc:
+        raise SystemExit(f"fragpair {args.command}: {exc}")
 
 
 if __name__ == "__main__":

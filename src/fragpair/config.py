@@ -53,11 +53,20 @@ def _require_rule(name: str, rule, *args):
 
 
 def _take(raw: dict, allowed: dict, context: str) -> dict:
+    _require(isinstance(raw, dict), f"{context}: must be an object")
     unknown = set(raw) - set(allowed)
     _require(not unknown, f"unknown {context} keys: {', '.join(sorted(unknown))}")
     merged = dict(allowed)
     merged.update(raw)
     return merged
+
+
+def read_json(path: str | Path):
+    """A JSON file's data; malformed JSON raises a ConfigError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -80,7 +89,6 @@ class NetConfig:
     @staticmethod
     def from_dict(raw: dict, default: "NetConfig", name: str) -> "NetConfig":
         """``raw``'s keys over ``default``, the field's own default net."""
-        _require(isinstance(raw, dict), f"{name}: must be an object")
         merged = _take(raw, default.to_dict(), name)
         _require(
             isinstance(merged["hidden_dims"], (list, tuple)),
@@ -261,8 +269,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":
-        with Path(path).open() as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
+        return ExperimentConfig.from_dict(read_json(path))
 
     def replace(self, **changes) -> "ExperimentConfig":
         merged = self.to_dict()

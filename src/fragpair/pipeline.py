@@ -342,20 +342,21 @@ def compare_pairings(
     pairings: list,
     out_path: Optional[str | Path] = None,
 ) -> list[dict]:
-    """Run the experiment once per pairing with shared seeds; one row each."""
-    seen: set[tuple] = set()
-    rows = []
+    """Run the experiment once per distinct pairing with shared seeds; one row each.
+    Every pairing is canonicalised and checked as a config before the first run."""
+    run_cfgs: dict[tuple, ExperimentConfig] = {}
     for raw in pairings:
-        pairing = Pairing.from_json(raw)
-        if pairing.pairs in seen:
-            warnings.warn(f"duplicate pairing {pairing.to_json()} skipped")
+        run_cfg = cfg.replace(pairing_override=raw)
+        if run_cfg.pairing_override in run_cfgs:
+            warnings.warn(f"duplicate pairing {[list(p) for p in run_cfg.pairing_override]} skipped")
             continue
-        seen.add(pairing.pairs)
-        run_cfg = cfg.replace(pairing_override=[list(p) for p in pairing.pairs])
+        run_cfgs[run_cfg.pairing_override] = run_cfg
+    rows = []
+    for pairs, run_cfg in run_cfgs.items():
         result = run_experiment(run_cfg)
         rows.append(
             {
-                "pairing": ";".join(f"{i}-{j}" for i, j in pairing.pairs),
+                "pairing": ";".join(f"{i}-{j}" for i, j in pairs),
                 "final_err": result.final.get("err", ""),
                 "final_selection_rate": result.final_selection_rate,
                 "final_mae": result.final_mae,

@@ -14,8 +14,8 @@ from .fragments import FragmentationScheme
 from .rng import stream
 
 # Inverse-distance gate value at which the softmax is already effectively
-# one-hot; capping here removes the division-by-zero singularity at exact
-# fragment means without changing the argmax.
+# one-hot; capping here replaces the inf that a zero or subnormal distance
+# to a fragment mean gives, without changing the argmax.
 GATE_CAP = 1e6
 
 
@@ -25,7 +25,7 @@ def prior_rows(
     """Softmax fragment weights from inverse label distance, one row per label."""
     ys = np.asarray(ys, dtype=np.float64)
     dist = np.abs(ys[:, None] - np.asarray(means)[None, :])
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         gate = np.minimum(label_range / dist, gate_cap)
     gate -= gate.max(axis=1, keepdims=True)
     weights = np.exp(gate)
@@ -36,13 +36,11 @@ def neighborhood_gate(self_matrix: np.ndarray) -> np.ndarray:
     """Each fragment's self-agreement gated by at least one adjacent fragment
     agreeing, row by row of an (n, F) self-agreement matrix.  At the range
     boundaries only the existing neighbor is consulted."""
-    self_matrix = np.asarray(self_matrix, dtype=bool)
-    F = self_matrix.shape[1]
-    ngb = np.zeros_like(self_matrix)
-    for col in range(F):
-        adjacent = [c for c in (col - 1, col + 1) if 0 <= c < F]
-        ngb[:, col] = np.any(self_matrix[:, adjacent], axis=1)
-    return (self_matrix & ngb).astype(np.float64)
+    s = np.asarray(self_matrix, dtype=bool)
+    ngb = np.zeros_like(s)
+    ngb[:, 1:] |= s[:, :-1]
+    ngb[:, :-1] |= s[:, 1:]
+    return (s & ngb).astype(np.float64)
 
 
 def self_agreement_matrix(

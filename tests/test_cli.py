@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
+import fragpair.pipeline
 from fragpair.cli import build_parser, main
 from fragpair.config import ExperimentConfig
 from fragpair.data import default_feature_cols, load_csv
+from fragpair.pipeline import PipelineError
 
 
 @pytest.fixture(autouse=True)
@@ -103,6 +105,16 @@ class TestRun:
         assert len(candidates) == 1
         assert candidates[0].name.startswith("select_")
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["compare-pairings", "--pairings", "1-3,2-4"], ["reference"],
+    ])
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--epochs", "2"], ["--mode", "vanilla"]])
+    def test_run_fields_have_no_flags(self, command, flag, capsys) -> None:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_set_overrides(self, tmp_path, output_root) -> None:
         cfg = small_config_file(tmp_path)
         main([
@@ -150,7 +162,7 @@ class TestReportCommand:
     def test_summarizes_runs(self, tmp_path, output_root, capsys) -> None:
         cfg = small_config_file(tmp_path)
         main(["run", "--config", cfg, "--out-dir", "one"])
-        main(["run", "--config", cfg, "--out-dir", "two", "--seed", "1"])
+        main(["run", "--config", cfg, "--out-dir", "two", "--set", "seed=1"])
         summary = tmp_path / "summary.csv"
         code = main([
             "report", "--runs", str(output_root / "one"), str(output_root / "two"),
@@ -201,3 +213,75 @@ class TestInputErrors:
                 "--pairings", pairings]
         with pytest.raises(SystemExit, match=chunk):
             main(argv)
+
+    def exits_naming(self, argv, message) -> None:
+        """``main(argv)`` exits with one line that starts with the command and
+        holds ``message``."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        text = str(exc.value.code)
+        assert text.startswith(f"fragpair {argv[0]}: ") and "\n" not in text
+        assert message in text
+
+    def test_set_to_an_invalid_value(self) -> None:
+        self.exits_naming(["run", "--set", "knn_k=4"], "fragpair run: knn_k: ")
+
+    def test_missing_config_file(self, tmp_path) -> None:
+        missing = str(tmp_path / "missing.json")
+        self.exits_naming(["run", "--config", missing], missing)
+
+    def test_malformed_config_json(self, tmp_path) -> None:
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"epochs": 2')
+        self.exits_naming(["run", "--config", str(bad)], f"{bad}: ")
+
+    def test_generate_with_no_samples(self, tmp_path) -> None:
+        self.exits_naming(["generate", "--n", "0", "--out", str(tmp_path / "d.csv")], "n and d")
+
+    def test_inject_noise_on_a_missing_file(self, tmp_path) -> None:
+        missing = str(tmp_path / "missing.csv")
+        argv = ["inject-noise", "--data", missing, "--out", str(tmp_path / "noisy.csv"),
+                "--kind", "symmetric"]
+        self.exits_naming(argv, f"no such file: {missing}")
+
+    def test_inject_noise_rate_out_of_range(self, tmp_path) -> None:
+        src = tmp_path / "clean.csv"
+        main(["generate", "--n", "20", "--out", str(src)])
+        argv = ["inject-noise", "--data", str(src), "--out", str(tmp_path / "noisy.csv"),
+                "--kind", "symmetric", "--rate", "2"]
+        self.exits_naming(argv, "rate must lie in [0, 1]")
+
+    @pytest.mark.parametrize("pairings, sets, message", [
+        ("1-1,2-3", [], "pairing_override: pair (1, 1) must be ordered i < j"),
+        ("1-2,3-4", ["--set", "fragments=6"], "pairing_override: covers 4 fragments, expected 6"),
+    ])
+    def test_invalid_matching(self, tmp_path, pairings, sets, message) -> None:
+        argv = ["compare-pairings", "--config", small_config_file(tmp_path),
+                "--pairings", pairings] + sets
+        self.exits_naming(argv, message)
+
+    def test_invalid_last_matching_starts_no_run(self, tmp_path, monkeypatch) -> None:
+        calls = []
+        monkeypatch.setattr(fragpair.pipeline, "run_experiment", lambda *a, **k: calls.append(a))
+        argv = ["compare-pairings", "--config", small_config_file(tmp_path),
+                "--pairings", "1-3,2-4;1-2,3-4;1-1,2-3"]
+        self.exits_naming(argv, "pair (1, 1)")
+        assert calls == []
+
+    def test_report_on_a_missing_directory(self, tmp_path) -> None:
+        missing = tmp_path / "missing"
+        self.exits_naming(["report", "--runs", str(missing)], str(missing / "config.json"))
+
+    def test_report_on_a_run_with_no_finished_epoch(self, tmp_path, output_root, monkeypatch) -> None:
+        def diverge(*args, **kwargs):
+            raise RuntimeError("diverged")
+
+        monkeypatch.setattr(fragpair.pipeline, "train_epoch", diverge)
+        argv = ["run", "--config", small_config_file(tmp_path), "--out-dir", "failed"]
+        # A run that fails part-way is not an input error: it keeps its traceback.
+        with pytest.raises(PipelineError, match="epoch 1, stage train_regressor: diverged"):
+            main(argv)
+        run_dir = output_root / "failed"
+        assert (run_dir / "metrics.jsonl").read_text() == ""
+        self.exits_naming(["report", "--runs", str(run_dir)],
+                          f"{run_dir}: metrics.jsonl holds no finished epoch")

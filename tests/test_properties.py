@@ -1,5 +1,6 @@
-"""Property tests of jittered membership, the per-pair training sets and the
-max-min pairing against their scalar and brute-force oracles."""
+"""Property tests of jittered membership, the per-pair training sets, the
+max-min pairing and the neighborhood gate against their scalar and
+brute-force oracles, and of the fragment prior's invariants."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from fragpair.experts import ExpertError, pair_sets
 from fragpair.fragments import (
@@ -19,7 +21,8 @@ from fragpair.fragments import (
     max_jitter,
     select_contrastive_pairing,
 )
-from oracles import jittered_membership
+from fragpair.selection import neighborhood_gate, prior_rows
+from oracles import jittered_membership, neighborhood_agreement
 
 MATCHINGS = {F: list_perfect_matchings(F) for F in (4, 6, 8)}
 
@@ -105,3 +108,49 @@ def test_pairing_is_the_brute_force_max_min_matching(weights) -> None:
         if best_key is None or key > best_key:
             best, best_key = matching, key
     assert select_contrastive_pairing(weights).pairs == best
+
+
+@st.composite
+def prior_cases(draw):
+    """F equal-width fragments over a label range of 1e-3 to 1e6, one mean
+    anywhere in each fragment, and labels in range: random ones, the means
+    and both range ends.  Ranges starting at 0 reach subnormal distances."""
+    F = draw(st.integers(4, 12))
+    lo = draw(st.just(0.0) | st.floats(-1e6, 1e6))
+    label_range = draw(st.floats(1e-3, 1e6))
+    boundaries = np.linspace(lo, lo + label_range, F + 1)
+    fractions = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=F, max_size=F)))
+    means = boundaries[:-1] + fractions * np.diff(boundaries)
+    special = st.sampled_from(means.tolist() + [boundaries[0], boundaries[-1]])
+    in_range = st.floats(boundaries[0], boundaries[-1])
+    y = draw(st.lists(in_range | special, min_size=1, max_size=40))
+    return np.array(y), means, label_range
+
+
+@settings(max_examples=300, deadline=None)
+@given(prior_cases())
+def test_prior_rows_are_distributions_that_peak_at_the_nearest_mean(case) -> None:
+    y, means, label_range = case
+    rho = prior_rows(y, means, label_range)
+    assert rho.shape == (len(y), len(means))
+    assert np.isfinite(rho).all() and (rho >= 0).all()
+    np.testing.assert_allclose(rho.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    for k, v in enumerate(y.tolist()):
+        dist = np.abs(v - means)
+        nearest = np.flatnonzero(dist == dist.min())
+        if len(nearest) == 1:
+            assert rho[k, nearest[0]] == rho[k].max()
+        alone = prior_rows(y[k : k + 1], means, label_range)[0]
+        assert alone.tobytes() == rho[k].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)))
+def test_neighborhood_gate_is_the_scalar_oracle_row_by_row(self_matrix) -> None:
+    gate = neighborhood_gate(self_matrix)
+    assert gate.dtype == np.float64
+    expected = [
+        [neighborhood_agreement(f, row) for f in range(1, len(row) + 1)]
+        for row in self_matrix
+    ]
+    assert gate.tolist() == expected

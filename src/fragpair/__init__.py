@@ -36,6 +36,7 @@ from .net import train_epoch, train_step
 from .pipeline import (
     RunResult,
     compare_pairings,
+    load_dataset,
     run_experiment,
     run_noise_free_reference,
 )

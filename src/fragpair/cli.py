@@ -1,8 +1,11 @@
-"""Command-line interface: dataset tooling, experiment runs and reports.
+"""Command-line interface: a config's data, experiment runs and reports.
 
-Run directories default to ``$FRAGPAIR_OUTPUT_ROOT`` (or ``./runs``) unless an
-absolute ``--out-dir`` is given.  ``main`` turns bad input into one
-``fragpair <command>: <message>`` exit; a failed run raises ``PipelineError``.
+Every command but ``report`` builds one config from ``--config`` and
+``--set``; ``generate`` writes the data a run of that config loads, before
+the split.  Run directories default to ``$FRAGPAIR_OUTPUT_ROOT`` (or
+``./runs``) unless an absolute ``--out-dir`` is given.  ``main`` turns bad
+input into one ``fragpair <command>: <message>`` exit; a failed run raises
+``PipelineError``.
 """
 
 from __future__ import annotations
@@ -13,18 +16,10 @@ import os
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, read_json
-from .data import (
-    DataError,
-    default_feature_cols,
-    inject_gaussian_noise,
-    inject_symmetric_noise,
-    generate_synthetic,
-    load_csv,
-    write_csv,
-    write_jsonl,
-)
+from .data import DataError, write_csv, write_jsonl
 from .pipeline import (
     compare_pairings,
+    load_dataset,
     run_experiment,
     run_noise_free_reference,
     summary_row,
@@ -46,39 +41,11 @@ def _resolve_out_dir(arg: str | None, cfg: ExperimentConfig) -> Path:
     return path if path.is_absolute() else output_root() / path
 
 
-def _write_dataset(ds, out: str) -> None:
-    if out.endswith(".jsonl"):
-        write_jsonl(ds, out)
-    else:
-        write_csv(ds, out)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
-    ds = generate_synthetic(
-        n=args.n,
-        d=args.d,
-        label_lo=args.label_lo,
-        label_hi=args.label_hi,
-        feature_noise_std=args.feature_noise_std,
-        seed=args.seed,
-    )
-    _write_dataset(ds, args.out)
-    print(f"wrote {ds.n} samples (d={ds.d}) to {args.out}")
-    return 0
-
-
-def _cmd_inject_noise(args: argparse.Namespace) -> int:
-    feature_cols = (
-        args.feature_cols.split(",") if args.feature_cols else default_feature_cols(args.d)
-    )
-    ds = load_csv(args.data, feature_cols, args.label_col, args.gt_col)
-    if args.kind == "symmetric":
-        noisy = inject_symmetric_noise(ds, args.rate, args.seed)
-    else:
-        noisy = inject_gaussian_noise(ds, args.max_std_frac, args.seed)
-    _write_dataset(noisy, args.out)
-    corrupted = int((noisy.y != noisy.y_gt).sum())
-    print(f"corrupted {corrupted}/{noisy.n} labels -> {args.out}")
+    ds = load_dataset(_load_config(args))
+    (write_jsonl if args.out.endswith(".jsonl") else write_csv)(ds, args.out)
+    corrupted = "" if ds.y_gt is None else f", {int((ds.y != ds.y_gt).sum())} labels corrupted"
+    print(f"wrote {ds.n} samples (d={ds.d}{corrupted}) to {args.out}")
     return 0
 
 
@@ -103,6 +70,8 @@ def _apply_set_overrides(raw: dict, assignments: list[str]) -> dict:
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     raw = read_json(args.config) if args.config else {}
+    if not isinstance(raw, dict):
+        raise ConfigError("config: must be an object")
     return ExperimentConfig.from_dict(_apply_set_overrides(raw, args.set or []))
 
 
@@ -161,10 +130,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     rows = []
     for run_dir in map(Path, args.runs):
         cfg = ExperimentConfig.from_file(run_dir / "config.json")
-        records = (run_dir / "metrics.jsonl").read_text().splitlines()
+        metrics = run_dir / "metrics.jsonl"
+        records = metrics.read_text().splitlines()
         if not records:
             raise ConfigError(f"{run_dir}: metrics.jsonl holds no finished epoch")
-        rows.append(summary_row(cfg, json.loads(records[-1])))
+        try:
+            final = json.loads(records[-1])
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{metrics}: line {len(records)} is not a whole record ({exc.msg})") from None
+        rows.append(summary_row(cfg, final))
     if args.out:
         write_summary_csv(Path(args.out), rows)
         print(f"wrote {args.out}")
@@ -183,34 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synthetic = ExperimentConfig(dataset={"kind": "synthetic"}).dataset
-    gen = sub.add_parser("generate", help="write a synthetic dataset")
-    gen.add_argument("--n", type=int, default=synthetic["n"])
-    gen.add_argument("--d", type=int, default=synthetic["d"])
-    gen.add_argument("--label-lo", type=float, default=synthetic["label_lo"])
-    gen.add_argument("--label-hi", type=float, default=synthetic["label_hi"])
-    gen.add_argument("--feature-noise-std", type=float, default=synthetic["feature_noise_std"])
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True, help=".csv or .jsonl output path")
-    gen.set_defaults(func=_cmd_generate)
-
-    noise = sub.add_parser("inject-noise", help="corrupt labels in a CSV dataset")
-    noise.add_argument("--data", required=True)
-    noise.add_argument("--out", required=True)
-    noise.add_argument("--kind", choices=("symmetric", "gaussian"), required=True)
-    noise.add_argument("--rate", type=float, default=0.4, help="symmetric corruption probability")
-    noise.add_argument("--max-std-frac", type=float, default=0.3, help="gaussian std cap (range fraction)")
-    noise.add_argument("--seed", type=int, default=0)
-    noise.add_argument("--d", type=int, default=synthetic["d"], help="feature count when --feature-cols is omitted")
-    noise.add_argument("--feature-cols", help="comma-separated feature column names")
-    noise.add_argument("--label-col", default="label")
-    noise.add_argument("--gt-col", default=None)
-    noise.set_defaults(func=_cmd_inject_noise)
-
     def add_config_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config field (dotted paths allowed)")
+
+    gen = sub.add_parser("generate", help="write the data a run of the config loads (before the split)")
+    add_config_args(gen)
+    gen.add_argument("--out", required=True, help=".csv or .jsonl output path")
+    gen.set_defaults(func=_cmd_generate)
 
     run = sub.add_parser("run", help="execute one seeded experiment")
     add_config_args(run)

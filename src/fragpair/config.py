@@ -213,11 +213,15 @@ class ExperimentConfig:
                 },
                 "dataset",
             )
-            _require(bool(spec["path"]), "dataset.path: required for csv sources")
-            _require(
-                bool(spec["feature_cols"]),
-                "dataset.feature_cols: required for csv sources",
-            )
+            _require(isinstance(spec["path"], str) and spec["path"] != "",
+                     f"dataset.path: must be a non-empty string, got {spec['path']!r}")
+            cols = spec["feature_cols"]
+            _require(isinstance(cols, list) and cols and all(isinstance(c, str) for c in cols),
+                     f"dataset.feature_cols: must be a non-empty list of strings, got {cols!r}")
+            _require(isinstance(spec["label_col"], str),
+                     f"dataset.label_col: must be a string, got {spec['label_col']!r}")
+            _require(spec["gt_col"] is None or isinstance(spec["gt_col"], str),
+                     f"dataset.gt_col: must be null or a string, got {spec['gt_col']!r}")
             object.__setattr__(self, "dataset", spec)
         else:
             raise ConfigError("dataset.kind: must be 'synthetic' or 'csv'")

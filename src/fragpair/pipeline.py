@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .data import Dataset, generate_synthetic, load_csv, split_dataset
 from .data import inject_gaussian_noise, inject_symmetric_noise
 from .experts import (
@@ -74,10 +74,11 @@ class RunResult:
         return self.final["selection_rate"]
 
 
-def load_source_dataset(cfg: ExperimentConfig) -> Dataset:
+def load_dataset(cfg: ExperimentConfig) -> Dataset:
+    """The config's source with the config's noise applied: the data a run splits."""
     src = cfg.dataset
     if src["kind"] == "synthetic":
-        return generate_synthetic(
+        ds = generate_synthetic(
             n=src["n"],
             d=src["d"],
             label_lo=src["label_lo"],
@@ -85,36 +86,26 @@ def load_source_dataset(cfg: ExperimentConfig) -> Dataset:
             feature_noise_std=src["feature_noise_std"],
             seed=derive_seed(cfg.seed, "data"),
         )
-    return load_csv(
-        src["path"],
-        feature_cols=src["feature_cols"],
-        label_col=src["label_col"],
-        gt_col=src["gt_col"],
-    )
+    else:
+        ds = load_csv(
+            src["path"],
+            feature_cols=src["feature_cols"],
+            label_col=src["label_col"],
+            gt_col=src["gt_col"],
+        )
+    if cfg.noise is None:
+        return ds
+    noise_seed = cfg.noise["seed"]
+    if noise_seed is None:
+        noise_seed = derive_seed(cfg.seed, "noise")
+    if cfg.noise["kind"] == "symmetric":
+        return inject_symmetric_noise(ds, cfg.noise["rate"], noise_seed)
+    return inject_gaussian_noise(ds, cfg.noise["max_std_frac"], noise_seed)
 
 
-def prepare_splits(
-    cfg: ExperimentConfig, use_ground_truth: bool = False
-) -> tuple[Dataset, Dataset]:
-    """Load, (optionally) corrupt and split the data.
-
-    With ``use_ground_truth`` the observed labels are replaced by ground truth
-    and no noise is injected: the setup of a noise-free reference run.
-    """
-    ds = load_source_dataset(cfg)
-    if use_ground_truth:
-        if ds.y_gt is None:
-            raise PipelineError("reference run requires ground-truth labels")
-        ds = Dataset(x=ds.x.copy(), y=ds.y_gt.copy(), y_gt=ds.y_gt.copy())
-    elif cfg.noise is not None:
-        noise_seed = cfg.noise["seed"]
-        if noise_seed is None:
-            noise_seed = derive_seed(cfg.seed, "noise")
-        if cfg.noise["kind"] == "symmetric":
-            ds = inject_symmetric_noise(ds, cfg.noise["rate"], noise_seed)
-        else:
-            ds = inject_gaussian_noise(ds, cfg.noise["max_std_frac"], noise_seed)
-    return split_dataset(ds, cfg.test_frac, derive_seed(cfg.seed, "split"))
+def prepare_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """Split the config's data (:func:`load_dataset`) into (train, test) by its seed."""
+    return split_dataset(load_dataset(cfg), cfg.test_frac, derive_seed(cfg.seed, "split"))
 
 
 def summary_row(cfg: ExperimentConfig, final: dict) -> dict:
@@ -166,11 +157,7 @@ def _first_k_shrink_only(shown: set):
             warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir: Optional[str | Path] = None,
-    use_ground_truth: bool = False,
-) -> RunResult:
+def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) -> RunResult:
     """Execute the full seeded loop; write the run directory when ``out_dir`` is given.
 
     The directory is written in run order: ``config.json`` and an open
@@ -191,7 +178,7 @@ def run_experiment(
             metrics_fh = (out_dir / "metrics.jsonl").open("w")
 
         stage = "prepare"
-        train, test = prepare_splits(cfg, use_ground_truth=use_ground_truth)
+        train, test = prepare_splits(cfg)
         eval_targets = test.y_gt if test.y_gt is not None else test.y
         lo, span = train.label_min, train.label_range
         norm_targets = (train.y - lo) / span
@@ -327,13 +314,20 @@ def run_experiment(
 def run_noise_free_reference(
     cfg: ExperimentConfig, out_dir: Optional[str | Path] = None
 ) -> tuple[float, RunResult]:
-    """Train the same regressor on ground-truth labels; returns its held-out MAE.
+    """Run the noise-free reference derived from ``cfg``; returns its held-out MAE.
 
-    This is exactly vanilla mode with noise disabled, and supplies the
-    denominator for relative-error reporting.
+    The reference is a config of its own: ``cfg`` in vanilla mode with no
+    noise and no ``reference_rho``, and a csv source reads its labels from
+    ``gt_col``.  So its ``config.json`` reruns it.  Its MAE is the
+    denominator of relative-error reporting.
     """
-    ref_cfg = cfg.replace(mode="vanilla", noise=None, reference_rho=None)
-    result = run_experiment(ref_cfg, out_dir=out_dir, use_ground_truth=True)
+    dataset = cfg.dataset
+    if dataset["kind"] == "csv":
+        if dataset["gt_col"] is None:
+            raise ConfigError("dataset.gt_col: required for the noise-free reference of a csv source")
+        dataset = dict(dataset, label_col=dataset["gt_col"])
+    ref_cfg = cfg.replace(mode="vanilla", noise=None, reference_rho=None, dataset=dataset)
+    result = run_experiment(ref_cfg, out_dir=out_dir)
     return result.final_mae, result
 
 

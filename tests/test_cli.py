@@ -8,7 +8,6 @@ import pytest
 
 import fragpair.pipeline
 from fragpair.cli import build_parser, main
-from fragpair.config import ExperimentConfig
 from fragpair.data import default_feature_cols, load_csv
 from fragpair.pipeline import PipelineError
 
@@ -34,56 +33,75 @@ def small_config_file(tmp_path, **overrides) -> str:
     return str(path)
 
 
+def csv_source(path, gt_col="label_gt") -> dict:
+    """A config's ``dataset`` for a CSV file that ``generate`` wrote, with d=2."""
+    return {"kind": "csv", "path": str(path), "feature_cols": default_feature_cols(2),
+            "gt_col": gt_col}
+
+
+def set_flag(key: str, value) -> list[str]:
+    return ["--set", f"{key}={json.dumps(value)}"]
+
+
+def synthetic(n: int, d: int = 2) -> list[str]:
+    return set_flag("dataset", {"kind": "synthetic", "n": n, "d": d})
+
+
+SYMMETRIC = {"kind": "symmetric", "rate": 0.5, "seed": 1}
+
+
 class TestGenerate:
     def test_writes_loadable_csv(self, tmp_path, capsys) -> None:
         out = tmp_path / "data.csv"
-        assert main(["generate", "--n", "50", "--d", "3", "--out", str(out)]) == 0
+        argv = ["generate", *synthetic(50, d=3), "--out", str(out)]
+        assert main(argv) == 0
         ds = load_csv(out, default_feature_cols(3), "label", gt_col="label_gt")
         assert ds.n == 50 and ds.d == 3
         assert "wrote 50 samples" in capsys.readouterr().out
 
     def test_writes_jsonl(self, tmp_path) -> None:
         out = tmp_path / "data.jsonl"
-        main(["generate", "--n", "10", "--out", str(out)])
+        main(["generate", *synthetic(10), "--out", str(out)])
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(rows) == 10 and "label" in rows[0]
 
-    def test_defaults_are_the_configs(self) -> None:
-        synthetic = ExperimentConfig(dataset={"kind": "synthetic"}).dataset
-        defaults = {key: value for key, value in synthetic.items() if key != "kind"}
-        parser = build_parser()
-        gen = vars(parser.parse_args(["generate", "--out", "data.csv"]))
-        assert {key: gen[key] for key in defaults} == defaults
-        noise = parser.parse_args(
-            ["inject-noise", "--data", "a.csv", "--out", "b.csv", "--kind", "symmetric"]
-        )
-        assert noise.d == synthetic["d"]
+    def test_writes_the_data_a_run_loads(self, tmp_path, output_root) -> None:
+        config = ["--config", small_config_file(tmp_path, seed=5)]
+        data = tmp_path / "d.csv"
+        main(["generate", *config, "--out", str(data)])
+        main(["run", *config, "--out-dir", "synthetic"])
+        main(["run", *config, *set_flag("dataset", csv_source(data)), "--set", "noise=null",
+              "--out-dir", "csv"])
+
+        def written(run) -> dict:
+            files = [run / "metrics.jsonl", *sorted((run / "selection").iterdir())]
+            return {path.relative_to(run): path.read_bytes() for path in files}
+
+        synthetic = written(output_root / "synthetic")
+        assert len(synthetic) == 3
+        assert written(output_root / "csv") == synthetic
 
 
 class TestInjectNoise:
+    """``generate`` applies the config's noise to its source, a CSV file included."""
+
     def test_symmetric_corruption(self, tmp_path, capsys) -> None:
         src = tmp_path / "clean.csv"
-        main(["generate", "--n", "400", "--out", str(src), "--seed", "3"])
+        main(["generate", *synthetic(400), "--set", "seed=3", "--out", str(src)])
         dst = tmp_path / "noisy.csv"
-        code = main([
-            "inject-noise", "--data", str(src), "--out", str(dst),
-            "--kind", "symmetric", "--rate", "0.5", "--seed", "1",
-            "--gt-col", "label_gt",
-        ])
+        capsys.readouterr()
+        code = main(["generate", *set_flag("dataset", csv_source(src)),
+                     *set_flag("noise", SYMMETRIC), "--out", str(dst)])
         assert code == 0
         noisy = load_csv(dst, default_feature_cols(2), "label", gt_col="label_gt")
         fraction = np.mean(noisy.y != noisy.y_gt)
         assert 0.4 < fraction < 0.6
-        assert "corrupted" in capsys.readouterr().out
+        assert f"{int(np.sum(noisy.y != noisy.y_gt))} labels corrupted" in capsys.readouterr().out
 
     def test_gaussian_kind(self, tmp_path) -> None:
-        src = tmp_path / "clean.csv"
-        main(["generate", "--n", "200", "--out", str(src)])
         dst = tmp_path / "noisy.csv"
-        main([
-            "inject-noise", "--data", str(src), "--out", str(dst),
-            "--kind", "gaussian", "--max-std-frac", "0.3", "--gt-col", "label_gt",
-        ])
+        main(["generate", *synthetic(200),
+              *set_flag("noise", {"kind": "gaussian", "max_std_frac": 0.3}), "--out", str(dst)])
         noisy = load_csv(dst, default_feature_cols(2), "label", gt_col="label_gt")
         assert np.mean(np.abs(noisy.y - noisy.y_gt)) > 1.0
 
@@ -156,6 +174,17 @@ class TestReferenceCommand:
         cfg = small_config_file(tmp_path)
         assert main(["reference", "--config", cfg]) == 0
         assert "noise-free reference MAE" in capsys.readouterr().out
+
+    def test_config_json_reruns_a_csv_reference(self, tmp_path, output_root) -> None:
+        data = tmp_path / "noisy.csv"
+        main(["generate", *synthetic(400),
+              *set_flag("noise", {"kind": "symmetric", "rate": 0.4}), "--out", str(data)])
+        cfg = small_config_file(tmp_path, dataset=csv_source(data), noise=None,
+                                mode="vanilla", epochs=5)
+        main(["reference", "--config", cfg, "--out-dir", "A"])
+        main(["run", "--config", str(output_root / "A" / "config.json"), "--out-dir", "B"])
+        reference = (output_root / "A" / "metrics.jsonl").read_bytes()
+        assert (output_root / "B" / "metrics.jsonl").read_bytes() == reference
 
 
 class TestReportCommand:
@@ -236,20 +265,35 @@ class TestInputErrors:
         self.exits_naming(["run", "--config", str(bad)], f"{bad}: ")
 
     def test_generate_with_no_samples(self, tmp_path) -> None:
-        self.exits_naming(["generate", "--n", "0", "--out", str(tmp_path / "d.csv")], "n and d")
+        argv = ["generate", *synthetic(0), "--out", str(tmp_path / "d.csv")]
+        self.exits_naming(argv, "dataset.n: must be >= 1")
 
     def test_inject_noise_on_a_missing_file(self, tmp_path) -> None:
         missing = str(tmp_path / "missing.csv")
-        argv = ["inject-noise", "--data", missing, "--out", str(tmp_path / "noisy.csv"),
-                "--kind", "symmetric"]
+        argv = ["generate", *set_flag("dataset", csv_source(missing)),
+                *set_flag("noise", SYMMETRIC), "--out", str(tmp_path / "noisy.csv")]
         self.exits_naming(argv, f"no such file: {missing}")
 
     def test_inject_noise_rate_out_of_range(self, tmp_path) -> None:
         src = tmp_path / "clean.csv"
-        main(["generate", "--n", "20", "--out", str(src)])
-        argv = ["inject-noise", "--data", str(src), "--out", str(tmp_path / "noisy.csv"),
-                "--kind", "symmetric", "--rate", "2"]
-        self.exits_naming(argv, "rate must lie in [0, 1]")
+        main(["generate", *synthetic(20), "--out", str(src)])
+        argv = ["generate", *set_flag("dataset", csv_source(src)),
+                *set_flag("noise", {**SYMMETRIC, "rate": 2}), "--out", str(tmp_path / "noisy.csv")]
+        self.exits_naming(argv, "noise.rate: must lie in [0, 1]")
+
+    def test_set_on_a_config_that_is_not_an_object(self, tmp_path) -> None:
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        self.exits_naming(["run", "--config", str(listed), "--set", "seed=3"],
+                          "fragpair run: config: must be an object")
+
+    @pytest.mark.parametrize("command", [["reference"], ["run", "--with-reference"]])
+    def test_reference_of_a_csv_without_ground_truth(self, tmp_path, output_root, command) -> None:
+        data = tmp_path / "two.csv"
+        data.write_text("x0,x1,label\n0.1,0.5,1\n0.2,0.6,2\n")
+        argv = [*command, *set_flag("dataset", csv_source(data, gt_col=None)), "--out-dir", "r"]
+        self.exits_naming(argv, f"fragpair {command[0]}: dataset.gt_col: ")
+        assert not output_root.exists()
 
     @pytest.mark.parametrize("pairings, sets, message", [
         ("1-1,2-3", [], "pairing_override: pair (1, 1) must be ordered i < j"),
@@ -285,3 +329,9 @@ class TestInputErrors:
         assert (run_dir / "metrics.jsonl").read_text() == ""
         self.exits_naming(["report", "--runs", str(run_dir)],
                           f"{run_dir}: metrics.jsonl holds no finished epoch")
+
+    def test_report_on_a_cut_off_metrics_file(self, tmp_path, output_root) -> None:
+        main(["run", "--config", small_config_file(tmp_path), "--out-dir", "cut"])
+        metrics = output_root / "cut" / "metrics.jsonl"
+        metrics.write_bytes(metrics.read_bytes()[:30])
+        self.exits_naming(["report", "--runs", str(output_root / "cut")], f"{metrics}: line 1 ")

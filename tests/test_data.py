@@ -186,20 +186,20 @@ class TestGaussianNoise:
 
 
 class TestNoiseSpec:
-    """A config's ``noise`` object: checked by the config, applied by ``prepare_splits``."""
+    """A config's ``noise`` object: checked by the config, applied by ``load_dataset``."""
 
     DATASET = {"kind": "synthetic", "n": 200, "d": 2, "label_lo": 0.0, "label_hi": 10.0}
 
     def test_symmetric_dispatch(self) -> None:
         from fragpair.config import ExperimentConfig
-        from fragpair.pipeline import load_source_dataset, prepare_splits
+        from fragpair.pipeline import load_dataset, prepare_splits
         from fragpair.rng import derive_seed
 
         cfg = ExperimentConfig.from_dict(
             {"dataset": self.DATASET, "noise": {"kind": "symmetric", "rate": 0.5, "seed": 7}}
         )
         train, test = prepare_splits(cfg)
-        noisy = inject_symmetric_noise(load_source_dataset(cfg), 0.5, 7)
+        noisy = inject_symmetric_noise(load_dataset(cfg.replace(noise=None)), 0.5, 7)
         want_train, want_test = split_dataset(noisy, cfg.test_frac, derive_seed(cfg.seed, "split"))
         assert np.array_equal(train.y, want_train.y)
         assert np.array_equal(test.y, want_test.y)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fragpair.pipeline
 from fragpair.config import ConfigError, ExperimentConfig
 from fragpair.experts import KShrinkWarning
 from fragpair.metrics import mrae
@@ -131,6 +132,28 @@ class TestConfigValidation:
     def test_real_fields_reject_other_types(self, overrides, field) -> None:
         with pytest.raises(ConfigError, match=f"^{field}: must be a finite number"):
             small_config(**overrides)
+
+    CSV = {"kind": "csv", "path": "d.csv", "feature_cols": ["x0"]}
+
+    @pytest.mark.parametrize(
+        "dataset,field",
+        [
+            ({"path": None}, "dataset.path"),
+            ({"path": ""}, "dataset.path"),
+            ({"path": 3}, "dataset.path"),
+            ({"feature_cols": "x0"}, "dataset.feature_cols"),
+            ({"feature_cols": []}, "dataset.feature_cols"),
+            ({"feature_cols": None}, "dataset.feature_cols"),
+            ({"feature_cols": ["x0", 1]}, "dataset.feature_cols"),
+            ({"label_col": 5}, "dataset.label_col"),
+            ({"label_col": None}, "dataset.label_col"),
+            ({"gt_col": 0}, "dataset.gt_col"),
+            ({"gt_col": ["label_gt"]}, "dataset.gt_col"),
+        ],
+    )
+    def test_csv_source_fields_reject_other_types(self, dataset, field) -> None:
+        with pytest.raises(ConfigError, match=f"^{field}: must be"):
+            small_config(dataset={**self.CSV, **dataset})
 
     def test_real_fields_accept_integers(self) -> None:
         cfg = small_config(expert_lr=1, jitter=0, reference_rho=2,
@@ -380,9 +403,8 @@ class TestReferenceRun:
     def test_reference_equals_vanilla_on_ground_truth(self) -> None:
         cfg = small_config(epochs=5)
         rho, ref = run_noise_free_reference(cfg)
-        again = run_experiment(
-            cfg.replace(mode="vanilla", noise=None), use_ground_truth=True
-        )
+        again = run_experiment(cfg.replace(mode="vanilla", noise=None))
+        assert ref.config == cfg.replace(mode="vanilla", noise=None)
         assert rho == again.final_mae
         assert rho > 0
         assert mrae(rho, rho) == 0.0
@@ -416,7 +438,7 @@ class TestReferenceRun:
         assert len(records) == 2
         assert all(list(r)[-2:] == ["mae", "selection_rate"] for r in records)
 
-    def test_reference_requires_ground_truth(self, tmp_path) -> None:
+    def test_reference_requires_ground_truth(self, tmp_path, monkeypatch) -> None:
         path = tmp_path / "plain.csv"
         path.write_text("a,label\n" + "\n".join(f"{i},{i}" for i in range(30)) + "\n")
         cfg = small_config(
@@ -424,8 +446,24 @@ class TestReferenceRun:
                       "label_col": "label"},
             noise=None,
         )
-        with pytest.raises(PipelineError, match="ground-truth"):
-            run_noise_free_reference(cfg)
+        calls = []
+        monkeypatch.setattr(fragpair.pipeline, "run_experiment", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match="^dataset.gt_col: "):
+            run_noise_free_reference(cfg, out_dir=tmp_path / "ref")
+        assert calls == [] and not (tmp_path / "ref").exists()
+
+    def test_csv_reference_reads_the_ground_truth_column(self, tmp_path) -> None:
+        path = tmp_path / "noisy.csv"
+        rows = [f"{i},{i if i % 3 else 99 - i},{i}" for i in range(60)]
+        path.write_text("a,label,gt\n" + "\n".join(rows) + "\n")
+        cfg = small_config(
+            dataset={"kind": "csv", "path": str(path), "feature_cols": ["a"], "gt_col": "gt"},
+            noise=None, epochs=2,
+        )
+        _, ref = run_noise_free_reference(cfg)
+        assert ref.config.dataset["label_col"] == "gt"
+        train, _ = prepare_splits(ref.config)
+        assert np.array_equal(train.y, train.y_gt)
 
 
 class TestComparePairings:
@@ -463,5 +501,6 @@ class TestSplitsPreparation:
         assert 0.25 < corrupted < 0.55
 
     def test_ground_truth_mode_strips_noise(self) -> None:
-        train, test = prepare_splits(small_config(), use_ground_truth=True)
+        _, ref = run_noise_free_reference(small_config(epochs=1))
+        train, test = prepare_splits(ref.config)
         assert np.array_equal(train.y, train.y_gt)

@@ -267,6 +267,10 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         defaults = ExperimentConfig(dataset={"kind": "synthetic"})
         merged = _take(raw, defaults.to_dict(), "config")
+        # A source without a kind changes fields of the default one, as a
+        # partial net object changes the field's default net.
+        if isinstance(merged["dataset"], dict) and "kind" not in merged["dataset"]:
+            merged["dataset"] = {**defaults.dataset, **merged["dataset"]}
         for name in ("expert_net", "regressor_net"):
             merged[name] = NetConfig.from_dict(merged[name], getattr(defaults, name), name)
         return ExperimentConfig(**merged)

@@ -423,21 +423,36 @@ def knn_votes(bank: FeatureBank, pair: Pair, queries: np.ndarray, K: int) -> np.
     rows take that call.  The kernel walks its rows in blocks of about 256 KB
     of distances through buffers allocated once per call.
 
-    **One thread.**  The sweep's operations are small, a 128-row block
-    against a window of tens to a few hundred bank rows, so threads spend
-    more on hand-off than they save: on 49 captured ``select-2k`` calls
-    (2-vCPU host, BLAS at one thread), two threads each sweeping half the
-    queries took 7.8 ms a call against 5.6 ms for one thread sweeping all.
-    Everything runs in the calling thread.
+    **One thread per vote, beside the next epoch's training.**  The sweep's
+    operations are small, a 128-row block against a window of tens to a few
+    hundred bank rows, so threads spend more on hand-off than they save: on
+    49 captured ``select-2k`` calls (2-vCPU host, BLAS at one thread), two
+    threads each sweeping half the queries took 7.8 ms a call against 5.6 ms
+    for one thread sweeping all, and the sweep holds the GIL.  A run uses a
+    second CPU another way (``pipeline.run_experiment``): where more than one
+    is usable, one worker process forked for the run computes each epoch's
+    votes, :func:`knn_winners` for every pair, while the run trains the
+    experts for the next epoch and finishes the one before.  The votes'
+    bytes are the same either way: the same function runs on the same inputs.
 
     Up to such near-ties, the votes do not depend on the block sizes, the
     window reach or the axis chosen; those decide only how much is pruned.
     """
     if pair not in bank.features:
         raise ExpertError(f"feature bank holds no entries for pair {pair}")
-    feats = bank.features[pair]
-    tags = bank.frag_ids[pair]
-    k = _effective_k(K, len(tags), pair)
+    k = _effective_k(K, bank.size(pair), pair)
+    return knn_winners(bank.features[pair], bank.frag_ids[pair], queries, k, pair)
+
+
+def knn_winners(
+    feats: np.ndarray, tags: np.ndarray, queries: np.ndarray, k: int, pair: Pair
+) -> np.ndarray:
+    """The votes of :func:`knn_votes` from a bank's features and fragment tags,
+    with ``k`` already checked and shrunk by ``_effective_k``.
+
+    The run's vote worker and :func:`knn_votes` both call it, so a vote has
+    one code path wherever it is computed.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     q_norms = (queries * queries).sum(axis=1)
     f_norms = (feats * feats).sum(axis=1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,14 +24,19 @@ from .data import Dataset, generate_synthetic, load_csv, split_dataset
 from .data import inject_gaussian_noise, inject_symmetric_noise
 from .experts import (
     ExpertEnsemble,
+    FeatureBank,
     KShrinkWarning,
+    Pair,
+    _effective_k,
     build_feature_bank,
     init_ensemble,
+    knn_winners,
     pair_sets,
     train_experts_epoch,
 )
 from .fragments import (
     FragmentationError,
+    FragmentationScheme,
     Pairing,
     fragment_edge_weights,
     fragment_labels,
@@ -47,6 +53,13 @@ from .selection import SelectionOutcome, select_clean
 
 class PipelineError(RuntimeError):
     """Wraps stage failures with the epoch and stage that produced them."""
+
+
+def _stage_error(epoch: int, stage: str, exc: Exception) -> PipelineError:
+    """The error for ``exc``, raised at ``stage`` of ``epoch`` and named its cause."""
+    error = PipelineError(f"epoch {epoch}, stage {stage}: {exc}")
+    error.__cause__ = exc
+    return error
 
 
 @dataclass
@@ -157,6 +170,133 @@ def _first_k_shrink_only(shown: set):
             warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity is not None else 1
+
+
+def _serve_votes(conn, parent_end) -> None:
+    """The vote worker's loop: a job of :func:`knn_winners` arguments per pair
+    in; the winners and the warnings raised, or the exception, out."""
+    import signal
+
+    # Ctrl-C reaches the whole process group; the run's process ends the worker.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent_end.close()
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                winners = {pair: knn_winners(*args) for pair, args in job.items()}
+            reply = winners, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        except Exception as exc:
+            reply = exc
+        conn.send(reply)
+
+
+class _Votes:
+    """A run's K-NN votes, one epoch at a time: :meth:`submit` takes the
+    epoch's banks and :meth:`collect` returns every pair's winners.
+
+    Where more than one CPU is usable, a worker process forked for the run
+    computes them between the two calls; otherwise :meth:`collect` does.
+    """
+
+    def __init__(self) -> None:
+        # The job handed over and not yet collected.
+        self.job: Optional[dict] = None
+        self.proc = None
+        if _usable_cpus() < 2:
+            return
+        # Imported here: the import takes about 10 ms, which vanilla runs and
+        # one-CPU hosts need not pay.
+        import multiprocessing
+
+        if multiprocessing.current_process().daemon:  # a Pool worker starts no process
+            return
+        # A forked worker starts in milliseconds with numpy and fragpair
+        # loaded; spawn or forkserver would import them again.
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve_votes, args=(child_end, self.conn), daemon=True)
+        self.proc.start()
+        child_end.close()
+
+    def submit(self, banks: FeatureBank, K: int) -> None:
+        self.job = {
+            pair: (banks.features[pair], banks.frag_ids[pair], banks.row_features[pair],
+                   _effective_k(K, banks.size(pair), pair), pair)
+            for pair in banks.features
+        }
+        if self.proc is not None:
+            self.conn.send(self.job)
+
+    def collect(self) -> dict[Pair, np.ndarray]:
+        job, self.job = self.job, None
+        if self.proc is None:
+            return {pair: knn_winners(*args) for pair, args in job.items()}
+        try:
+            reply = self.conn.recv()
+        except EOFError:
+            self.proc.join()
+            raise RuntimeError(f"K-NN vote worker exited with code {self.proc.exitcode}") from None
+        if isinstance(reply, Exception):
+            raise reply
+        winners, caught = reply
+        # One registry per epoch, as the select stage's own warnings have.
+        registry: dict = {}
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        return winners
+
+    def close(self) -> None:
+        if self.proc is None:
+            return
+        self.conn.close()
+        if self.job is not None:  # a vote nobody will collect
+            self.proc.terminate()
+        self.proc.join()
+        self.proc.close()
+
+
+def _train_experts(
+    cfg: ExperimentConfig,
+    ens: ExpertEnsemble,
+    scheme: FragmentationScheme,
+    train: Dataset,
+    epoch: int,
+) -> tuple[dict, FeatureBank]:
+    """Epoch ``epoch``'s expert half: its jitter, one training epoch per pair
+    expert and the feature banks, with the epoch's record begun.  A failure
+    raises :class:`PipelineError` naming the epoch and stage."""
+    stage = "jitter"
+    try:
+        js = jitter_scheme(scheme, cfg.jitter, cfg.seed, epoch)
+        record = {"epoch": epoch, "jitter_delta": js.delta}
+
+        stage = "train_experts"
+        sets = pair_sets(ens.pairing, js, train.y)
+        losses = train_experts_epoch(
+            ens,
+            train,
+            sets,
+            cfg.expert_lr,
+            cfg.batch_size,
+            derive_seed(cfg.seed, "expert_epoch", epoch),
+        )
+        record["expert_loss"] = float(np.mean(list(losses.values())))
+
+        stage = "build_banks"
+        return record, build_feature_bank(ens, train, sets)
+    except Exception as exc:
+        raise _stage_error(epoch, stage, exc)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) -> RunResult:
     """Execute the full seeded loop; write the run directory when ``out_dir`` is given.
 
@@ -165,11 +305,33 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
     and metrics line, and last ``layout.json``, ``checkpoints/`` and
     ``summary.csv``.  A failed run keeps ``config.json`` and the metrics lines
     and selection files of its finished epochs.
+
+    **Overlapped votes.**  The experts train on jittered fragments only, never
+    on a selection, so epoch e's K-NN votes and epoch e+1's expert training
+    are independent.  In ``select`` and ``select_regr`` modes, while epoch e's
+    votes (``experts.knn_winners`` for every pair) are computed, this process
+    does epoch e+1's jitter, pair sets, expert training and banks.  It then
+    collects e's votes, hands over e+1's banks, and finishes epoch e
+    (selection, regressor, evaluation and e's files) while e+1's votes are
+    computed.  Where more than one CPU is usable (``os.sched_getaffinity``),
+    the votes are computed by one worker process, forked for the run at its
+    first epoch and ended before it returns or raises; otherwise they are
+    computed here when collected.  Vanilla runs have no votes and no worker.
+    The bytes do not depend on where or when the votes are computed: the same
+    function runs on the same inputs, and every random stream is
+    counter-based, keyed by epoch and pair, not by the order of draws.
+
+    Failures keep the order of one epoch after another.  A failure of epoch
+    e+1's expert half waits until epoch e is finished, then raises naming
+    epoch e+1 and its stage.  A failure while finishing epoch e names epoch e,
+    and e+1's work is dropped.  A vote that fails or a worker that dies names
+    epoch e, stage ``select``.
     """
     stage = "artifacts"
     epoch = 0
     out_dir = Path(out_dir) if out_dir is not None else None
     metrics_fh = None
+    votes: Optional[_Votes] = None
     try:
         if out_dir is not None:
             (out_dir / "selection").mkdir(parents=True, exist_ok=True)
@@ -225,31 +387,44 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
         tails = SelectionOutcome.jsonl_tails(train) if paired_dir else None
         shown: set = set()
 
+        # The next epoch's record and banks, or the PipelineError its start raised.
+        ahead = None
+
         for epoch in range(1, cfg.epochs + 1):
-            record: dict = {"epoch": epoch}
-            if ens is not None:
-                stage = "jitter"
-                js = jitter_scheme(scheme, cfg.jitter, cfg.seed, epoch)
-                record["jitter_delta"] = js.delta
-
-                stage = "train_experts"
-                sets = pair_sets(pairing, js, train.y)
-                losses = train_experts_epoch(
-                    ens,
-                    train,
-                    sets,
-                    cfg.expert_lr,
-                    cfg.batch_size,
-                    derive_seed(cfg.seed, "expert_epoch", epoch),
-                )
-                record["expert_loss"] = float(np.mean(list(losses.values())))
-
-                stage = "build_banks"
-                banks = build_feature_bank(ens, train, sets)
+            if ens is None:
+                record: dict = {"epoch": epoch}
+                selected = np.arange(train.n)
+            else:
+                if votes is None:
+                    stage = "select"
+                    votes = _Votes()
+                    ahead = _train_experts(cfg, ens, scheme, train, epoch)
+                    with _first_k_shrink_only(shown):
+                        votes.submit(ahead[1], cfg.knn_k)
+                if isinstance(ahead, PipelineError):
+                    raise ahead
+                record, banks = ahead
+                ahead = None
+                # The next epoch's experts train while this epoch's votes are
+                # computed.  A failure of the next epoch waits until this one
+                # is finished.
+                if epoch < cfg.epochs:
+                    try:
+                        ahead = _train_experts(cfg, ens, scheme, train, epoch + 1)
+                    except PipelineError as exc:
+                        ahead = exc
 
                 stage = "select"
                 with _first_k_shrink_only(shown):
-                    outcome = select_clean(train, ens, scheme, banks, cfg.knn_k, cfg.seed, epoch)
+                    winners = votes.collect()
+                    # Handed over before this epoch is finished, so that the
+                    # next vote runs while it is.
+                    if isinstance(ahead, tuple):
+                        try:
+                            votes.submit(ahead[1], cfg.knn_k)
+                        except Exception as exc:
+                            ahead = _stage_error(epoch + 1, "select", exc)
+                    outcome = select_clean(train, ens, scheme, banks, winners, cfg.seed, epoch)
                 selected = outcome.combine(cfg.selection_combine)
                 record["n_pred"] = int(outcome.chosen_pred.sum())
                 record["n_repr"] = int(outcome.chosen_repr.sum())
@@ -257,8 +432,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
                 if tails is not None:
                     path = out_dir / "selection" / f"epoch_{epoch:04d}.jsonl"
                     path.write_text(outcome.jsonl(tails))
-            else:
-                selected = np.arange(train.n)
 
             record["n_selected"] = int(len(selected))
 
@@ -305,8 +478,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
     except PipelineError:
         raise
     except Exception as exc:
-        raise PipelineError(f"epoch {epoch}, stage {stage}: {exc}") from exc
+        raise _stage_error(epoch, stage, exc)
     finally:
+        if votes is not None:
+            votes.close()
         if metrics_fh is not None:
             metrics_fh.close()
 

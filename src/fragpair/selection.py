@@ -7,10 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .experts import ExpertEnsemble, FeatureBank, knn_votes
+from .experts import ExpertEnsemble, FeatureBank, Pair
 # Not called here; benchmark/tracing.py patches these names in this module.
-from .experts import pair_features, pair_logits, predict_label  # noqa: F401
-from .fragments import FragmentationScheme
+from .experts import knn_votes, pair_features, pair_logits, predict_label  # noqa: F401
+from .fragments import FragmentationScheme, Pairing
 from .rng import stream
 
 # Inverse-distance gate value at which the softmax is already effectively
@@ -43,44 +43,45 @@ def neighborhood_gate(self_matrix: np.ndarray) -> np.ndarray:
     return (s & ngb).astype(np.float64)
 
 
-def self_agreement_matrix(
-    ens: ExpertEnsemble,
-    scheme: FragmentationScheme,
-    banks: FeatureBank,
-    K: int,
-    kind: str,
-) -> np.ndarray:
-    """(n, F) self-agreement votes for every training row and fragment at once.
+def pred_winners(
+    ens: ExpertEnsemble, scheme: FragmentationScheme, banks: FeatureBank
+) -> dict[Pair, np.ndarray]:
+    """Each pair's predictive vote per training row, read from the epoch's
+    expert pass in ``banks``.
 
-    Every vote reads the epoch's one expert pass held in ``banks``.  ``kind``
-    selects the vote source: "pred" the expert's output, read as the ensemble's
-    objective makes it (a ``classify`` expert's hard classification, a
-    ``regress`` expert's nearest pair mean), "repr" the K-NN vote in its
-    feature space.
+    The vote is the fragment the expert's output names, as the ensemble's
+    objective reads it: a ``classify`` expert's hard classification, a
+    ``regress`` expert's nearer pair mean (the expression of
+    ``predict_label``), and 0, neither fragment, where both means are
+    equally near.
     """
-    n = len(banks.outputs[ens.pairing.pairs[0]])
-    votes = np.zeros((n, ens.pairing.num_fragments))
+    winners = {}
     for pair in ens.pairing.pairs:
         i, j = pair
         out = banks.outputs[pair]
-        if kind == "repr":
-            winner = knn_votes(banks, pair, banks.row_features[pair], K)
-            own_i = winner == i
-            own_j = winner == j
-        elif kind == "pred" and ens.objective == "classify":
-            own_i = out > 0.0
-            own_j = ~own_i
-        elif kind == "pred":
-            # The expression of ``predict_label``.
+        if ens.objective == "classify":
+            winners[pair] = np.where(out > 0.0, i, j)
+        else:
             h = ens.label_lo + out * ens.label_range
             di = np.abs(scheme.means[i - 1] - h)
             dj = np.abs(scheme.means[j - 1] - h)
-            own_i = di < dj
-            own_j = dj < di
-        else:
-            raise ValueError(f"unknown agreement kind {kind!r}")
-        votes[:, i - 1] = own_i
-        votes[:, j - 1] = own_j
+            winners[pair] = np.where(di < dj, i, np.where(dj < di, j, 0))
+    return winners
+
+
+def self_agreement_matrix(pairing: Pairing, winners: dict[Pair, np.ndarray]) -> np.ndarray:
+    """(n, F) self-agreement votes for every training row and fragment at once.
+
+    ``winners`` holds each pair's vote per row, from :func:`pred_winners` or
+    the K-NN vote in the expert's feature space (``experts.knn_winners``):
+    a row agrees with a fragment when its pair's vote names it.
+    """
+    n = len(winners[pairing.pairs[0]])
+    votes = np.zeros((n, pairing.num_fragments))
+    for i, j in pairing.pairs:
+        winner = winners[(i, j)]
+        votes[:, i - 1] = winner == i
+        votes[:, j - 1] = winner == j
     return votes
 
 
@@ -197,17 +198,19 @@ def select_clean(
     ens: ExpertEnsemble,
     scheme: FragmentationScheme,
     banks: FeatureBank,
-    K: int,
+    repr_winners: dict[Pair, np.ndarray],
     seed: int,
     epoch: int,
 ) -> SelectionOutcome:
     """Both per-sample clean probabilities, then the epoch's Bernoulli picks.
 
     The predictive vote is the one the ensemble's objective gives (see
-    :func:`self_agreement_matrix`).
+    :func:`pred_winners`); ``repr_winners`` is the epoch's K-NN vote per
+    pair, ``experts.knn_votes`` of each pair's rows in ``banks``.
     """
     rho = prior_rows(ds.y, scheme.means, scheme.label_range)
-    alpha_pred = neighborhood_gate(self_agreement_matrix(ens, scheme, banks, K, "pred"))
-    alpha_repr = neighborhood_gate(self_agreement_matrix(ens, scheme, banks, K, "repr"))
+    pred = pred_winners(ens, scheme, banks)
+    alpha_pred = neighborhood_gate(self_agreement_matrix(ens.pairing, pred))
+    alpha_repr = neighborhood_gate(self_agreement_matrix(ens.pairing, repr_winners))
     p_pred, p_repr = (rho * alpha_pred).sum(axis=1), (rho * alpha_repr).sum(axis=1)
     return bernoulli_select(p_pred, p_repr, seed, epoch)

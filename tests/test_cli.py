@@ -59,6 +59,13 @@ class TestGenerate:
         assert ds.n == 50 and ds.d == 3
         assert "wrote 50 samples" in capsys.readouterr().out
 
+    def test_dotted_set_changes_the_default_source(self, tmp_path, capsys) -> None:
+        out = tmp_path / "data.csv"
+        assert main(["generate", "--set", "dataset.n=50", "--out", str(out)]) == 0
+        ds = load_csv(out, default_feature_cols(2), "label", gt_col="label_gt")
+        assert ds.n == 50 and ds.d == 2
+        assert "wrote 50 samples" in capsys.readouterr().out
+
     def test_writes_jsonl(self, tmp_path) -> None:
         out = tmp_path / "data.jsonl"
         main(["generate", *synthetic(10), "--out", str(out)])

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fragpair.pipeline
 from fragpair.config import ConfigError, ExperimentConfig
-from fragpair.experts import KShrinkWarning
+from fragpair.experts import KShrinkWarning, knn_winners
 from fragpair.metrics import mrae
 from fragpair.pipeline import (
     PipelineError,
@@ -40,6 +45,14 @@ class TestConfigValidation:
     def test_unknown_nested_key_rejected(self) -> None:
         with pytest.raises(ConfigError, match="dataset"):
             ExperimentConfig.from_dict({"dataset": {"kind": "synthetic", "m": 3}})
+
+    def test_dataset_without_kind_changes_the_default_source(self) -> None:
+        cfg = ExperimentConfig.from_dict({"dataset": {"n": 50, "d": 3}})
+        assert cfg.dataset == {**ExperimentConfig.from_dict({}).dataset, "n": 50, "d": 3}
+
+    def test_csv_fields_without_kind_rejected(self) -> None:
+        with pytest.raises(ConfigError, match="^unknown dataset keys: path$"):
+            ExperimentConfig.from_dict({"dataset": {"path": "x.csv"}})
 
     @pytest.mark.parametrize(
         "field,value,fragment",
@@ -374,6 +387,141 @@ class TestRunExperiment:
         for combine in ("intersection", "pred_only", "repr_only"):
             result = run_experiment(small_config(selection_combine=combine))
             assert len(result.history) == 3
+
+
+def written(run: Path) -> dict:
+    """A run directory's files by relative path: the bytes of each, and the
+    arrays of each checkpoint."""
+    files = {}
+    for path in sorted(run.rglob("*")):
+        if path.suffix == ".npz":
+            with np.load(path) as ckpt:
+                files[path.relative_to(run)] = {
+                    name: (ckpt[name].dtype.str, ckpt[name].shape, ckpt[name].tobytes())
+                    for name in ckpt.files
+                }
+        elif path.is_file():
+            files[path.relative_to(run)] = path.read_bytes()
+    return files
+
+
+def fail_on_call(monkeypatch, name: str, call: int, fail=None) -> None:
+    """Make ``fragpair.pipeline.<name>`` run ``fail`` (raise "<name> failed" by
+    default) on its ``call``-th call, and pass every other call through."""
+    original = getattr(fragpair.pipeline, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == call:
+            if fail is not None:
+                fail()
+            raise RuntimeError(f"{name} failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fragpair.pipeline, name, patched)
+
+
+@pytest.fixture(params=[2, 1], ids=["worker", "one_cpu"])
+def cpus(request, monkeypatch):
+    """Vote in the run's forked worker, or in its own process as on a one-CPU host."""
+    monkeypatch.setattr(fragpair.pipeline, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+class TestOverlappedVotes:
+    """Each epoch's K-NN votes overlap the next epoch's expert training; the
+    run's outputs and failures are those of one epoch after another."""
+
+    @pytest.mark.parametrize("mode", ["select", "select_regr"])
+    def test_worker_and_one_cpu_write_the_same_run(self, tmp_path, monkeypatch, mode) -> None:
+        cfg = small_config(mode=mode, fragments=6, epochs=4)
+        forked = []
+        submit = fragpair.pipeline._Votes.submit
+        monkeypatch.setattr(
+            fragpair.pipeline._Votes,
+            "submit",
+            lambda self, banks, K: forked.append(self.proc is not None) or submit(self, banks, K),
+        )
+        for n in (2, 1):
+            monkeypatch.setattr(fragpair.pipeline, "_usable_cpus", lambda n=n: n)
+            run_experiment(cfg, out_dir=tmp_path / str(n))
+        assert forked == [True] * 4 + [False] * 4
+        runs = written(tmp_path / "2"), written(tmp_path / "1")
+        assert runs[0] == runs[1]
+        names = {str(path) for path in runs[0]}
+        assert {"metrics.jsonl", "summary.csv", "layout.json", "selection/epoch_0004.jsonl",
+                "checkpoints/regressor.npz", "checkpoints/expert_1_4.npz"} <= names
+
+    def test_expert_failure_waits_for_the_epoch_before(self, tmp_path, monkeypatch, cpus) -> None:
+        cfg = small_config(epochs=8)
+        clean = written(run_experiment(cfg, out_dir=tmp_path / "clean").out_dir)
+        fail_on_call(monkeypatch, "train_experts_epoch", 5)
+        with pytest.raises(PipelineError,
+                           match="^epoch 5, stage train_experts: train_experts_epoch failed$"):
+            run_experiment(cfg, out_dir=tmp_path / "failed")
+        failed = written(tmp_path / "failed")
+        metrics = Path("metrics.jsonl")
+        assert failed[metrics].decode().splitlines() == clean[metrics].decode().splitlines()[:4]
+        selections = sorted(path for path in failed if path.parent.name == "selection")
+        assert [path.name for path in selections] == [f"epoch_000{e}.jsonl" for e in range(1, 5)]
+        assert all(failed[path] == clean[path] for path in selections)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("call, epoch", [(1, 1), (3, 2)])
+    def test_vote_failure_names_its_epoch_and_select(self, monkeypatch, cpus, call, epoch) -> None:
+        # Patched before the run, so that the forked worker calls the patch.
+        fail_on_call(monkeypatch, "knn_winners", call)
+        with pytest.raises(PipelineError,
+                           match=f"^epoch {epoch}, stage select: knn_winners failed$"):
+            run_experiment(small_config())
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_names_its_epoch_and_select(self, monkeypatch) -> None:
+        monkeypatch.setattr(fragpair.pipeline, "_usable_cpus", lambda: 2)
+        fail_on_call(monkeypatch, "knn_winners", 3, fail=lambda: os._exit(3))
+        with pytest.raises(PipelineError,
+                           match="^epoch 2, stage select: K-NN vote worker exited with code 3$"):
+            run_experiment(small_config())
+        assert multiprocessing.active_children() == []
+
+    def test_vote_warnings_reach_the_select_stage(self, monkeypatch, cpus) -> None:
+        def warn_then_vote(*args):
+            np.log(-np.ones(1))
+            return knn_winners(*args)
+
+        monkeypatch.setattr(fragpair.pipeline, "knn_winners", warn_then_vote)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            run_experiment(small_config())
+        # Both pairs warn in every epoch; the default filter shows it once an epoch.
+        invalid = [w for w in caught if "invalid value encountered in log" in str(w.message)]
+        assert [w.category for w in invalid] == [RuntimeWarning] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(PipelineError,
+                               match="^epoch 1, stage select: invalid value encountered in log$"):
+                run_experiment(small_config())
+
+    def test_failed_run_leaves_no_worker_behind(self, tmp_path, monkeypatch) -> None:
+        monkeypatch.setattr(fragpair.pipeline, "_usable_cpus", lambda: 2)
+        with monkeypatch.context() as patch:
+            # The regressor fails in epoch 2, with epoch 3's vote in flight.
+            fail_on_call(patch, "train_epoch", 2)
+            with pytest.raises(PipelineError, match="^epoch 2, stage train_regressor: "):
+                run_experiment(small_config(fragments=6, epochs=5))
+        assert multiprocessing.active_children() == []
+        cfg = small_config(epochs=4)
+        run_experiment(cfg, out_dir=tmp_path / "after")
+        assert multiprocessing.active_children() == []
+        script = ("import sys\n"
+                  "from fragpair.config import ExperimentConfig\n"
+                  "from fragpair.pipeline import run_experiment\n"
+                  "run_experiment(ExperimentConfig.from_file(sys.argv[1]), out_dir=sys.argv[2])\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(fragpair.pipeline.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "after" / "config.json"),
+                        str(tmp_path / "fresh")], env=env, check=True)
+        assert written(tmp_path / "after") == written(tmp_path / "fresh")
 
 
 class TestNoiseFreeBehavior:

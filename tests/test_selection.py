@@ -10,6 +10,7 @@ from fragpair.experts import (
     FeatureBank,
     build_feature_bank,
     init_ensemble,
+    knn_votes,
     pair_sets,
     train_experts_epoch,
 )
@@ -18,6 +19,7 @@ from fragpair.selection import (
     SelectionOutcome,
     bernoulli_select,
     neighborhood_gate,
+    pred_winners,
     prior_rows,
     select_clean,
     self_agreement_matrix,
@@ -32,6 +34,11 @@ from oracles import (
 )
 
 STRIDE = Pairing(pairs=((1, 3), (2, 4)))
+
+
+def repr_winners(banks: FeatureBank, K: int) -> dict:
+    """Every pair's K-NN vote on its own rows, as a run hands them to ``select_clean``."""
+    return {pair: knn_votes(banks, pair, banks.row_features[pair], K) for pair in banks.features}
 
 
 def fixture_scheme():
@@ -273,7 +280,7 @@ class TestSelectCleanEndToEnd:
         for epoch in range(40):
             train_experts_epoch(ens, noisy, sets, lr=0.1, batch_size=32, seed=epoch)
         banks = build_feature_bank(ens, noisy, sets)
-        outcome = select_clean(noisy, ens, scheme, banks, K=5, seed=0, epoch=9)
+        outcome = select_clean(noisy, ens, scheme, banks, repr_winners(banks, 5), seed=0, epoch=9)
         corrupted = noisy.y != noisy.y_gt
         assert outcome.p_pred[~corrupted].mean() > outcome.p_pred[corrupted].mean() + 0.2
         assert outcome.p_repr[~corrupted].mean() > outcome.p_repr[corrupted].mean() + 0.2
@@ -341,9 +348,10 @@ class TestVectorizedMatchesScalarRules:
             variant = "regr"
             pred = lambda x, f: self_agreement_regr(x, f, ens, scheme)  # noqa: E731
         repr_ = lambda x, f: self_agreement_repr(x, f, ens, banks, 5)  # noqa: E731
-        outcome = select_clean(ds, ens, scheme, banks, K=5, seed=0, epoch=1)
+        winners = {"pred": pred_winners(ens, scheme, banks), "repr": repr_winners(banks, 5)}
+        outcome = select_clean(ds, ens, scheme, banks, winners["repr"], seed=0, epoch=1)
         gates = {
-            k: neighborhood_gate(self_agreement_matrix(ens, scheme, banks, 5, k))
+            k: neighborhood_gate(self_agreement_matrix(ens.pairing, winners[k]))
             for k in ("pred", "repr")
         }
         fragments = range(1, 5)

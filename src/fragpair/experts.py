@@ -190,20 +190,21 @@ class KShrinkWarning(UserWarning):
     """K exceeded a feature bank and was shrunk to the largest odd K that fits."""
 
 
-def _effective_k(K: int, bank_size: int, pair: Pair) -> int:
+def _effective_k(K: int, bank_size: int, pair: Pair, warn: bool = True) -> int:
+    """K, or else the largest odd K the bank holds, with a warning if ``warn``."""
     if K < 1 or K % 2 == 0:
         raise ExpertError("K must be odd and >= 1")
     if bank_size == 0:
         raise ExpertError(f"feature bank for pair {pair} is empty")
-    if K > bank_size:
-        k = bank_size if bank_size % 2 == 1 else bank_size - 1
-        k = max(k, 1)
+    if K <= bank_size:
+        return K
+    k = bank_size if bank_size % 2 == 1 else bank_size - 1
+    if warn:
         warnings.warn(
             f"K={K} exceeds bank size {bank_size} for pair {pair}; using K={k}",
             KShrinkWarning,
         )
-        return k
-    return K
+    return k
 
 
 # Floats per distance buffer (256 KB).  A call allocates its buffers once and
@@ -429,11 +430,7 @@ def knn_votes(bank: FeatureBank, pair: Pair, queries: np.ndarray, K: int) -> np.
     49 captured ``select-2k`` calls (2-vCPU host, BLAS at one thread), two
     threads each sweeping half the queries took 7.8 ms a call against 5.6 ms
     for one thread sweeping all, and the sweep holds the GIL.  A run uses a
-    second CPU another way (``pipeline.run_experiment``): where more than one
-    is usable, one worker process forked for the run computes each epoch's
-    votes, :func:`knn_winners` for every pair, while the run trains the
-    experts for the next epoch and finishes the one before.  The votes'
-    bytes are the same either way: the same function runs on the same inputs.
+    second CPU another way: see ``pipeline.run_experiment``.
 
     Up to such near-ties, the votes do not depend on the block sizes, the
     window reach or the axis chosen; those decide only how much is pruned.
@@ -450,8 +447,8 @@ def knn_winners(
     """The votes of :func:`knn_votes` from a bank's features and fragment tags,
     with ``k`` already checked and shrunk by ``_effective_k``.
 
-    The run's vote worker and :func:`knn_votes` both call it, so a vote has
-    one code path wherever it is computed.
+    A run's votes and :func:`knn_votes` both call it, so a vote has one code
+    path wherever it is computed.
     """
     queries = np.asarray(queries, dtype=np.float64)
     q_norms = (queries * queries).sum(axis=1)

@@ -8,7 +8,6 @@ one epoch on the selected samples.  Held-out evaluation uses clean labels.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import os
@@ -25,7 +24,6 @@ from .data import inject_gaussian_noise, inject_symmetric_noise
 from .experts import (
     ExpertEnsemble,
     FeatureBank,
-    KShrinkWarning,
     Pair,
     _effective_k,
     build_feature_bank,
@@ -149,36 +147,23 @@ def write_summary_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-@contextlib.contextmanager
-def _first_k_shrink_only(shown: set):
-    """Show the warnings raised in the block, but no K-shrink warning after the run's first.
-
-    The K-NN vote shrinks K, and warns, on every call whose bank is too
-    small, for every pair and epoch.  ``shown`` holds the categories the run
-    has shown once.  The filters apply where each warning is raised.
-    """
-    caught: list = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            yield
-    finally:
-        for w in caught:
-            if issubclass(w.category, KShrinkWarning):
-                if KShrinkWarning in shown:
-                    continue
-                shown.add(KShrinkWarning)
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on; 1 where the platform cannot say."""
     getaffinity = getattr(os, "sched_getaffinity", None)
     return len(getaffinity(0)) if getaffinity is not None else 1
 
 
+def _vote(job: dict) -> tuple[dict, list]:
+    """Every pair's :func:`knn_winners` for a job of its arguments per pair,
+    and the warnings they raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        winners = {pair: knn_winners(*args) for pair, args in job.items()}
+    return winners, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
 def _serve_votes(conn, parent_end) -> None:
-    """The vote worker's loop: a job of :func:`knn_winners` arguments per pair
-    in; the winners and the warnings raised, or the exception, out."""
+    """The vote worker's loop: a job in, its :func:`_vote` or exception out."""
     import signal
 
     # Ctrl-C reaches the whole process group; the run's process ends the worker.
@@ -190,10 +175,7 @@ def _serve_votes(conn, parent_end) -> None:
         except EOFError:
             return
         try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                winners = {pair: knn_winners(*args) for pair, args in job.items()}
-            reply = winners, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+            reply = _vote(job)
         except Exception as exc:
             reply = exc
         conn.send(reply)
@@ -207,7 +189,10 @@ class _Votes:
     computes them between the two calls; otherwise :meth:`collect` does.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, K: int) -> None:
+        self.K = K
+        # Whether a bank has shrunk K yet: the run warns of it once.
+        self.shrunk = False
         # The job handed over and not yet collected.
         self.job: Optional[dict] = None
         self.proc = None
@@ -227,24 +212,28 @@ class _Votes:
         self.proc.start()
         child_end.close()
 
-    def submit(self, banks: FeatureBank, K: int) -> None:
-        self.job = {
-            pair: (banks.features[pair], banks.frag_ids[pair], banks.row_features[pair],
-                   _effective_k(K, banks.size(pair), pair), pair)
-            for pair in banks.features
-        }
+    def submit(self, banks: FeatureBank) -> None:
+        job = {}
+        for pair in banks.features:
+            k = _effective_k(self.K, banks.size(pair), pair, warn=not self.shrunk)
+            self.shrunk = self.shrunk or k != self.K
+            job[pair] = (banks.features[pair], banks.frag_ids[pair], banks.row_features[pair],
+                         k, pair)
+        # Recorded first: a send cut short may leave the worker with the job.
+        self.job = job
         if self.proc is not None:
-            self.conn.send(self.job)
+            self.conn.send(job)
 
     def collect(self) -> dict[Pair, np.ndarray]:
-        job, self.job = self.job, None
         if self.proc is None:
-            return {pair: knn_winners(*args) for pair, args in job.items()}
-        try:
-            reply = self.conn.recv()
-        except EOFError:
-            self.proc.join()
-            raise RuntimeError(f"K-NN vote worker exited with code {self.proc.exitcode}") from None
+            reply = _vote(self.job)
+        else:
+            try:
+                reply = self.conn.recv()
+            except EOFError:
+                self.proc.join()
+                raise RuntimeError(f"K-NN vote worker exited with code {self.proc.exitcode}") from None
+        self.job = None
         if isinstance(reply, Exception):
             raise reply
         winners, caught = reply
@@ -257,9 +246,11 @@ class _Votes:
     def close(self) -> None:
         if self.proc is None:
             return
-        self.conn.close()
         if self.job is not None:  # a vote nobody will collect
+            # Ended before the pipe closes, so that it never writes to or
+            # reads from a closed pipe.
             self.proc.terminate()
+        self.conn.close()
         self.proc.join()
         self.proc.close()
 
@@ -270,10 +261,10 @@ def _train_experts(
     scheme: FragmentationScheme,
     train: Dataset,
     epoch: int,
-) -> tuple[dict, FeatureBank]:
+) -> tuple[dict, FeatureBank] | PipelineError:
     """Epoch ``epoch``'s expert half: its jitter, one training epoch per pair
     expert and the feature banks, with the epoch's record begun.  A failure
-    raises :class:`PipelineError` naming the epoch and stage."""
+    is returned as the :class:`PipelineError` naming the epoch and stage."""
     stage = "jitter"
     try:
         js = jitter_scheme(scheme, cfg.jitter, cfg.seed, epoch)
@@ -294,7 +285,7 @@ def _train_experts(
         stage = "build_banks"
         return record, build_feature_bank(ens, train, sets)
     except Exception as exc:
-        raise _stage_error(epoch, stage, exc)
+        return _stage_error(epoch, stage, exc)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) -> RunResult:
@@ -314,18 +305,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
     collects e's votes, hands over e+1's banks, and finishes epoch e
     (selection, regressor, evaluation and e's files) while e+1's votes are
     computed.  Where more than one CPU is usable (``os.sched_getaffinity``),
-    the votes are computed by one worker process, forked for the run at its
-    first epoch and ended before it returns or raises; otherwise they are
-    computed here when collected.  Vanilla runs have no votes and no worker.
-    The bytes do not depend on where or when the votes are computed: the same
-    function runs on the same inputs, and every random stream is
-    counter-based, keyed by epoch and pair, not by the order of draws.
+    one worker process, forked for the run at its first epoch and ended
+    before it returns or raises, computes the votes; otherwise this process
+    computes them when it collects them.  Either way the same ``_vote`` runs
+    on the same inputs and its warnings are raised again here, in the select
+    stage, with one warning registry per epoch; a K shrunk to fit a bank is
+    warned of once per run.  Vanilla runs have no votes and no worker.  The
+    bytes do not depend on where or when the votes are computed: every
+    random stream is counter-based, keyed by epoch and pair, not by the
+    order of draws.
 
     Failures keep the order of one epoch after another.  A failure of epoch
     e+1's expert half waits until epoch e is finished, then raises naming
     epoch e+1 and its stage.  A failure while finishing epoch e names epoch e,
     and e+1's work is dropped.  A vote that fails or a worker that dies names
-    epoch e, stage ``select``.
+    epoch e, stage ``select``; a failed hand-over of e+1's banks names e+1,
+    stage ``select``.  Ctrl-C or an error while the run waits for a vote
+    ends the worker at once.
     """
     stage = "artifacts"
     epoch = 0
@@ -385,46 +381,35 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
         # The labels never change during a run: format their selection-row tails once.
         paired_dir = out_dir is not None and ens is not None
         tails = SelectionOutcome.jsonl_tails(train) if paired_dir else None
-        shown: set = set()
 
-        # The next epoch's record and banks, or the PipelineError its start raised.
-        ahead = None
+        # The next epoch's record and banks, or the PipelineError its expert
+        # half returned, raised when that epoch comes.
+        ahead = _train_experts(cfg, ens, scheme, train, 1) if ens is not None else None
 
         for epoch in range(1, cfg.epochs + 1):
             if ens is None:
                 record: dict = {"epoch": epoch}
                 selected = np.arange(train.n)
             else:
-                if votes is None:
-                    stage = "select"
-                    votes = _Votes()
-                    ahead = _train_experts(cfg, ens, scheme, train, epoch)
-                    with _first_k_shrink_only(shown):
-                        votes.submit(ahead[1], cfg.knn_k)
                 if isinstance(ahead, PipelineError):
                     raise ahead
                 record, banks = ahead
-                ahead = None
-                # The next epoch's experts train while this epoch's votes are
-                # computed.  A failure of the next epoch waits until this one
-                # is finished.
-                if epoch < cfg.epochs:
-                    try:
-                        ahead = _train_experts(cfg, ens, scheme, train, epoch + 1)
-                    except PipelineError as exc:
-                        ahead = exc
-
                 stage = "select"
-                with _first_k_shrink_only(shown):
-                    winners = votes.collect()
-                    # Handed over before this epoch is finished, so that the
-                    # next vote runs while it is.
-                    if isinstance(ahead, tuple):
-                        try:
-                            votes.submit(ahead[1], cfg.knn_k)
-                        except Exception as exc:
-                            ahead = _stage_error(epoch + 1, "select", exc)
-                    outcome = select_clean(train, ens, scheme, banks, winners, cfg.seed, epoch)
+                if votes is None:
+                    votes = _Votes(cfg.knn_k)
+                    votes.submit(banks)
+                # The next epoch's expert half, done while this epoch's votes are.
+                ahead = (_train_experts(cfg, ens, scheme, train, epoch + 1)
+                         if epoch < cfg.epochs else None)
+                winners = votes.collect()
+                # Handed over before this epoch is finished, so that the next
+                # vote runs while it is.
+                if isinstance(ahead, tuple):
+                    try:
+                        votes.submit(ahead[1])
+                    except Exception as exc:
+                        ahead = _stage_error(epoch + 1, "select", exc)
+                outcome = select_clean(train, ens, scheme, banks, winners, cfg.seed, epoch)
                 selected = outcome.combine(cfg.selection_combine)
                 record["n_pred"] = int(outcome.chosen_pred.sum())
                 record["n_repr"] = int(outcome.chosen_repr.sum())

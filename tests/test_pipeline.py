@@ -4,8 +4,10 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -205,7 +207,7 @@ class TestRunExperiment:
         second = run_experiment(cfg)
         assert first.history == second.history
 
-    def test_k_shrink_warned_once_per_run(self) -> None:
+    def test_k_shrink_warned_once_per_run(self, cpus) -> None:
         # Both pair banks hold fewer than 41 rows in every epoch.
         cfg = small_config(dataset={"kind": "synthetic", "n": 60}, knn_k=41, epochs=5)
         with warnings.catch_warnings(record=True) as caught:
@@ -216,6 +218,12 @@ class TestRunExperiment:
         assert re.fullmatch(
             r"K=41 exceeds bank size (\d+) for pair \(\d, \d\); using K=\d+", shrinks[0]
         )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", KShrinkWarning)
+            with pytest.raises(PipelineError, match=r"^epoch 1, stage select: K=41 exceeds bank "
+                               r"size \d+ for pair \(1, 3\); using K=\d+$"):
+                run_experiment(cfg)
+        assert multiprocessing.active_children() == []
 
     def test_metrics_jsonl_byte_identical(self, tmp_path) -> None:
         cfg = small_config()
@@ -441,7 +449,7 @@ class TestOverlappedVotes:
         monkeypatch.setattr(
             fragpair.pipeline._Votes,
             "submit",
-            lambda self, banks, K: forked.append(self.proc is not None) or submit(self, banks, K),
+            lambda self, banks: forked.append(self.proc is not None) or submit(self, banks),
         )
         for n in (2, 1):
             monkeypatch.setattr(fragpair.pipeline, "_usable_cpus", lambda n=n: n)
@@ -476,6 +484,39 @@ class TestOverlappedVotes:
                            match=f"^epoch {epoch}, stage select: knn_winners failed$"):
             run_experiment(small_config())
         assert multiprocessing.active_children() == []
+
+    def test_failed_hand_over_waits_for_the_epoch_before(self, tmp_path, monkeypatch,
+                                                         cpus) -> None:
+        cfg = small_config()
+        clean = run_experiment(cfg, out_dir=tmp_path / "clean")
+        # Calls 1 and 2 fit K to epoch 1's two banks; call 3 hands over epoch 2.
+        fail_on_call(monkeypatch, "_effective_k", 3)
+        with pytest.raises(PipelineError, match="^epoch 2, stage select: _effective_k failed$"):
+            run_experiment(cfg, out_dir=tmp_path / "failed")
+        metrics = (tmp_path / "failed" / "metrics.jsonl").read_text().splitlines()
+        assert metrics == (clean.out_dir / "metrics.jsonl").read_text().splitlines()[:1]
+        assert multiprocessing.active_children() == []
+
+    def test_cut_wait_ends_the_worker(self, monkeypatch, capfd) -> None:
+        monkeypatch.setattr(fragpair.pipeline, "_usable_cpus", lambda: 2)
+        # Epoch 2's first pair, in the worker.
+        fail_on_call(monkeypatch, "knn_winners", 3, fail=lambda: time.sleep(3))
+
+        def cut(signum, frame):
+            raise RuntimeError("wait cut short")
+
+        previous = signal.signal(signal.SIGALRM, cut)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(PipelineError, match="^epoch 2, stage select: wait cut short$"):
+                run_experiment(small_config())
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 2
+        assert multiprocessing.active_children() == []
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_worker_exit_names_its_epoch_and_select(self, monkeypatch) -> None:
         monkeypatch.setattr(fragpair.pipeline, "_usable_cpus", lambda: 2)

@@ -1,6 +1,6 @@
 """Noisy-label regression via contrastive fragment pairing and clean-sample selection."""
 
-from .config import ExperimentConfig, NetConfig
+from .config import ExperimentConfig
 from .data import (
     Dataset,
     generate_synthetic,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -15,6 +16,23 @@ from .net import ACTIVATIONS
 from .selection import COMBINES
 
 MODES = ("select", "select_regr", "vanilla")
+
+# Each nested object's defaults, written once: by kind for the dataset and
+# the noise, by field for the nets.  A partial object keeps these for the
+# keys it leaves out.
+DEFAULTS = {
+    "dataset": {
+        "synthetic": {"n": 2000, "d": 2, "label_lo": 0.0, "label_hi": 100.0,
+                      "feature_noise_std": 0.1},
+        "csv": {"path": None, "feature_cols": None, "label_col": "label", "gt_col": None},
+    },
+    "noise": {
+        "symmetric": {"rate": None, "seed": None},
+        "gaussian": {"max_std_frac": None, "seed": None},
+    },
+    "expert_net": {"hidden_dims": [16, 8], "activation": "relu"},
+    "regressor_net": {"hidden_dims": [32, 16], "activation": "relu"},
+}
 
 
 class ConfigError(ValueError):
@@ -52,13 +70,30 @@ def _require_rule(name: str, rule, *args):
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def _take(raw: dict, allowed: dict, context: str) -> dict:
+def _known(raw, allowed, context: str) -> dict:
+    """``raw``, checked to be an object whose keys all lie in ``allowed``."""
     _require(isinstance(raw, dict), f"{context}: must be an object")
     unknown = set(raw) - set(allowed)
     _require(not unknown, f"unknown {context} keys: {', '.join(sorted(unknown))}")
-    merged = dict(allowed)
-    merged.update(raw)
-    return merged
+    return raw
+
+
+def _take(raw, defaults: dict, context: str) -> dict:
+    """``raw``'s keys over ``defaults``, in a copy that shares nothing with either."""
+    return copy.deepcopy({**defaults, **_known(raw, defaults, context)})
+
+
+def _take_kind(raw, context: str, kinds: dict, default_kind: Optional[str] = None) -> dict:
+    """``raw``'s keys over the defaults of its ``kind``, ``default_kind`` where it names none."""
+    _require(isinstance(raw, dict), f"{context}: must be an object")
+    kind = raw.get("kind", default_kind)
+    _require(kind in list(kinds), f"{context}.kind: must be {' or '.join(map(repr, kinds))}")
+    return _take(raw, {"kind": kind, **kinds[kind]}, context)
+
+
+def _is_name(value) -> bool:
+    """A non-empty string: a file path or a column name."""
+    return isinstance(value, str) and value != ""
 
 
 def read_json(path: str | Path):
@@ -70,46 +105,19 @@ def read_json(path: str | Path):
 
 
 @dataclass(frozen=True)
-class NetConfig:
-    hidden_dims: tuple[int, ...] = (16, 8)
-    activation: str = "relu"
-
-    def validate(self, name: str) -> None:
-        _require(len(self.hidden_dims) >= 1, f"{name}.hidden_dims: need one or more layers")
-        for h in self.hidden_dims:
-            _require_int(h, f"{name}.hidden_dims", 1)
-        _require(
-            self.activation in ACTIVATIONS,
-            f"{name}.activation: must be one of {ACTIVATIONS}",
-        )
-
-    def to_dict(self) -> dict:
-        return {"hidden_dims": list(self.hidden_dims), "activation": self.activation}
-
-    @staticmethod
-    def from_dict(raw: dict, default: "NetConfig", name: str) -> "NetConfig":
-        """``raw``'s keys over ``default``, the field's own default net."""
-        merged = _take(raw, default.to_dict(), name)
-        _require(
-            isinstance(merged["hidden_dims"], (list, tuple)),
-            f"{name}.hidden_dims: must be a list of integers",
-        )
-        return NetConfig(
-            hidden_dims=tuple(merged["hidden_dims"]), activation=merged["activation"]
-        )
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; (config, seed) determines every output byte."""
+    """Everything a run needs; (config, seed) determines every output byte.
 
-    dataset: dict
+    Every field is JSON data; validation fills each nested object from ``DEFAULTS``.
+    """
+
+    dataset: dict = field(default_factory=dict)
     noise: Optional[dict] = None
     fragments: int = 4
     jitter: float = 0.05
     knn_k: int = 5
-    expert_net: NetConfig = field(default_factory=NetConfig)
-    regressor_net: NetConfig = field(default_factory=lambda: NetConfig(hidden_dims=(32, 16)))
+    expert_net: dict = field(default_factory=dict)
+    regressor_net: dict = field(default_factory=dict)
     epochs: int = 100
     expert_lr: float = 0.1
     regressor_lr: float = 0.1
@@ -135,9 +143,7 @@ class ExperimentConfig:
         _require_int(self.knn_k, "knn_k", 1)
         _require(self.knn_k % 2 == 1, "knn_k: must be an odd integer >= 1")
         for name in ("expert_net", "regressor_net"):
-            net = getattr(self, name)
-            _require(isinstance(net, NetConfig), f"{name}: must be a NetConfig, got {net!r}")
-            net.validate(name)
+            self._validate_net(name)
         _require_int(self.epochs, "epochs", 1)
         for name in ("expert_lr", "regressor_lr"):
             _require_real(getattr(self, name), name)
@@ -173,116 +179,72 @@ class ExperimentConfig:
         object.__setattr__(self, "pairing_override", pairing.pairs)
 
     def _validate_dataset(self) -> None:
-        _require(isinstance(self.dataset, dict), "dataset: must be an object")
-        kind = self.dataset.get("kind")
-        if kind == "synthetic":
-            spec = _take(
-                self.dataset,
-                {
-                    "kind": "synthetic",
-                    "n": 2000,
-                    "d": 2,
-                    "label_lo": 0.0,
-                    "label_hi": 100.0,
-                    "feature_noise_std": 0.1,
-                },
-                "dataset",
-            )
+        # A dataset that names no kind is the synthetic one.
+        spec = _take_kind(self.dataset, "dataset", DEFAULTS["dataset"], "synthetic")
+        if spec["kind"] == "synthetic":
             _require_int(spec["n"], "dataset.n", 1)
             _require_int(spec["d"], "dataset.d", 1)
             for name in ("label_lo", "label_hi", "feature_noise_std"):
                 _require_real(spec[name], f"dataset.{name}")
-            _require(
-                spec["label_hi"] > spec["label_lo"],
-                "dataset.label_hi: must exceed dataset.label_lo",
-            )
-            _require(
-                spec["feature_noise_std"] >= 0,
-                "dataset.feature_noise_std: must be >= 0",
-            )
-            object.__setattr__(self, "dataset", spec)
-        elif kind == "csv":
-            spec = _take(
-                self.dataset,
-                {
-                    "kind": "csv",
-                    "path": None,
-                    "feature_cols": None,
-                    "label_col": "label",
-                    "gt_col": None,
-                },
-                "dataset",
-            )
-            _require(isinstance(spec["path"], str) and spec["path"] != "",
+            _require(spec["label_hi"] > spec["label_lo"],
+                     "dataset.label_hi: must exceed dataset.label_lo")
+            _require(spec["feature_noise_std"] >= 0, "dataset.feature_noise_std: must be >= 0")
+        else:
+            _require(_is_name(spec["path"]),
                      f"dataset.path: must be a non-empty string, got {spec['path']!r}")
             cols = spec["feature_cols"]
-            _require(isinstance(cols, list) and cols and all(isinstance(c, str) for c in cols),
-                     f"dataset.feature_cols: must be a non-empty list of strings, got {cols!r}")
-            _require(isinstance(spec["label_col"], str),
-                     f"dataset.label_col: must be a string, got {spec['label_col']!r}")
-            _require(spec["gt_col"] is None or isinstance(spec["gt_col"], str),
-                     f"dataset.gt_col: must be null or a string, got {spec['gt_col']!r}")
-            object.__setattr__(self, "dataset", spec)
-        else:
-            raise ConfigError("dataset.kind: must be 'synthetic' or 'csv'")
+            _require(isinstance(cols, list) and cols and all(map(_is_name, cols)),
+                     f"dataset.feature_cols: must be a non-empty list of non-empty strings, "
+                     f"got {cols!r}")
+            _require(_is_name(spec["label_col"]),
+                     f"dataset.label_col: must be a non-empty string, got {spec['label_col']!r}")
+            _require(spec["gt_col"] is None or _is_name(spec["gt_col"]),
+                     f"dataset.gt_col: must be null or a non-empty string, got {spec['gt_col']!r}")
+        object.__setattr__(self, "dataset", spec)
 
     def _validate_noise(self) -> None:
         if self.noise is None:
             return
         _require(isinstance(self.noise, dict), "noise: must be an object or null")
-        kind = self.noise.get("kind")
-        if kind == "symmetric":
-            spec = _take(self.noise, {"kind": None, "rate": None, "seed": None}, "noise")
+        spec = _take_kind(self.noise, "noise", DEFAULTS["noise"])
+        if spec["kind"] == "symmetric":
             _require_real(spec["rate"], "noise.rate")
             _require(0.0 <= spec["rate"] <= 1.0, "noise.rate: must lie in [0, 1]")
-        elif kind == "gaussian":
-            spec = _take(
-                self.noise, {"kind": None, "max_std_frac": None, "seed": None}, "noise"
-            )
+        else:
             _require_real(spec["max_std_frac"], "noise.max_std_frac")
             _require(
                 0.0 < spec["max_std_frac"] <= 1.0, "noise.max_std_frac: must lie in (0, 1]"
             )
-        else:
-            raise ConfigError("noise.kind: must be 'symmetric' or 'gaussian'")
         if spec["seed"] is not None:
             _require_int(spec["seed"], "noise.seed")
         object.__setattr__(self, "noise", spec)
 
+    def _validate_net(self, name: str) -> None:
+        spec = _take(getattr(self, name), DEFAULTS[name], name)
+        dims = spec["hidden_dims"]
+        _require(isinstance(dims, list), f"{name}.hidden_dims: must be a list of integers")
+        _require(len(dims) >= 1, f"{name}.hidden_dims: need one or more layers")
+        for h in dims:
+            _require_int(h, f"{name}.hidden_dims", 1)
+        _require(spec["activation"] in ACTIVATIONS,
+                 f"{name}.activation: must be one of {ACTIVATIONS}")
+        object.__setattr__(self, name, spec)
+
     def to_dict(self) -> dict:
-        """Every field as JSON data: nets as objects, pairs as lists, dicts copied."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, NetConfig):
-                value = value.to_dict()
-            elif isinstance(value, dict):
-                value = dict(value)
-            elif f.name == "pairing_override" and value is not None:
-                value = [list(p) for p in value]
-            out[f.name] = value
-        return out
+        """Every field as JSON data, in objects and lists that the config does not share."""
+        return json.loads(json.dumps({f.name: getattr(self, f.name) for f in fields(self)}))
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        defaults = ExperimentConfig(dataset={"kind": "synthetic"})
-        merged = _take(raw, defaults.to_dict(), "config")
-        # A source without a kind changes fields of the default one, as a
-        # partial net object changes the field's default net.
-        if isinstance(merged["dataset"], dict) and "kind" not in merged["dataset"]:
-            merged["dataset"] = {**defaults.dataset, **merged["dataset"]}
-        for name in ("expert_net", "regressor_net"):
-            merged[name] = NetConfig.from_dict(merged[name], getattr(defaults, name), name)
-        return ExperimentConfig(**merged)
+        names = {f.name for f in fields(ExperimentConfig)}
+        return ExperimentConfig(**_known(raw, names, "config"))
 
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":
         return ExperimentConfig.from_dict(read_json(path))
 
     def replace(self, **changes) -> "ExperimentConfig":
-        merged = self.to_dict()
-        merged.update(changes)
-        return ExperimentConfig.from_dict(merged)
+        return ExperimentConfig.from_dict({**self.to_dict(), **changes})
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

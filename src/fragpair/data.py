@@ -186,7 +186,7 @@ def load_csv(
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        wanted = list(feature_cols) + [label_col] + ([gt_col] if gt_col else [])
+        wanted = list(feature_cols) + [label_col] + ([gt_col] if gt_col is not None else [])
         missing = [c for c in wanted if c not in header]
         if missing:
             raise DataError(f"missing columns: {', '.join(missing)}")
@@ -194,14 +194,14 @@ def load_csv(
         for row_idx, row in enumerate(reader, start=1):
             xs.append([_parse_cell(row[c], c, row_idx) for c in feature_cols])
             ys.append(_parse_cell(row[label_col], label_col, row_idx))
-            if gt_col:
+            if gt_col is not None:
                 gts.append(_parse_cell(row[gt_col], gt_col, row_idx))
     if not xs:
         raise DataError(f"{path} holds no data rows")
     return Dataset(
         x=np.asarray(xs),
         y=np.asarray(ys),
-        y_gt=np.asarray(gts) if gt_col else None,
+        y_gt=np.asarray(gts) if gt_col is not None else None,
     )
 
 

@@ -291,11 +291,12 @@ def _train_experts(
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) -> RunResult:
     """Execute the full seeded loop; write the run directory when ``out_dir`` is given.
 
-    The directory is written in run order: ``config.json`` and an open
+    The directory is written in run order: ``config.json`` and an empty
     ``metrics.jsonl`` first, then each epoch's ``selection/epoch_NNNN.jsonl``
-    and metrics line, and last ``layout.json``, ``checkpoints/`` and
-    ``summary.csv``.  A failed run keeps ``config.json`` and the metrics lines
-    and selection files of its finished epochs.
+    and metrics line, each file closed before the next epoch, and last
+    ``layout.json``, ``checkpoints/`` and ``summary.csv``.  A failed run keeps
+    ``config.json`` and the metrics lines and selection files of its finished
+    epochs.
 
     **Overlapped votes.**  The experts train on jittered fragments only, never
     on a selection, so epoch e's K-NN votes and epoch e+1's expert training
@@ -326,14 +327,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
     stage = "artifacts"
     epoch = 0
     out_dir = Path(out_dir) if out_dir is not None else None
-    metrics_fh = None
     votes: Optional[_Votes] = None
     try:
         if out_dir is not None:
             (out_dir / "selection").mkdir(parents=True, exist_ok=True)
             config_text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
             (out_dir / "config.json").write_text(config_text)
-            metrics_fh = (out_dir / "metrics.jsonl").open("w")
+            (out_dir / "metrics.jsonl").write_text("")
 
         stage = "prepare"
         train, test = prepare_splits(cfg)
@@ -359,8 +359,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
             ens = init_ensemble(
                 pairing,
                 input_dim=train.d,
-                hidden_dims=cfg.expert_net.hidden_dims,
-                activation=cfg.expert_net.activation,
+                hidden_dims=cfg.expert_net["hidden_dims"],
+                activation=cfg.expert_net["activation"],
                 seed=derive_seed(cfg.seed, "experts"),
                 objective="classify" if cfg.mode == "select" else "regress",
                 label_lo=lo,
@@ -370,9 +370,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
         reg = init_net(
             NetSpec(
                 input_dim=train.d,
-                hidden_dims=cfg.regressor_net.hidden_dims,
+                hidden_dims=cfg.regressor_net["hidden_dims"],
                 output_dim=1,
-                activation=cfg.regressor_net.activation,
+                activation=cfg.regressor_net["activation"],
                 seed=derive_seed(cfg.seed, "regressor"),
             )
         )
@@ -415,6 +415,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
                 record["n_repr"] = int(outcome.chosen_repr.sum())
                 result.last_selection = outcome
                 if tails is not None:
+                    stage = "artifacts"
                     path = out_dir / "selection" / f"epoch_{epoch:04d}.jsonl"
                     path.write_text(outcome.jsonl(tails))
 
@@ -442,8 +443,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
             if cfg.reference_rho is not None:
                 record["mrae"] = mrae(record["mae"], cfg.reference_rho)
             result.history.append(record)
-            if metrics_fh is not None:
-                metrics_fh.write(json.dumps(record) + "\n")
+            if out_dir is not None:
+                stage = "artifacts"
+                with (out_dir / "metrics.jsonl").open("a") as fh:
+                    fh.write(json.dumps(record) + "\n")
 
         if out_dir is not None:
             stage = "artifacts"
@@ -467,8 +470,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
     finally:
         if votes is not None:
             votes.close()
-        if metrics_fh is not None:
-            metrics_fh.close()
 
 
 def run_noise_free_reference(

@@ -19,14 +19,12 @@ from .rng import stream
 GATE_CAP = 1e6
 
 
-def prior_rows(
-    ys: np.ndarray, means: np.ndarray, label_range: float, gate_cap: float = GATE_CAP
-) -> np.ndarray:
+def prior_rows(ys: np.ndarray, means: np.ndarray, label_range: float) -> np.ndarray:
     """Softmax fragment weights from inverse label distance, one row per label."""
     ys = np.asarray(ys, dtype=np.float64)
     dist = np.abs(ys[:, None] - np.asarray(means)[None, :])
     with np.errstate(divide="ignore", over="ignore"):
-        gate = np.minimum(label_range / dist, gate_cap)
+        gate = np.minimum(label_range / dist, GATE_CAP)
     gate -= gate.max(axis=1, keepdims=True)
     weights = np.exp(gate)
     return weights / weights.sum(axis=1, keepdims=True)

@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fragpair.cli import _load_config, build_parser
-from fragpair.config import MODES, ExperimentConfig, NetConfig
+from fragpair.config import MODES, ExperimentConfig
 from fragpair.fragments import list_perfect_matchings, max_jitter
 from fragpair.net import ACTIVATIONS
 from fragpair.selection import COMBINES
 
 # Each net field's own default, written out: a partial object keeps these.
 DEFAULT_NETS = {
-    "expert_net": NetConfig(hidden_dims=(16, 8), activation="relu"),
-    "regressor_net": NetConfig(hidden_dims=(32, 16), activation="relu"),
+    "expert_net": {"hidden_dims": [16, 8], "activation": "relu"},
+    "regressor_net": {"hidden_dims": [32, 16], "activation": "relu"},
 }
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
@@ -59,7 +59,7 @@ def pairing_overrides(draw, F: int):
 
 
 @st.composite
-def configs(draw) -> ExperimentConfig:
+def raw_configs(draw) -> dict:
     F = draw(st.sampled_from(range(4, 13, 2)))
     raw = {
         "dataset": draw(datasets()),
@@ -80,7 +80,23 @@ def configs(draw) -> ExperimentConfig:
         "selection_combine": draw(st.sampled_from(tuple(COMBINES))),
         "reference_rho": draw(st.none() | positive),
     }
-    return ExperimentConfig.from_dict(raw)
+    return raw
+
+
+configs = raw_configs().map(ExperimentConfig.from_dict)
+
+
+@st.composite
+def partial_raw_configs(draw) -> dict:
+    """A generated config's data with nested keys left to their defaults:
+    maybe the dataset's kind, and any of each net's keys."""
+    raw = draw(raw_configs())
+    if draw(st.booleans()):
+        del raw["dataset"]["kind"]
+    for name in DEFAULT_NETS:
+        for key in draw(st.sets(st.sampled_from(("hidden_dims", "activation")))):
+            del raw[name][key]
+    return raw
 
 
 def _cli_config(assignments: dict) -> ExperimentConfig:
@@ -92,7 +108,7 @@ def _cli_config(assignments: dict) -> ExperimentConfig:
 
 
 @settings(max_examples=150, deadline=None)
-@given(configs())
+@given(configs)
 def test_dict_round_trip(cfg) -> None:
     raw = cfg.to_dict()
     assert ExperimentConfig.from_dict(raw) == cfg
@@ -102,7 +118,7 @@ def test_dict_round_trip(cfg) -> None:
 
 
 @settings(max_examples=50, deadline=None)
-@given(configs())
+@given(configs)
 def test_cli_set_round_trip(cfg) -> None:
     assert _cli_config(cfg.to_dict()) == cfg
 
@@ -121,11 +137,12 @@ def test_partial_net_keeps_the_field_default(name, given_key, dims, activation, 
         cfg = _cli_config({f"{name}.{given_key}": value})
     else:
         cfg = ExperimentConfig.from_dict({name: {given_key: value}})
-    net = getattr(cfg, name)
-    default = DEFAULT_NETS[name]
-    if given_key == "hidden_dims":
-        assert net == NetConfig(hidden_dims=tuple(dims), activation=default.activation)
-    else:
-        assert net == NetConfig(hidden_dims=default.hidden_dims, activation=activation)
+    assert getattr(cfg, name) == {**DEFAULT_NETS[name], given_key: value}
     other = next(n for n in DEFAULT_NETS if n != name)
     assert getattr(cfg, other) == DEFAULT_NETS[other]
+
+
+@settings(max_examples=100, deadline=None)
+@given(partial_raw_configs())
+def test_constructor_and_from_dict_agree(raw) -> None:
+    assert ExperimentConfig(**raw) == ExperimentConfig.from_dict(raw)

@@ -117,8 +117,15 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field", ["expert_net", "regressor_net"])
     @pytest.mark.parametrize("value", [{"hidden_dims": [4]}, [16, 8], None])
     def test_constructed_net_fields_must_be_net_configs(self, field, value) -> None:
-        with pytest.raises(ConfigError, match=f"^{field}: must be a NetConfig"):
-            ExperimentConfig(dataset={"kind": "synthetic"}, **{field: value})
+        # A net field is a plain object: the constructor rejects anything else
+        # and fills a partial one over its defaults, as from_dict does.
+        if not isinstance(value, dict):
+            with pytest.raises(ConfigError, match=f"^{field}: must be an object$"):
+                ExperimentConfig(**{field: value})
+            return
+        cfg = ExperimentConfig(**{field: value})
+        assert cfg == ExperimentConfig.from_dict({field: value})
+        assert getattr(cfg, field) == {"hidden_dims": [4], "activation": "relu"}
 
     @pytest.mark.parametrize(
         "overrides,field",
@@ -164,11 +171,25 @@ class TestConfigValidation:
             ({"label_col": None}, "dataset.label_col"),
             ({"gt_col": 0}, "dataset.gt_col"),
             ({"gt_col": ["label_gt"]}, "dataset.gt_col"),
+            ({"gt_col": ""}, "dataset.gt_col"),
+            ({"label_col": ""}, "dataset.label_col"),
+            ({"feature_cols": [""]}, "dataset.feature_cols"),
         ],
     )
     def test_csv_source_fields_reject_other_types(self, dataset, field) -> None:
         with pytest.raises(ConfigError, match=f"^{field}: must be"):
             small_config(dataset={**self.CSV, **dataset})
+
+    def test_to_dict_shares_nothing_with_the_config(self) -> None:
+        cfg = small_config(dataset=self.CSV, pairing_override=[[1, 3], [2, 4]])
+        before, digest = cfg.to_dict(), cfg.config_hash()
+        raw = cfg.to_dict()
+        raw["dataset"]["feature_cols"].append("x1")
+        raw["expert_net"]["hidden_dims"].append(4)
+        raw["pairing_override"][0].append(5)
+        assert cfg.to_dict() == before and cfg.config_hash() == digest
+        cfg.replace(seed=1).dataset["feature_cols"].append("x2")
+        assert cfg.to_dict() == before and cfg.config_hash() == digest
 
     def test_real_fields_accept_integers(self) -> None:
         cfg = small_config(expert_lr=1, jitter=0, reference_rho=2,
@@ -353,18 +374,36 @@ class TestRunExperiment:
                 raise
 
     def test_final_artifact_failure_names_the_artifacts_stage(self, tmp_path, monkeypatch) -> None:
-        import fragpair.pipeline
-
-        def disk_full(net, path):
+        def disk_full(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(fragpair.pipeline, "save_net", disk_full)
-        cfg = small_config(epochs=2)
-        with pytest.raises(PipelineError, match="^epoch 2, stage artifacts: disk full$"):
-            run_experiment(cfg, out_dir=tmp_path / "run")
-        lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
-        assert len(lines) == 2
-        assert len(list((tmp_path / "run" / "selection").iterdir())) == 2
+        write_text, open_file = Path.write_text, Path.open
+
+        def failing_write_text(path, *args, **kwargs):
+            if path.name == "epoch_0002.jsonl":
+                disk_full()
+            return write_text(path, *args, **kwargs)
+
+        def failing_open(path, *args, **kwargs):
+            fh = open_file(path, *args, **kwargs)
+            if path.name == "metrics.jsonl":
+                write = fh.write
+                fh.write = lambda text: disk_full() if '"epoch": 2,' in text else write(text)
+            return fh
+
+        # Epoch 2's write fails: a checkpoint, its selection file or its
+        # metrics line; then the metrics lines and selection files left.
+        cases = [(fragpair.pipeline, "save_net", disk_full, 2, 2),
+                 (Path, "write_text", failing_write_text, 1, 1),
+                 (Path, "open", failing_open, 1, 2)]
+        for k, (owner, name, fake, lines, files) in enumerate(cases):
+            run = tmp_path / f"run{k}"
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, fake)
+                with pytest.raises(PipelineError, match="^epoch 2, stage artifacts: disk full$"):
+                    run_experiment(small_config(epochs=2), out_dir=run)
+            assert len((run / "metrics.jsonl").read_text().splitlines()) == lines
+            assert len(list((run / "selection").iterdir())) == files
 
     def test_stage_reported_on_failure(self) -> None:
         cfg = small_config(dataset={"kind": "csv", "path": "missing.csv",

@@ -13,7 +13,6 @@ from .data import (
 )
 from .experts import (
     ExpertEnsemble,
-    FeatureBank,
     build_feature_bank,
     init_ensemble,
     pair_sets,

@@ -4,8 +4,8 @@ Every command but ``report`` builds one config from ``--config`` and
 ``--set``; ``generate`` writes the data a run of that config loads, before
 the split.  Run directories default to ``$FRAGPAIR_OUTPUT_ROOT`` (or
 ``./runs``) unless an absolute ``--out-dir`` is given.  ``main`` turns bad
-input into one ``fragpair <command>: <message>`` exit; a failed run raises
-``PipelineError``.
+input, and a run's unreadable data or directory, into one ``fragpair
+<command>: <message>`` exit; a run that fails otherwise raises ``PipelineError``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from pathlib import Path
 from .config import ConfigError, ExperimentConfig, read_json
 from .data import DataError, write_csv, write_jsonl
 from .pipeline import (
+    PipelineError,
     compare_pairings,
     load_dataset,
     run_experiment,
@@ -200,6 +201,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, DataError, OSError, json.JSONDecodeError) as exc:
         raise SystemExit(f"fragpair {args.command}: {exc}")
+    except PipelineError as exc:
+        # Unreadable data or an unusable run directory, before the first epoch.
+        if exc.epoch == 0 and isinstance(exc.__cause__, (DataError, OSError)):
+            raise SystemExit(f"fragpair {args.command}: {exc}")
+        raise
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
@@ -16,6 +16,8 @@ from .rng import derive_seed, stream
 Pair = tuple[int, int]
 # Each pair's (sample rows, fragment tags) under one epoch's jittered coverage.
 PairSets = dict[Pair, tuple[np.ndarray, np.ndarray]]
+# One epoch's expert pass: each pair expert's (outputs, features) per training row.
+Passes = dict[Pair, tuple[np.ndarray, np.ndarray]]
 
 OBJECTIVES = ("classify", "regress")
 
@@ -149,41 +151,20 @@ def predict_label(ens: ExpertEnsemble, pair: Pair, X: np.ndarray) -> np.ndarray:
     return ens.label_lo + pair_logits(ens, pair, X) * ens.label_range
 
 
-@dataclass
-class FeatureBank:
-    """One epoch's expert pass and the feature bank it yields, per pair.
+def build_feature_bank(ens: ExpertEnsemble, ds: Dataset) -> Passes:
+    """The epoch's expert pass: each pair's current expert run once over
+    every training row, its (outputs, features) per pair.
 
-    ``outputs`` and ``row_features`` hold the pair expert's output and
-    features for every training row; ``features`` is the bank, the pass's
-    rows of this epoch's pair members, tagged by fragment in ``frag_ids``.
-    """
-
-    features: dict[Pair, np.ndarray] = field(default_factory=dict)
-    frag_ids: dict[Pair, np.ndarray] = field(default_factory=dict)
-    outputs: dict[Pair, np.ndarray] = field(default_factory=dict)
-    row_features: dict[Pair, np.ndarray] = field(default_factory=dict)
-
-    def size(self, pair: Pair) -> int:
-        return 0 if pair not in self.frag_ids else len(self.frag_ids[pair])
-
-
-def build_feature_bank(ens: ExpertEnsemble, ds: Dataset, sets: PairSets) -> FeatureBank:
-    """Run each pair's current expert once over every training row.
-
-    The bank is the pass's rows of the pair's set in the epoch's
+    A pair's feature bank is the pass's features at its rows in the epoch's
     :func:`pair_sets`, so a sample's bank entry and its K-NN query are the
-    same bits.  Rebuilt after each training epoch: the feature space drifts as
+    same bits.  Rerun after each training epoch: the feature space drifts as
     the experts train, so stale banks would vote in the wrong geometry.
     """
-    bank = FeatureBank()
+    passes: Passes = {}
     for pair in ens.pairing.pairs:
-        rows, tags = sets[pair]
         out, feats = forward_batch(ens.expert_for(pair), ds.x)
-        bank.outputs[pair] = out[:, 0]
-        bank.row_features[pair] = feats
-        bank.features[pair] = feats[rows]
-        bank.frag_ids[pair] = tags
-    return bank
+        passes[pair] = out[:, 0], feats
+    return passes
 
 
 class KShrinkWarning(UserWarning):
@@ -365,14 +346,17 @@ def _sweep_lower_votes(
     return votes
 
 
-def knn_votes(bank: FeatureBank, pair: Pair, queries: np.ndarray, K: int) -> np.ndarray:
+def knn_votes(
+    feats: np.ndarray, tags: np.ndarray, queries: np.ndarray, K: int, pair: Pair
+) -> np.ndarray:
     """Majority fragment id among the K nearest bank entries, per query row.
 
-    Squared Euclidean distances are ``max((|q|^2 + |f|^2) - 2 q.f, 0)``.  The K
-    nearest are every entry closer than the K-th smallest distance, then the
-    entries at exactly that distance in bank-index order: ties break toward
-    the lower bank index, as a stable sort would.  K is kept odd (shrunk if it
-    exceeds the bank) so votes cannot tie.
+    The bank is ``feats``, tagged row by row in ``tags`` with a fragment of
+    ``pair``.  Squared Euclidean distances are ``max((|q|^2 + |f|^2) - 2 q.f,
+    0)``.  The K nearest are every entry closer than the K-th smallest
+    distance, then the entries at exactly that distance in bank-index order:
+    ties break toward the lower bank index, as a stable sort would.  K is
+    kept odd (shrunk if it exceeds the bank) so votes cannot tie.
 
     **Projection sweep.**  Bank rows and queries are projected onto the
     bank's leading principal axis ``u`` and sorted by projection.  The sorted
@@ -435,21 +419,7 @@ def knn_votes(bank: FeatureBank, pair: Pair, queries: np.ndarray, K: int) -> np.
     Up to such near-ties, the votes do not depend on the block sizes, the
     window reach or the axis chosen; those decide only how much is pruned.
     """
-    if pair not in bank.features:
-        raise ExpertError(f"feature bank holds no entries for pair {pair}")
-    k = _effective_k(K, bank.size(pair), pair)
-    return knn_winners(bank.features[pair], bank.frag_ids[pair], queries, k, pair)
-
-
-def knn_winners(
-    feats: np.ndarray, tags: np.ndarray, queries: np.ndarray, k: int, pair: Pair
-) -> np.ndarray:
-    """The votes of :func:`knn_votes` from a bank's features and fragment tags,
-    with ``k`` already checked and shrunk by ``_effective_k``.
-
-    A run's votes and :func:`knn_votes` both call it, so a vote has one code
-    path wherever it is computed.
-    """
+    k = _effective_k(K, len(tags), pair)
     queries = np.asarray(queries, dtype=np.float64)
     q_norms = (queries * queries).sum(axis=1)
     f_norms = (feats * feats).sum(axis=1)

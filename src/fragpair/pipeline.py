@@ -23,12 +23,13 @@ from .data import Dataset, generate_synthetic, load_csv, split_dataset
 from .data import inject_gaussian_noise, inject_symmetric_noise
 from .experts import (
     ExpertEnsemble,
-    FeatureBank,
     Pair,
+    PairSets,
+    Passes,
     _effective_k,
     build_feature_bank,
     init_ensemble,
-    knn_winners,
+    knn_votes,
     pair_sets,
     train_experts_epoch,
 )
@@ -50,12 +51,13 @@ from .selection import SelectionOutcome, select_clean
 
 
 class PipelineError(RuntimeError):
-    """Wraps stage failures with the epoch and stage that produced them."""
+    """A stage failure, naming its ``epoch`` (0 before the first) and stage."""
 
 
 def _stage_error(epoch: int, stage: str, exc: Exception) -> PipelineError:
     """The error for ``exc``, raised at ``stage`` of ``epoch`` and named its cause."""
     error = PipelineError(f"epoch {epoch}, stage {stage}: {exc}")
+    error.epoch = epoch
     error.__cause__ = exc
     return error
 
@@ -154,11 +156,12 @@ def _usable_cpus() -> int:
 
 
 def _vote(job: dict) -> tuple[dict, list]:
-    """Every pair's :func:`knn_winners` for a job of its arguments per pair,
-    and the warnings they raised."""
+    """Every pair's :func:`knn_votes`, for a job of (features, rows, tags, k) per
+    pair, of every row against the features at its rows; and the warnings raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        winners = {pair: knn_winners(*args) for pair, args in job.items()}
+        winners = {pair: knn_votes(feats[rows], tags, feats, k, pair)
+                   for pair, (feats, rows, tags, k) in job.items()}
     return winners, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
@@ -183,7 +186,7 @@ def _serve_votes(conn, parent_end) -> None:
 
 class _Votes:
     """A run's K-NN votes, one epoch at a time: :meth:`submit` takes the
-    epoch's banks and :meth:`collect` returns every pair's winners.
+    epoch's pair sets and pass, and :meth:`collect` returns every pair's winners.
 
     Where more than one CPU is usable, a worker process forked for the run
     computes them between the two calls; otherwise :meth:`collect` does.
@@ -212,13 +215,12 @@ class _Votes:
         self.proc.start()
         child_end.close()
 
-    def submit(self, banks: FeatureBank) -> None:
+    def submit(self, sets: PairSets, passes: Passes) -> None:
         job = {}
-        for pair in banks.features:
-            k = _effective_k(self.K, banks.size(pair), pair, warn=not self.shrunk)
+        for pair, (rows, tags) in sets.items():
+            k = _effective_k(self.K, len(tags), pair, warn=not self.shrunk)
             self.shrunk = self.shrunk or k != self.K
-            job[pair] = (banks.features[pair], banks.frag_ids[pair], banks.row_features[pair],
-                         k, pair)
+            job[pair] = passes[pair][1], rows, tags, k
         # Recorded first: a send cut short may leave the worker with the job.
         self.job = job
         if self.proc is not None:
@@ -261,10 +263,10 @@ def _train_experts(
     scheme: FragmentationScheme,
     train: Dataset,
     epoch: int,
-) -> tuple[dict, FeatureBank] | PipelineError:
-    """Epoch ``epoch``'s expert half: its jitter, one training epoch per pair
-    expert and the feature banks, with the epoch's record begun.  A failure
-    is returned as the :class:`PipelineError` naming the epoch and stage."""
+) -> tuple[dict, PairSets, Passes] | PipelineError:
+    """Epoch ``epoch``'s expert half: its jitter and pair sets, one training
+    epoch per pair expert and the expert pass, with the epoch's record begun.
+    A failure is returned as the :class:`PipelineError` naming epoch and stage."""
     stage = "jitter"
     try:
         js = jitter_scheme(scheme, cfg.jitter, cfg.seed, epoch)
@@ -283,7 +285,7 @@ def _train_experts(
         record["expert_loss"] = float(np.mean(list(losses.values())))
 
         stage = "build_banks"
-        return record, build_feature_bank(ens, train, sets)
+        return record, sets, build_feature_bank(ens, train)
     except Exception as exc:
         return _stage_error(epoch, stage, exc)
 
@@ -296,14 +298,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
     and metrics line, each file closed before the next epoch, and last
     ``layout.json``, ``checkpoints/`` and ``summary.csv``.  A failed run keeps
     ``config.json`` and the metrics lines and selection files of its finished
-    epochs.
+    epochs.  A rerun into a used directory first deletes the files a run
+    writes there: ``selection/epoch_*.jsonl``, ``checkpoints/*.npz``,
+    ``layout.json`` and ``summary.csv``.
 
     **Overlapped votes.**  The experts train on jittered fragments only, never
     on a selection, so epoch e's K-NN votes and epoch e+1's expert training
     are independent.  In ``select`` and ``select_regr`` modes, while epoch e's
-    votes (``experts.knn_winners`` for every pair) are computed, this process
-    does epoch e+1's jitter, pair sets, expert training and banks.  It then
-    collects e's votes, hands over e+1's banks, and finishes epoch e
+    votes (``experts.knn_votes`` for every pair) are computed, this process
+    does epoch e+1's jitter, pair sets, expert training and expert pass.  It
+    then collects e's votes, hands over e+1's sets and pass, and finishes epoch e
     (selection, regressor, evaluation and e's files) while e+1's votes are
     computed.  Where more than one CPU is usable (``os.sched_getaffinity``),
     one worker process, forked for the run at its first epoch and ended
@@ -320,7 +324,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
     e+1's expert half waits until epoch e is finished, then raises naming
     epoch e+1 and its stage.  A failure while finishing epoch e names epoch e,
     and e+1's work is dropped.  A vote that fails or a worker that dies names
-    epoch e, stage ``select``; a failed hand-over of e+1's banks names e+1,
+    epoch e, stage ``select``; a failed hand-over of e+1's pass names e+1,
     stage ``select``.  Ctrl-C or an error while the run waits for a vote
     ends the worker at once.
     """
@@ -331,6 +335,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
     try:
         if out_dir is not None:
             (out_dir / "selection").mkdir(parents=True, exist_ok=True)
+            for pattern in ("selection/epoch_*.jsonl", "checkpoints/*.npz", "layout.json", "summary.csv"):
+                for stale in out_dir.glob(pattern):
+                    stale.unlink()
             config_text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
             (out_dir / "config.json").write_text(config_text)
             (out_dir / "metrics.jsonl").write_text("")
@@ -382,7 +389,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
         paired_dir = out_dir is not None and ens is not None
         tails = SelectionOutcome.jsonl_tails(train) if paired_dir else None
 
-        # The next epoch's record and banks, or the PipelineError its expert
+        # The next epoch's record, sets and pass, or the PipelineError its expert
         # half returned, raised when that epoch comes.
         ahead = _train_experts(cfg, ens, scheme, train, 1) if ens is not None else None
 
@@ -393,11 +400,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
             else:
                 if isinstance(ahead, PipelineError):
                     raise ahead
-                record, banks = ahead
+                record, sets, passes = ahead
                 stage = "select"
                 if votes is None:
                     votes = _Votes(cfg.knn_k)
-                    votes.submit(banks)
+                    votes.submit(sets, passes)
                 # The next epoch's expert half, done while this epoch's votes are.
                 ahead = (_train_experts(cfg, ens, scheme, train, epoch + 1)
                          if epoch < cfg.epochs else None)
@@ -406,10 +413,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
                 # vote runs while it is.
                 if isinstance(ahead, tuple):
                     try:
-                        votes.submit(ahead[1])
+                        votes.submit(*ahead[1:])
                     except Exception as exc:
                         ahead = _stage_error(epoch + 1, "select", exc)
-                outcome = select_clean(train, ens, scheme, banks, winners, cfg.seed, epoch)
+                outcome = select_clean(train, ens, scheme, passes, winners, cfg.seed, epoch)
                 selected = outcome.combine(cfg.selection_combine)
                 record["n_pred"] = int(outcome.chosen_pred.sum())
                 record["n_repr"] = int(outcome.chosen_repr.sum())

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .experts import ExpertEnsemble, FeatureBank, Pair
+from .experts import ExpertEnsemble, Pair, Passes
 # Not called here; benchmark/tracing.py patches these names in this module.
 from .experts import knn_votes, pair_features, pair_logits, predict_label  # noqa: F401
 from .fragments import FragmentationScheme, Pairing
@@ -42,10 +42,10 @@ def neighborhood_gate(self_matrix: np.ndarray) -> np.ndarray:
 
 
 def pred_winners(
-    ens: ExpertEnsemble, scheme: FragmentationScheme, banks: FeatureBank
+    ens: ExpertEnsemble, scheme: FragmentationScheme, passes: Passes
 ) -> dict[Pair, np.ndarray]:
-    """Each pair's predictive vote per training row, read from the epoch's
-    expert pass in ``banks``.
+    """Each pair's predictive vote per training row, from the outputs of the
+    epoch's expert pass, ``passes``.
 
     The vote is the fragment the expert's output names, as the ensemble's
     objective reads it: a ``classify`` expert's hard classification, a
@@ -56,7 +56,7 @@ def pred_winners(
     winners = {}
     for pair in ens.pairing.pairs:
         i, j = pair
-        out = banks.outputs[pair]
+        out = passes[pair][0]
         if ens.objective == "classify":
             winners[pair] = np.where(out > 0.0, i, j)
         else:
@@ -71,7 +71,7 @@ def self_agreement_matrix(pairing: Pairing, winners: dict[Pair, np.ndarray]) -> 
     """(n, F) self-agreement votes for every training row and fragment at once.
 
     ``winners`` holds each pair's vote per row, from :func:`pred_winners` or
-    the K-NN vote in the expert's feature space (``experts.knn_winners``):
+    the K-NN vote in the expert's feature space (``experts.knn_votes``):
     a row agrees with a fragment when its pair's vote names it.
     """
     n = len(winners[pairing.pairs[0]])
@@ -195,19 +195,19 @@ def select_clean(
     ds: Dataset,
     ens: ExpertEnsemble,
     scheme: FragmentationScheme,
-    banks: FeatureBank,
+    passes: Passes,
     repr_winners: dict[Pair, np.ndarray],
     seed: int,
     epoch: int,
 ) -> SelectionOutcome:
     """Both per-sample clean probabilities, then the epoch's Bernoulli picks.
 
-    The predictive vote is the one the ensemble's objective gives (see
-    :func:`pred_winners`); ``repr_winners`` is the epoch's K-NN vote per
-    pair, ``experts.knn_votes`` of each pair's rows in ``banks``.
+    The predictive vote is the one the ensemble's objective gives from the
+    outputs of ``passes``, the epoch's expert pass (see :func:`pred_winners`);
+    ``repr_winners`` is the epoch's K-NN vote per pair (``experts.knn_votes``).
     """
     rho = prior_rows(ds.y, scheme.means, scheme.label_range)
-    pred = pred_winners(ens, scheme, banks)
+    pred = pred_winners(ens, scheme, passes)
     alpha_pred = neighborhood_gate(self_agreement_matrix(ens.pairing, pred))
     alpha_repr = neighborhood_gate(self_agreement_matrix(ens.pairing, repr_winners))
     p_pred, p_repr = (rho * alpha_pred).sum(axis=1), (rho * alpha_repr).sum(axis=1)

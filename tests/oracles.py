@@ -13,8 +13,9 @@ import numpy as np
 
 from fragpair.experts import (
     ExpertEnsemble,
-    FeatureBank,
     Pair,
+    PairSets,
+    Passes,
     knn_votes,
     pair_features,
     pair_logits,
@@ -155,10 +156,22 @@ def classify_pair(ens: ExpertEnsemble, pair: Pair, x: np.ndarray) -> int:
     return i if logit > 0.0 else j
 
 
-def knn_classify(bank: FeatureBank, pair: Pair, feature: np.ndarray, K: int) -> int:
+# A feature bank per pair: (features, fragment tags), one row per entry.
+Banks = dict[Pair, tuple[np.ndarray, np.ndarray]]
+
+
+def feature_banks(passes: Passes, sets: PairSets) -> Banks:
+    """Each pair's feature bank as a run forms it: the epoch's expert pass
+    at the rows of the pair's set, with the set's tags."""
+    return {pair: (passes[pair][1][rows], tags) for pair, (rows, tags) in sets.items()}
+
+
+def knn_classify(
+    feats: np.ndarray, tags: np.ndarray, feature: np.ndarray, K: int, pair: Pair
+) -> int:
     """Single-query K-NN vote in one expert's feature space."""
     feature = np.asarray(feature, dtype=np.float64)
-    return int(knn_votes(bank, pair, feature[None, :], K)[0])
+    return int(knn_votes(feats, tags, feature[None, :], K, pair)[0])
 
 
 # --- selection --------------------------------------------------------------
@@ -177,13 +190,11 @@ def self_agreement_pred(x: np.ndarray, f: int, ens: ExpertEnsemble) -> int:
     return int(classify_pair(ens, pair, x) == f)
 
 
-def self_agreement_repr(
-    x: np.ndarray, f: int, ens: ExpertEnsemble, bank: FeatureBank, K: int
-) -> int:
+def self_agreement_repr(x: np.ndarray, f: int, ens: ExpertEnsemble, banks: Banks, K: int) -> int:
     """1 iff the K-NN vote in the pair expert's feature space lands on f."""
     pair = pair_of(ens.pairing, f)
     feature = pair_features(ens, pair, np.asarray(x, dtype=np.float64)[None, :])[0]
-    return int(knn_classify(bank, pair, feature, K) == f)
+    return int(knn_classify(*banks[pair], feature, K, pair) == f)
 
 
 def self_agreement_regr(
@@ -222,7 +233,7 @@ def selection_probability(
     ens: ExpertEnsemble,
     variant: str,
     scheme: FragmentationScheme,
-    banks: Optional[FeatureBank] = None,
+    banks: Optional[Banks] = None,
     K: int = 5,
 ) -> float:
     """Mixture probability that (x, y) is clean under one agreement variant.

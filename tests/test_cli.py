@@ -302,6 +302,34 @@ class TestInputErrors:
         self.exits_naming(argv, f"fragpair {command[0]}: dataset.gt_col: ")
         assert not output_root.exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["compare-pairings", "--pairings", "1-3,2-4"]],
+                             ids=["run", "compare_pairings"])
+    @pytest.mark.parametrize("content, message", [
+        (None, "no such file: "),
+        ("x0,x1,label\n0.1,zz,1\n", "row 1: cannot parse x1='zz' as a number"),
+        ("a,b\n1,2\n", "missing columns: x0, x1, label"),
+    ], ids=["missing", "unparsable", "no_columns"])
+    def test_unreadable_data_before_the_first_epoch(self, tmp_path, command, content,
+                                                    message) -> None:
+        data = tmp_path / "data.csv"
+        if content is not None:
+            data.write_text(content)
+        argv = [*command, *set_flag("dataset", csv_source(data, gt_col=None))]
+        self.exits_naming(argv, f"epoch 0, stage prepare: {message}")
+
+    def test_out_dir_that_is_a_file(self, tmp_path) -> None:
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        self.exits_naming(["run", *synthetic(40), "--out-dir", str(taken)],
+                          "epoch 0, stage artifacts: ")
+
+    @pytest.mark.filterwarnings("ignore:fragment 4 is empty")
+    def test_failure_of_the_run_before_its_first_epoch_keeps_its_traceback(self) -> None:
+        # Not a data or directory error: n=40 over 12 fragments leaves one empty.
+        argv = ["run", *synthetic(40), "--set", "fragments=12", "--set", "jitter=0.04"]
+        with pytest.raises(PipelineError, match="^epoch 0, stage pairing: empty fragment"):
+            main(argv)
+
     @pytest.mark.parametrize("pairings, sets, message", [
         ("1-1,2-3", [], "pairing_override: pair (1, 1) must be ordered i < j"),
         ("1-2,3-4", ["--set", "fragments=6"], "pairing_override: covers 4 fragments, expected 6"),

@@ -9,7 +9,6 @@ import fragpair.experts as experts_mod
 from fragpair.data import Dataset, generate_synthetic
 from fragpair.experts import (
     ExpertError,
-    FeatureBank,
     build_feature_bank,
     init_ensemble,
     knn_votes,
@@ -19,7 +18,7 @@ from fragpair.experts import (
 )
 from fragpair.fragments import JitteredScheme, Pairing, fragment_labels
 from fragpair.net import forward_batch
-from oracles import classify_pair, forward, knn_classify
+from oracles import classify_pair, feature_banks, forward, knn_classify
 
 STRIDE = Pairing(pairs=((1, 3), (2, 4)))
 
@@ -161,41 +160,44 @@ class TestClassifyPair:
 
 
 class TestFeatureBank:
+    """A pair's bank: the epoch's expert pass at the rows of its pair set."""
+
     def test_partition_without_jitter(self) -> None:
         ds = clean_dataset(n=100)
         ens, scheme = make_ensemble(ds)
         js = JitteredScheme(base=scheme, delta=0.0)
-        bank = build_feature_bank(ens, ds, pair_sets(STRIDE, js, ds.y))
-        total = sum(bank.size(pair) for pair in STRIDE.pairs)
+        banks = feature_banks(build_feature_bank(ens, ds), pair_sets(STRIDE, js, ds.y))
+        total = sum(len(banks[pair][0]) for pair in STRIDE.pairs)
         assert total == 100
         for pair in STRIDE.pairs:
-            assert set(np.unique(bank.frag_ids[pair])) <= set(pair)
+            assert set(np.unique(banks[pair][1])) <= set(pair)
 
     def test_jitter_overlap_adds_entries(self) -> None:
         ds = clean_dataset(n=300)
         ens, scheme = make_ensemble(ds)
-        bank0 = build_feature_bank(
-            ens, ds, pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), ds.y)
+        passes = build_feature_bank(ens, ds)
+        bank0 = feature_banks(
+            passes, pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), ds.y)
         )
-        bank5 = build_feature_bank(
-            ens, ds, pair_sets(STRIDE, JitteredScheme(base=scheme, delta=5.0), ds.y)
+        bank5 = feature_banks(
+            passes, pair_sets(STRIDE, JitteredScheme(base=scheme, delta=5.0), ds.y)
         )
-        assert sum(bank5.size(p) for p in STRIDE.pairs) > sum(
-            bank0.size(p) for p in STRIDE.pairs
+        assert sum(len(bank5[p][0]) for p in STRIDE.pairs) > sum(
+            len(bank0[p][0]) for p in STRIDE.pairs
         )
 
     def test_bank_features_equal_expert_forward(self) -> None:
         ds = clean_dataset(n=60)
         ens, scheme = make_ensemble(ds)
         js = JitteredScheme(base=scheme, delta=0.0)
-        bank = build_feature_bank(ens, ds, pair_sets(STRIDE, js, ds.y))
+        banks = feature_banks(build_feature_bank(ens, ds), pair_sets(STRIDE, js, ds.y))
         assignment = scheme.assign_many(ds.y)
         pair = (1, 3)
         member_rows = np.flatnonzero(np.isin(assignment, pair))
         for row_pos, ds_idx in enumerate(member_rows):
             _, feats = forward(ens.experts[pair], ds.x[ds_idx])
             # Single-row and batched matmuls may differ in the last ulp.
-            assert np.allclose(bank.features[pair][row_pos], feats, rtol=0, atol=1e-12)
+            assert np.allclose(banks[pair][0][row_pos], feats, rtol=0, atol=1e-12)
 
     # A last hidden layer of width 1 makes a row's features depend on which
     # rows share the matrix product: a separate pass over the bank rows
@@ -209,44 +211,40 @@ class TestFeatureBank:
         js = JitteredScheme(base=scheme, delta=5.0)
         sets = pair_sets(STRIDE, js, ds.y)
         train_experts_epoch(ens, ds, sets, lr=0.1, batch_size=32, seed=0)
-        bank = build_feature_bank(ens, ds, sets)
+        passes = build_feature_bank(ens, ds)
+        banks = feature_banks(passes, sets)
         rows, frags = js.membership_rows(ds.y)
         for pair in STRIDE.pairs:
             out, feats = forward_batch(ens.experts[pair], ds.x)
             keep = np.isin(frags, pair)
-            assert np.array_equal(bank.features[pair], feats[rows[keep]])
-            assert np.array_equal(bank.frag_ids[pair], frags[keep])
-            assert np.array_equal(bank.row_features[pair], feats)
-            assert np.array_equal(bank.outputs[pair], out[:, 0])
+            assert np.array_equal(banks[pair][0], feats[rows[keep]])
+            assert np.array_equal(banks[pair][1], frags[keep])
+            assert np.array_equal(passes[pair][1], feats)
+            assert np.array_equal(passes[pair][0], out[:, 0])
 
 
 class TestKnn:
-    def _bank(self, n: int = 200, seed: int = 0, h: int = 4) -> FeatureBank:
+    def _bank(self, n: int = 200, seed: int = 0, h: int = 4):
+        """Random features and (1, 3) tags."""
         rng = np.random.default_rng(seed)
-        bank = FeatureBank()
-        bank.features[(1, 3)] = rng.normal(size=(n, h))
-        bank.frag_ids[(1, 3)] = rng.choice([1, 3], size=n)
-        return bank
+        return rng.normal(size=(n, h)), rng.choice([1, 3], size=n)
 
     def test_exact_hit_k1(self) -> None:
-        bank = self._bank()
+        feats, tags = self._bank()
         for idx in (0, 17, 199):
-            got = knn_classify(bank, (1, 3), bank.features[(1, 3)][idx], K=1)
-            assert got == bank.frag_ids[(1, 3)][idx]
+            got = knn_classify(feats, tags, feats[idx], 1, (1, 3))
+            assert got == tags[idx]
 
     def test_majority_two_to_one(self) -> None:
-        bank = FeatureBank()
-        bank.features[(1, 3)] = np.array([[0.0], [0.1], [0.2], [5.0]])
-        bank.frag_ids[(1, 3)] = np.array([1, 1, 3, 3])
-        assert knn_classify(bank, (1, 3), np.array([0.05]), K=3) == 1
+        feats = np.array([[0.0], [0.1], [0.2], [5.0]])
+        tags = np.array([1, 1, 3, 3])
+        assert knn_classify(feats, tags, np.array([0.05]), 3, (1, 3)) == 1
 
     def test_agrees_with_naive_oracle(self) -> None:
-        bank = self._bank(n=200, seed=1)
-        feats = bank.features[(1, 3)]
-        tags = bank.frag_ids[(1, 3)]
+        feats, tags = self._bank(n=200, seed=1)
         rng = np.random.default_rng(2)
         queries = rng.normal(size=(50, 4))
-        got = knn_votes(bank, (1, 3), queries, K=5)
+        got = knn_votes(feats, tags, queries, 5, (1, 3))
         for q, vote in zip(queries, got):
             dists = np.linalg.norm(feats - q, axis=1)
             order = sorted(range(len(dists)), key=lambda r: (dists[r], r))[:5]
@@ -254,22 +252,21 @@ class TestKnn:
             assert vote == (1 if ones > 2 else 3)
 
     def test_exact_distance_ties_prefer_lower_index(self) -> None:
-        bank = FeatureBank()
-        bank.features[(1, 3)] = np.array([[1.0], [1.0], [1.0], [1.0], [9.0]])
-        bank.frag_ids[(1, 3)] = np.array([1, 3, 3, 3, 1])
+        feats = np.array([[1.0], [1.0], [1.0], [1.0], [9.0]])
+        tags = np.array([1, 3, 3, 3, 1])
         # All four near entries tie at distance zero; K=1 must take index 0.
-        assert knn_classify(bank, (1, 3), np.array([1.0]), K=1) == 1
+        assert knn_classify(feats, tags, np.array([1.0]), 1, (1, 3)) == 1
 
     def test_oversized_k_warns_and_uses_bank(self) -> None:
-        bank = self._bank(n=6, seed=3)
+        feats, tags = self._bank(n=6, seed=3)
         with pytest.warns(UserWarning, match="exceeds bank size"):
-            vote = knn_classify(bank, (1, 3), np.zeros(4), K=9)
+            vote = knn_classify(feats, tags, np.zeros(4), 9, (1, 3))
         assert vote in (1, 3)
 
     def test_even_k_rejected(self) -> None:
-        bank = self._bank(n=10)
+        feats, tags = self._bank(n=10)
         with pytest.raises(ExpertError):
-            knn_classify(bank, (1, 3), np.zeros(4), K=4)
+            knn_classify(feats, tags, np.zeros(4), 4, (1, 3))
 
 
 def dense_d2(feats: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -335,12 +332,6 @@ class TestKnnOracle:
         tags = rng.choice(self.PAIR, size=self.BANK)
         return rng, feats, tags
 
-    def _bank(self, feats, tags) -> FeatureBank:
-        bank = FeatureBank()
-        bank.features[self.PAIR] = feats
-        bank.frag_ids[self.PAIR] = tags
-        return bank
-
     def _queries(self, rng, feats, n: int, integer: bool) -> np.ndarray:
         on_bank = feats[rng.integers(0, len(feats), n - n // 2)]
         if integer:
@@ -355,18 +346,17 @@ class TestKnnOracle:
         rng, feats, tags = self._tie_heavy(K, integer)
         queries = self._queries(rng, feats, 500, integer)
         assert straddling_rows(feats, queries, K) > 0
-        got = knn_votes(self._bank(feats, tags), self.PAIR, queries, K)
+        got = knn_votes(feats, tags, queries, K, self.PAIR)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
 
     def test_query_counts_around_the_block_size(self) -> None:
         rng, feats, tags = self._tie_heavy(11, integer=True)
-        bank = self._bank(feats, tags)
         first, rows = experts_mod._FIRST_ROWS, experts_mod._SWEEP_ROWS
         assert first > 2 and rows > 2
         for n in (0, 1, first - 1, first, first + 1, first + rows - 1, first + rows,
                   first + rows + 1, first + 4 * rows + 3):
             queries = self._queries(rng, feats, n, integer=True)
-            got = knn_votes(bank, self.PAIR, queries, 5)
+            got = knn_votes(feats, tags, queries, 5, self.PAIR)
             assert got.shape == (n,)
             assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
 
@@ -377,10 +367,10 @@ class TestKnnOracle:
         rows = len(queries) if rows == "all" else rows
         monkeypatch.setattr(experts_mod, "_FIRST_ROWS", rows)
         monkeypatch.setattr(experts_mod, "_SWEEP_ROWS", rows)
-        got = knn_votes(self._bank(feats, tags), self.PAIR, queries, 7)
+        got = knn_votes(feats, tags, queries, 7, self.PAIR)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 7))
         line_feats, line_tags, line_queries = line_bank(12, 500, 700, h=4)
-        got = knn_votes(self._bank(line_feats, line_tags), self.PAIR, line_queries, 7)
+        got = knn_votes(line_feats, line_tags, line_queries, 7, self.PAIR)
         assert np.array_equal(
             got, knn_oracle(line_feats, line_tags, self.PAIR, line_queries, 7)
         )
@@ -390,7 +380,7 @@ class TestKnnOracle:
         queries = self._queries(rng, feats, 50, integer=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = knn_votes(self._bank(feats, tags), self.PAIR, queries, self.BANK)
+            got = knn_votes(feats, tags, queries, self.BANK, self.PAIR)
         majority = 2 if 2 * (tags == 2).sum() > self.BANK else 5
         assert np.all(got == majority)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, self.BANK))
@@ -399,20 +389,36 @@ class TestKnnOracle:
         rng, feats, tags = self._tie_heavy(14, integer=True)
         queries = self._queries(rng, feats, 50, integer=True)
         with pytest.warns(UserWarning, match="exceeds bank size"):
-            got = knn_votes(self._bank(feats, tags), self.PAIR, queries, self.BANK + 2)
+            got = knn_votes(feats, tags, queries, self.BANK + 2, self.PAIR)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, self.BANK))
+
+
+    @pytest.mark.parametrize("K", [1, 5])
+    def test_run_bank_with_rows_under_both_tags(self, K: int) -> None:
+        # An adjacent pairing's jitter puts rows near the shared boundary in
+        # both fragments, so they sit in the bank twice, once under each tag
+        # (38 and 43 rows here): ties at distance zero between different tags.
+        ds = clean_dataset(n=390)
+        adjacent = Pairing(pairs=((1, 2), (3, 4)))
+        ens = init_ensemble(adjacent, input_dim=ds.d, hidden_dims=(16, 8),
+                            activation="relu", seed=0)
+        sets = pair_sets(adjacent, JitteredScheme(base=fragment_labels(ds, 4), delta=5.0), ds.y)
+        train_experts_epoch(ens, ds, sets, lr=0.1, batch_size=32, seed=0)
+        passes = build_feature_bank(ens, ds)
+        for pair, (rows, tags) in sets.items():
+            unique, counts = np.unique(rows, return_counts=True)
+            twice = unique[counts == 2]
+            assert len(twice) > 30 and counts.max() == 2
+            assert all(set(tags[rows == row]) == set(pair) for row in twice)
+            feats = passes[pair][1]
+            got = knn_votes(feats[rows], tags, feats, K, pair)
+            assert np.array_equal(got, knn_oracle(feats[rows], tags, pair, feats, K))
 
 
 class TestKnnSweep:
     """The projection sweep against the stable-argsort oracle, where it prunes and where it cannot."""
 
     PAIR = (2, 5)
-
-    def _bank(self, feats, tags) -> FeatureBank:
-        bank = FeatureBank()
-        bank.features[self.PAIR] = feats
-        bank.frag_ids[self.PAIR] = tags
-        return bank
 
     def _traced_votes(self, feats, tags, queries, K, monkeypatch):
         """knn_votes, recording (queries, bank columns) of every kernel call."""
@@ -424,7 +430,7 @@ class TestKnnSweep:
             return kernel(q, q_norms, f, *args)
 
         monkeypatch.setattr(experts_mod, "_count_nearest", counting)
-        return knn_votes(self._bank(feats, tags), self.PAIR, queries, K), calls
+        return knn_votes(feats, tags, queries, K, self.PAIR), calls
 
     @pytest.mark.parametrize("h", [1, 8, 64])
     @pytest.mark.parametrize("K", [1, 5, 9])
@@ -447,7 +453,7 @@ class TestKnnSweep:
         rng = np.random.default_rng(K)
         feats, queries = rng.normal(size=(500, 8)), rng.normal(size=(900, 8))
         tags = rng.choice(self.PAIR, size=500)
-        got = knn_votes(self._bank(feats, tags), self.PAIR, queries, K)
+        got = knn_votes(feats, tags, queries, K, self.PAIR)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
 
     @pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.6, 0.8, 0.0)])
@@ -464,7 +470,7 @@ class TestKnnSweep:
         queries = rng.integers(0, 240, 900)[:, None] / 2.0 * np.array(axis)
         assert straddling_rows(feats, queries, K) > 0
         monkeypatch.setattr(experts_mod, "_WINDOW_REACH", reach)
-        got = knn_votes(self._bank(feats, tags), self.PAIR, queries, K)
+        got = knn_votes(feats, tags, queries, K, self.PAIR)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
 
     def test_one_dense_call_per_vote(self, monkeypatch) -> None:
@@ -484,7 +490,7 @@ class TestKnnSweep:
             return kernel(q, q_norms, f, *args)
 
         monkeypatch.setattr(experts_mod, "_count_nearest", counting)
-        got = knn_votes(self._bank(feats, tags), self.PAIR, queries, 5)
+        got = knn_votes(feats, tags, queries, 5, self.PAIR)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
         assert sum(whole_bank) == 1
 
@@ -507,7 +513,7 @@ class TestKnnSweep:
         feats, tags, queries = line_bank(6, 400, 700)
         rows = [0, 350, 699]
         queries[rows, 1] = bad
-        got = knn_votes(self._bank(feats, tags), self.PAIR, queries, 5)
+        got = knn_votes(feats, tags, queries, 5, self.PAIR)
         finite = np.setdiff1d(np.arange(len(queries)), rows)
         assert np.array_equal(
             got[finite], knn_oracle(feats, tags, self.PAIR, queries[finite], 5)
@@ -517,27 +523,25 @@ class TestKnnSweep:
     def test_nan_bank_rows(self) -> None:
         feats, tags, queries = line_bank(7, 400, 700)
         feats[[3, 200], 0] = np.nan
-        got = knn_votes(self._bank(feats, tags), self.PAIR, queries, 5)
+        got = knn_votes(feats, tags, queries, 5, self.PAIR)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
         assert np.array_equal(got, dense_votes(feats, tags, self.PAIR, queries, 5))
 
     def test_query_counts_around_the_sweep_blocks(self) -> None:
         feats, tags, all_queries = line_bank(8, 700, 700)
-        bank = self._bank(feats, tags)
         first, rows = experts_mod._FIRST_ROWS, experts_mod._SWEEP_ROWS
         for n in (0, 1, rows - 1, rows, rows + 1, first + rows - 1, first + rows,
                   first + rows + 1):
             queries = all_queries[:n]
-            got = knn_votes(bank, self.PAIR, queries, 5)
+            got = knn_votes(feats, tags, queries, 5, self.PAIR)
             assert got.shape == (n,)
             assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
 
     def test_k_equal_to_and_above_the_bank_size(self) -> None:
         feats, tags, queries = line_bank(9, 301, 400)
-        bank = self._bank(feats, tags)
         expected = knn_oracle(feats, tags, self.PAIR, queries, 301)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.array_equal(knn_votes(bank, self.PAIR, queries, 301), expected)
+            assert np.array_equal(knn_votes(feats, tags, queries, 301, self.PAIR), expected)
         with pytest.warns(UserWarning, match="exceeds bank size"):
-            assert np.array_equal(knn_votes(bank, self.PAIR, queries, 303), expected)
+            assert np.array_equal(knn_votes(feats, tags, queries, 303, self.PAIR), expected)

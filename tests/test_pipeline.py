@@ -16,7 +16,7 @@ import pytest
 
 import fragpair.pipeline
 from fragpair.config import ConfigError, ExperimentConfig
-from fragpair.experts import KShrinkWarning, knn_winners
+from fragpair.experts import KShrinkWarning, knn_votes
 from fragpair.metrics import mrae
 from fragpair.pipeline import (
     PipelineError,
@@ -405,6 +405,21 @@ class TestRunExperiment:
             assert len((run / "metrics.jsonl").read_text().splitlines()) == lines
             assert len(list((run / "selection").iterdir())) == files
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_rerun_leaves_no_file_of_the_run_before(self, tmp_path) -> None:
+        # A select run, then a vanilla run into the same directory, then a run
+        # that fails in epoch 1; a file no run writes stays.
+        used = tmp_path / "used"
+        run_experiment(small_config(epochs=5), out_dir=used)
+        (used / "notes.txt").write_bytes(b"kept")
+        for run in (used, tmp_path / "fresh"):
+            run_experiment(small_config(mode="vanilla", epochs=2), out_dir=run)
+        assert written(used) == {**written(tmp_path / "fresh"), Path("notes.txt"): b"kept"}
+        for run in (used, tmp_path / "fresh_failed"):
+            with pytest.raises(PipelineError, match="^epoch 1, stage train_regressor: "):
+                run_experiment(small_config(epochs=2, regressor_lr=1e200), out_dir=run)
+        assert written(used) == {**written(tmp_path / "fresh_failed"), Path("notes.txt"): b"kept"}
+
     def test_stage_reported_on_failure(self) -> None:
         cfg = small_config(dataset={"kind": "csv", "path": "missing.csv",
                                     "feature_cols": ["a"], "label_col": "label"})
@@ -488,7 +503,7 @@ class TestOverlappedVotes:
         monkeypatch.setattr(
             fragpair.pipeline._Votes,
             "submit",
-            lambda self, banks: forked.append(self.proc is not None) or submit(self, banks),
+            lambda self, *epoch: forked.append(self.proc is not None) or submit(self, *epoch),
         )
         for n in (2, 1):
             monkeypatch.setattr(fragpair.pipeline, "_usable_cpus", lambda n=n: n)
@@ -518,9 +533,9 @@ class TestOverlappedVotes:
     @pytest.mark.parametrize("call, epoch", [(1, 1), (3, 2)])
     def test_vote_failure_names_its_epoch_and_select(self, monkeypatch, cpus, call, epoch) -> None:
         # Patched before the run, so that the forked worker calls the patch.
-        fail_on_call(monkeypatch, "knn_winners", call)
+        fail_on_call(monkeypatch, "knn_votes", call)
         with pytest.raises(PipelineError,
-                           match=f"^epoch {epoch}, stage select: knn_winners failed$"):
+                           match=f"^epoch {epoch}, stage select: knn_votes failed$"):
             run_experiment(small_config())
         assert multiprocessing.active_children() == []
 
@@ -539,7 +554,7 @@ class TestOverlappedVotes:
     def test_cut_wait_ends_the_worker(self, monkeypatch, capfd) -> None:
         monkeypatch.setattr(fragpair.pipeline, "_usable_cpus", lambda: 2)
         # Epoch 2's first pair, in the worker.
-        fail_on_call(monkeypatch, "knn_winners", 3, fail=lambda: time.sleep(3))
+        fail_on_call(monkeypatch, "knn_votes", 3, fail=lambda: time.sleep(3))
 
         def cut(signum, frame):
             raise RuntimeError("wait cut short")
@@ -559,7 +574,7 @@ class TestOverlappedVotes:
 
     def test_worker_exit_names_its_epoch_and_select(self, monkeypatch) -> None:
         monkeypatch.setattr(fragpair.pipeline, "_usable_cpus", lambda: 2)
-        fail_on_call(monkeypatch, "knn_winners", 3, fail=lambda: os._exit(3))
+        fail_on_call(monkeypatch, "knn_votes", 3, fail=lambda: os._exit(3))
         with pytest.raises(PipelineError,
                            match="^epoch 2, stage select: K-NN vote worker exited with code 3$"):
             run_experiment(small_config())
@@ -568,9 +583,9 @@ class TestOverlappedVotes:
     def test_vote_warnings_reach_the_select_stage(self, monkeypatch, cpus) -> None:
         def warn_then_vote(*args):
             np.log(-np.ones(1))
-            return knn_winners(*args)
+            return knn_votes(*args)
 
-        monkeypatch.setattr(fragpair.pipeline, "knn_winners", warn_then_vote)
+        monkeypatch.setattr(fragpair.pipeline, "knn_votes", warn_then_vote)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
             run_experiment(small_config())

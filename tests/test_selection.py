@@ -7,7 +7,6 @@ import pytest
 
 from fragpair.data import generate_synthetic
 from fragpair.experts import (
-    FeatureBank,
     build_feature_bank,
     init_ensemble,
     knn_votes,
@@ -25,6 +24,7 @@ from fragpair.selection import (
     self_agreement_matrix,
 )
 from oracles import (
+    feature_banks,
     fragment_prior,
     neighborhood_agreement,
     selection_probability,
@@ -36,9 +36,10 @@ from oracles import (
 STRIDE = Pairing(pairs=((1, 3), (2, 4)))
 
 
-def repr_winners(banks: FeatureBank, K: int) -> dict:
+def repr_winners(passes, sets, K: int) -> dict:
     """Every pair's K-NN vote on its own rows, as a run hands them to ``select_clean``."""
-    return {pair: knn_votes(banks, pair, banks.row_features[pair], K) for pair in banks.features}
+    banks = feature_banks(passes, sets)
+    return {pair: knn_votes(*banks[pair], passes[pair][1], K, pair) for pair in banks}
 
 
 def fixture_scheme():
@@ -119,20 +120,16 @@ class TestSelfAgreements:
     def test_repr_agreement_exact_bank_hit(self) -> None:
         ds, _ = fixture_scheme()
         ens = forced_ensemble(ds, {(1, 3): 1, (2, 4): 2})
-        bank = FeatureBank()
         # Zeroed experts map every input to the zero feature vector, so feed
         # the bank distinct hand-built features instead.
-        bank.features[(1, 3)] = np.array([[0.0, 0.0, 0.0, 0.0], [9.0, 9.0, 9.0, 9.0]])
-        bank.frag_ids[(1, 3)] = np.array([1, 3])
+        bank = {(1, 3): (np.array([[0.0, 0.0, 0.0, 0.0], [9.0, 9.0, 9.0, 9.0]]), np.array([1, 3]))}
         assert self_agreement_repr(ds.x[0], 1, ens, bank, K=1) == 1
         assert self_agreement_repr(ds.x[0], 3, ens, bank, K=1) == 0
 
     def test_repr_agreement_all_neighbors_partner(self) -> None:
         ds, _ = fixture_scheme()
         ens = forced_ensemble(ds, {(1, 3): 1, (2, 4): 2})
-        bank = FeatureBank()
-        bank.features[(1, 3)] = np.zeros((5, 4))
-        bank.frag_ids[(1, 3)] = np.full(5, 3)
+        bank = {(1, 3): (np.zeros((5, 4)), np.full(5, 3))}
         assert self_agreement_repr(ds.x[0], 1, ens, bank, K=3) == 0
 
     def test_regr_agreement_exact_mean_and_midpoint(self) -> None:
@@ -279,8 +276,9 @@ class TestSelectCleanEndToEnd:
         sets = pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), noisy.y)
         for epoch in range(40):
             train_experts_epoch(ens, noisy, sets, lr=0.1, batch_size=32, seed=epoch)
-        banks = build_feature_bank(ens, noisy, sets)
-        outcome = select_clean(noisy, ens, scheme, banks, repr_winners(banks, 5), seed=0, epoch=9)
+        passes = build_feature_bank(ens, noisy)
+        outcome = select_clean(noisy, ens, scheme, passes, repr_winners(passes, sets, 5), seed=0,
+                               epoch=9)
         corrupted = noisy.y != noisy.y_gt
         assert outcome.p_pred[~corrupted].mean() > outcome.p_pred[corrupted].mean() + 0.2
         assert outcome.p_repr[~corrupted].mean() > outcome.p_repr[corrupted].mean() + 0.2
@@ -338,7 +336,8 @@ class TestVectorizedMatchesScalarRules:
         sets = pair_sets(STRIDE, JitteredScheme(base=scheme, delta=4.0), ds.y)
         for epoch in range(5):
             train_experts_epoch(ens, ds, sets, lr=0.1, batch_size=16, seed=epoch)
-        banks = build_feature_bank(ens, ds, sets)
+        passes = build_feature_bank(ens, ds)
+        banks = feature_banks(passes, sets)
         # The matrix's "pred" vote follows the ensemble's objective; the scalar
         # oracle names the two predictive votes apart.
         if objective == "classify":
@@ -348,8 +347,8 @@ class TestVectorizedMatchesScalarRules:
             variant = "regr"
             pred = lambda x, f: self_agreement_regr(x, f, ens, scheme)  # noqa: E731
         repr_ = lambda x, f: self_agreement_repr(x, f, ens, banks, 5)  # noqa: E731
-        winners = {"pred": pred_winners(ens, scheme, banks), "repr": repr_winners(banks, 5)}
-        outcome = select_clean(ds, ens, scheme, banks, winners["repr"], seed=0, epoch=1)
+        winners = {"pred": pred_winners(ens, scheme, passes), "repr": repr_winners(passes, sets, 5)}
+        outcome = select_clean(ds, ens, scheme, passes, winners["repr"], seed=0, epoch=1)
         gates = {
             k: neighborhood_gate(self_agreement_matrix(ens.pairing, winners[k]))
             for k in ("pred", "repr")

@@ -34,7 +34,6 @@ from .net import Net, NetSpec, forward_batch, init_net, load_net, save_net
 from .net import train_epoch, train_step
 from .pipeline import (
     RunResult,
-    compare_pairings,
     load_dataset,
     run_experiment,
     run_noise_free_reference,

@@ -19,7 +19,6 @@ from .config import ConfigError, ExperimentConfig, read_json
 from .data import DataError, write_csv, write_jsonl
 from .pipeline import (
     PipelineError,
-    compare_pairings,
     load_dataset,
     run_experiment,
     run_noise_free_reference,
@@ -94,31 +93,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_pairings(text: str) -> list[list[list[int]]]:
-    matchings = []
-    for chunk in text.split(";"):
-        try:
-            matchings.append([[int(a), int(b)] for a, b in (p.split("-") for p in chunk.split(","))])
-        except ValueError:
-            raise ConfigError(f"--pairings expects i-j pairs split by ',', got {chunk!r}") from None
-    return matchings
-
-
-def _cmd_compare_pairings(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    pairings = _parse_pairings(args.pairings)
-    out = Path(args.out) if args.out else output_root() / "pairing_comparison.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    rows = compare_pairings(cfg, pairings, out_path=out)
-    for row in rows:
-        print(
-            f"{row['pairing']}: err={row['final_err']} "
-            f"selection_rate={row['final_selection_rate']:.4f} mae={row['final_mae']:.6g}"
-        )
-    print(f"wrote {out}")
-    return 0
-
-
 def _cmd_reference(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out_dir = _resolve_out_dir(args.out_dir, cfg) if args.out_dir else None
@@ -174,13 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--with-reference", action="store_true",
                      help="train a noise-free reference first and report relative error")
     run.set_defaults(func=_cmd_run)
-
-    cmp_p = sub.add_parser("compare-pairings", help="run once per pairing and tabulate")
-    add_config_args(cmp_p)
-    cmp_p.add_argument("--pairings", required=True,
-                       help="e.g. '1-3,2-4;1-2,3-4' (matchings split by ';')")
-    cmp_p.add_argument("--out", help="comparison CSV path")
-    cmp_p.set_defaults(func=_cmd_compare_pairings)
 
     ref = sub.add_parser("reference", help="noise-free reference MAE for relative error")
     add_config_args(ref)

@@ -97,9 +97,9 @@ def _is_name(value) -> bool:
 
 
 def read_json(path: str | Path):
-    """A JSON file's data; malformed JSON raises a ConfigError naming the file."""
+    """A UTF-8 JSON file's data; malformed JSON raises a ConfigError naming the file."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

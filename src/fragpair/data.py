@@ -23,8 +23,8 @@ class Dataset:
     """Feature matrix plus observed (possibly noisy) and optional ground-truth labels.
 
     ``label_min``/``label_max`` are always the min/max of the *observed*
-    labels, recomputed at construction.  The observed range must be
-    non-degenerate.
+    labels, recomputed at construction.  The range may be degenerate (one
+    label value); only fragmenting the labels needs it wider.
     """
 
     x: np.ndarray
@@ -50,8 +50,6 @@ class Dataset:
                 raise DataError("ground-truth labels must be finite")
         self.label_min = float(self.y.min())
         self.label_max = float(self.y.max())
-        if not self.label_max > self.label_min:
-            raise DataError("observed label range is degenerate")
 
     @property
     def n(self) -> int:
@@ -176,14 +174,14 @@ def load_csv(
     label_col: str,
     gt_col: Optional[str] = None,
 ) -> Dataset:
-    """Read a dataset from a headered CSV file.
+    """Read a dataset from a headered UTF-8 CSV file (a byte-order mark is skipped).
 
     Row indices in error messages are 1-based data rows (the header is row 0).
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         wanted = list(feature_cols) + [label_col] + ([gt_col] if gt_col is not None else [])
@@ -210,7 +208,7 @@ def default_feature_cols(d: int) -> list[str]:
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
-    """Write a dataset as CSV mirroring the input schema.
+    """Write a dataset as UTF-8 CSV mirroring the input schema.
 
     When ground truth is known, a ``label_gt`` column and a ``noisy`` flag
     column (1 where the observed label differs from ground truth) are added.
@@ -220,7 +218,7 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
     cols = default_feature_cols(ds.d) + ["label"]
     if ds.y_gt is not None:
         cols += ["label_gt", "noisy"]
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
         for i in range(ds.n):
@@ -233,7 +231,7 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
 def write_jsonl(ds: Dataset, path: str | Path) -> None:
     """Write a dataset as JSON lines with the same schema as :func:`write_csv`."""
     path = Path(path)
-    with path.open("w") as fh:
+    with path.open("w", encoding="utf-8") as fh:
         for i in range(ds.n):
             record: dict = {
                 "x": [float(v) for v in ds.x[i]],

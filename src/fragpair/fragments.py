@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import DataError, Dataset
 from .rng import stream
 
 MIN_FRAGMENTS = 4
@@ -77,8 +77,11 @@ class FragmentationScheme:
 
 
 def fragment_labels(ds: Dataset, F: int) -> FragmentationScheme:
-    """Partition the observed label range of ``ds`` into F equal-width fragments."""
+    """Partition the observed label range of ``ds``, which must hold two label values
+    or more, into F equal-width fragments."""
     check_fragment_count(F)
+    if not ds.label_max > ds.label_min:
+        raise DataError("observed label range is degenerate")
     boundaries = np.linspace(ds.label_min, ds.label_max, F + 1)
     scheme = FragmentationScheme(
         boundaries=boundaries,

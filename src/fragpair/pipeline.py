@@ -345,11 +345,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
         stage = "prepare"
         train, test = prepare_splits(cfg)
         eval_targets = test.y_gt if test.y_gt is not None else test.y
-        lo, span = train.label_min, train.label_range
-        norm_targets = (train.y - lo) / span
 
         stage = "fragment"
         scheme = fragment_labels(train, cfg.fragments)
+        lo, span = train.label_min, train.label_range
+        norm_targets = (train.y - lo) / span
         pairing: Optional[Pairing] = None
         ens: Optional[ExpertEnsemble] = None
         if cfg.mode != "vanilla":
@@ -497,33 +497,3 @@ def run_noise_free_reference(
     ref_cfg = cfg.replace(mode="vanilla", noise=None, reference_rho=None, dataset=dataset)
     result = run_experiment(ref_cfg, out_dir=out_dir)
     return result.final_mae, result
-
-
-def compare_pairings(
-    cfg: ExperimentConfig,
-    pairings: list,
-    out_path: Optional[str | Path] = None,
-) -> list[dict]:
-    """Run the experiment once per distinct pairing with shared seeds; one row each.
-    Every pairing is canonicalised and checked as a config before the first run."""
-    run_cfgs: dict[tuple, ExperimentConfig] = {}
-    for raw in pairings:
-        run_cfg = cfg.replace(pairing_override=raw)
-        if run_cfg.pairing_override in run_cfgs:
-            warnings.warn(f"duplicate pairing {[list(p) for p in run_cfg.pairing_override]} skipped")
-            continue
-        run_cfgs[run_cfg.pairing_override] = run_cfg
-    rows = []
-    for pairs, run_cfg in run_cfgs.items():
-        result = run_experiment(run_cfg)
-        rows.append(
-            {
-                "pairing": ";".join(f"{i}-{j}" for i, j in pairs),
-                "final_err": result.final.get("err", ""),
-                "final_selection_rate": result.final_selection_rate,
-                "final_mae": result.final_mae,
-            }
-        )
-    if out_path is not None and rows:
-        write_summary_csv(Path(out_path), rows)
-    return rows

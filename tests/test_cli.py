@@ -8,8 +8,9 @@ import pytest
 
 import fragpair.pipeline
 from fragpair.cli import build_parser, main
+from fragpair.config import ExperimentConfig
 from fragpair.data import default_feature_cols, load_csv
-from fragpair.pipeline import PipelineError
+from fragpair.pipeline import PipelineError, prepare_splits, run_experiment
 
 
 @pytest.fixture(autouse=True)
@@ -131,7 +132,7 @@ class TestRun:
         assert candidates[0].name.startswith("select_")
 
     @pytest.mark.parametrize("command", [
-        ["run"], ["compare-pairings", "--pairings", "1-3,2-4"], ["reference"],
+        ["run"], ["generate", "--out", "data.csv"], ["reference"],
     ])
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--epochs", "2"], ["--mode", "vanilla"]])
     def test_run_fields_have_no_flags(self, command, flag, capsys) -> None:
@@ -139,6 +140,25 @@ class TestRun:
             build_parser().parse_args(command + flag)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source, seed", [
+        ({"kind": "synthetic", "n": 6}, 0), ("csv", 4), ("csv", 5),
+    ], ids=["synthetic_n6", "csv_seed4", "csv_seed5"])
+    @pytest.mark.filterwarnings("ignore:fragment . is empty")
+    def test_a_held_out_split_with_one_label_value(self, tmp_path, output_root, source,
+                                                   seed) -> None:
+        if source == "csv":
+            # Label 9 on every tenth row, 5 elsewhere.
+            data = tmp_path / "data.csv"
+            data.write_text("x0,x1,label\n" + "".join(
+                f"{k / 40},0.5,{9 if k % 10 == 0 else 5}\n" for k in range(40)))
+            source = csv_source(data, gt_col=None)
+        argv = ["run", *set_flag("dataset", source), "--set", "mode=vanilla",
+                "--set", "epochs=2", "--set", f"seed={seed}", "--out-dir", "r"]
+        assert main(argv) == 0
+        _, test = prepare_splits(ExperimentConfig.from_file(output_root / "r" / "config.json"))
+        assert test.label_range == 0.0
+        assert len((output_root / "r" / "metrics.jsonl").read_text().splitlines()) == 2
 
     def test_set_overrides(self, tmp_path, output_root) -> None:
         cfg = small_config_file(tmp_path)
@@ -162,18 +182,26 @@ class TestRun:
         assert "mrae" in record
 
 
-class TestComparePairingsCommand:
-    def test_writes_comparison_csv(self, tmp_path, output_root, capsys) -> None:
+class TestPairingComparison:
+    """A pairing comparison is one ``run`` per pairing, then one ``report``."""
+
+    def test_one_run_per_pairing_and_one_report(self, tmp_path, output_root, capsys) -> None:
         cfg = small_config_file(tmp_path)
-        out = tmp_path / "cmp.csv"
-        code = main([
-            "compare-pairings", "--config", cfg,
-            "--pairings", "1-3,2-4;1-2,3-4", "--out", str(out),
-        ])
-        assert code == 0
-        lines = out.read_text().strip().split("\n")
-        assert len(lines) == 3
-        assert "1-3;2-4" in capsys.readouterr().out
+        main(["run", "--config", cfg, "--out-dir", "contrastive"])
+        main(["run", "--config", cfg, *set_flag("pairing_override", [[1, 2], [3, 4]]),
+              "--out-dir", "adjacent"])
+        runs = [output_root / "contrastive", output_root / "adjacent"]
+        capsys.readouterr()
+        assert main(["report", "--runs", *map(str, runs)]) == 0
+        header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+        assert len(rows) == 2
+        column = {name: k for k, name in enumerate(header)}
+        assert rows[0][column["config_hash"]] != rows[1][column["config_hash"]]
+        for run, row, pairing in zip(runs, rows, ([[1, 3], [2, 4]], [[1, 2], [3, 4]])):
+            assert json.loads((run / "layout.json").read_text())["pairing"] == pairing
+            rerun = run_experiment(ExperimentConfig.from_file(run / "config.json"))
+            assert float(row[column["final_err"]]) == rerun.final_err
+            assert float(row[column["final_mae"]]) == rerun.final_mae
 
 
 class TestReferenceCommand:
@@ -240,16 +268,6 @@ class TestInputErrors:
         with pytest.raises(SystemExit, match=f"--set {named}: "):
             main(argv)
 
-    @pytest.mark.parametrize("pairings, chunk", [
-        ("1-3,2-4;1-2,3", "'1-2,3'"),
-        ("1-3,2-x", "'1-3,2-x'"),
-    ])
-    def test_malformed_pairings(self, tmp_path, pairings, chunk) -> None:
-        argv = ["compare-pairings", "--config", small_config_file(tmp_path),
-                "--pairings", pairings]
-        with pytest.raises(SystemExit, match=chunk):
-            main(argv)
-
     def exits_naming(self, argv, message) -> None:
         """``main(argv)`` exits with one line that starts with the command and
         holds ``message``."""
@@ -302,8 +320,7 @@ class TestInputErrors:
         self.exits_naming(argv, f"fragpair {command[0]}: dataset.gt_col: ")
         assert not output_root.exists()
 
-    @pytest.mark.parametrize("command", [["run"], ["compare-pairings", "--pairings", "1-3,2-4"]],
-                             ids=["run", "compare_pairings"])
+    @pytest.mark.parametrize("command", [["run"]], ids=["run"])
     @pytest.mark.parametrize("content, message", [
         (None, "no such file: "),
         ("x0,x1,label\n0.1,zz,1\n", "row 1: cannot parse x1='zz' as a number"),
@@ -316,6 +333,13 @@ class TestInputErrors:
             data.write_text(content)
         argv = [*command, *set_flag("dataset", csv_source(data, gt_col=None))]
         self.exits_naming(argv, f"epoch 0, stage prepare: {message}")
+
+    def test_a_training_set_with_one_label_value(self, tmp_path, output_root) -> None:
+        data = tmp_path / "data.csv"
+        data.write_text("x0,x1,label\n" + "".join(f"{k},0.5,5\n" for k in range(20)))
+        argv = ["run", *set_flag("dataset", csv_source(data, gt_col=None)), "--out-dir", "r"]
+        self.exits_naming(argv, "epoch 0, stage fragment: observed label range is degenerate")
+        assert (output_root / "r" / "metrics.jsonl").read_text() == ""
 
     def test_out_dir_that_is_a_file(self, tmp_path) -> None:
         taken = tmp_path / "taken"
@@ -330,22 +354,15 @@ class TestInputErrors:
         with pytest.raises(PipelineError, match="^epoch 0, stage pairing: empty fragment"):
             main(argv)
 
-    @pytest.mark.parametrize("pairings, sets, message", [
-        ("1-1,2-3", [], "pairing_override: pair (1, 1) must be ordered i < j"),
-        ("1-2,3-4", ["--set", "fragments=6"], "pairing_override: covers 4 fragments, expected 6"),
-    ])
-    def test_invalid_matching(self, tmp_path, pairings, sets, message) -> None:
-        argv = ["compare-pairings", "--config", small_config_file(tmp_path),
-                "--pairings", pairings] + sets
+    @pytest.mark.parametrize("pairing, sets, message", [
+        ([[1, 1], [2, 3]], [], "pairing_override: pair (1, 1) must be ordered i < j"),
+        ([[1, 2], [3, 4]], ["--set", "fragments=6"], "pairing_override: covers 4 fragments, expected 6"),
+    ], ids=["unordered_pair", "too_few_fragments"])
+    def test_invalid_matching(self, tmp_path, output_root, pairing, sets, message) -> None:
+        argv = ["run", "--config", small_config_file(tmp_path),
+                *set_flag("pairing_override", pairing), *sets, "--out-dir", "r"]
         self.exits_naming(argv, message)
-
-    def test_invalid_last_matching_starts_no_run(self, tmp_path, monkeypatch) -> None:
-        calls = []
-        monkeypatch.setattr(fragpair.pipeline, "run_experiment", lambda *a, **k: calls.append(a))
-        argv = ["compare-pairings", "--config", small_config_file(tmp_path),
-                "--pairings", "1-3,2-4;1-2,3-4;1-1,2-3"]
-        self.exits_naming(argv, "pair (1, 1)")
-        assert calls == []
+        assert not output_root.exists()
 
     def test_report_on_a_missing_directory(self, tmp_path) -> None:
         missing = tmp_path / "missing"

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fragpair.data import Dataset
+from fragpair.data import DataError, Dataset
 from fragpair.fragments import (
     FragmentationError,
     FragmentationScheme,
@@ -79,6 +79,11 @@ class TestFragmentLabels:
         for F in (3, 2, 14):
             with pytest.raises(FragmentationError):
                 fragment_labels(ds, F)
+
+    def test_degenerate_range_rejected(self) -> None:
+        ds = Dataset(x=np.ones((3, 1)), y=np.full(3, 7.0))
+        with pytest.raises(DataError, match="observed label range is degenerate"):
+            fragment_labels(ds, 4)
 
     def test_empty_fragment_warns_and_uses_midpoint(self) -> None:
         y = np.array([1.0, 2.0, 99.0, 100.0, 1.5, 98.0])

@@ -20,7 +20,6 @@ from fragpair.experts import KShrinkWarning, knn_votes
 from fragpair.metrics import mrae
 from fragpair.pipeline import (
     PipelineError,
-    compare_pairings,
     prepare_splits,
     run_experiment,
     run_noise_free_reference,
@@ -707,32 +706,6 @@ class TestReferenceRun:
         assert ref.config.dataset["label_col"] == "gt"
         train, _ = prepare_splits(ref.config)
         assert np.array_equal(train.y, train.y_gt)
-
-
-class TestComparePairings:
-    def test_single_pairing_single_row(self) -> None:
-        rows = compare_pairings(small_config(), [[[1, 3], [2, 4]]])
-        assert len(rows) == 1
-        assert rows[0]["pairing"] == "1-3;2-4"
-
-    def test_duplicates_deduplicated_with_note(self) -> None:
-        with pytest.warns(UserWarning, match="duplicate"):
-            rows = compare_pairings(
-                small_config(),
-                [[[1, 3], [2, 4]], [[2, 4], [1, 3]]],
-            )
-        assert len(rows) == 1
-
-    def test_invalid_matching_rejected(self) -> None:
-        with pytest.raises(Exception):
-            compare_pairings(small_config(), [[[1, 2], [2, 3]]])
-
-    def test_csv_written(self, tmp_path) -> None:
-        out = tmp_path / "cmp.csv"
-        compare_pairings(small_config(), [[[1, 3], [2, 4]], [[1, 2], [3, 4]]], out_path=out)
-        lines = out.read_text().strip().split("\n")
-        assert len(lines) == 3  # header + two pairings
-        assert lines[0].startswith("pairing,")
 
 
 class TestSplitsPreparation:

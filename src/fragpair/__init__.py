@@ -11,13 +11,7 @@ from .data import (
     write_csv,
     write_jsonl,
 )
-from .experts import (
-    ExpertEnsemble,
-    build_feature_bank,
-    init_ensemble,
-    pair_sets,
-    train_experts_epoch,
-)
+from .experts import build_feature_bank, init_ensemble, pair_sets, train_experts_epoch
 from .fragments import (
     FragmentationScheme,
     JitteredScheme,

@@ -1,4 +1,4 @@
-"""Dataset container, CSV/JSONL ingestion, synthetic generation and label-noise injection."""
+"""Dataset container, CSV reading, CSV and JSON-lines writing, synthetic data and label noise."""
 
 from __future__ import annotations
 
@@ -182,14 +182,18 @@ def load_csv(
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         wanted = list(feature_cols) + [label_col] + ([gt_col] if gt_col is not None else [])
         missing = [c for c in wanted if c not in header]
         if missing:
             raise DataError(f"missing columns: {', '.join(missing)}")
         xs, ys, gts = [], [], []
-        for row_idx, row in enumerate(reader, start=1):
+        # A blank line is no row.
+        for row_idx, cells in enumerate(filter(None, reader), start=1):
+            if len(cells) != len(header):
+                raise DataError(f"row {row_idx}: {len(cells)} cell(s) where the header has {len(header)}")
+            row = dict(zip(header, cells))
             xs.append([_parse_cell(row[c], c, row_idx) for c in feature_cols])
             ys.append(_parse_cell(row[label_col], label_col, row_idx))
             if gt_col is not None:

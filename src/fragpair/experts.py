@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+
 import numpy as np
 
 from .data import Dataset
@@ -14,37 +14,16 @@ from .net import train_step  # noqa: F401
 from .rng import derive_seed, stream
 
 Pair = tuple[int, int]
+# A run's experts: one net per pair of its pairing, in pairing order.
+Experts = dict[Pair, Net]
 # Each pair's (sample rows, fragment tags) under one epoch's jittered coverage.
 PairSets = dict[Pair, tuple[np.ndarray, np.ndarray]]
 # One epoch's expert pass: each pair expert's (outputs, features) per training row.
 Passes = dict[Pair, tuple[np.ndarray, np.ndarray]]
 
-OBJECTIVES = ("classify", "regress")
-
 
 class ExpertError(ValueError):
-    """Raised for ensemble misuse: unknown pairs, empty training classes, bad K."""
-
-
-@dataclass
-class ExpertEnsemble:
-    """One small network per contrastive fragment pair.
-
-    ``classify`` experts emit the logit of membership in the lower-indexed
-    fragment of their pair.  ``regress`` experts emit a normalized label
-    prediction; :func:`predict_label` rescales it to label units.
-    """
-
-    pairing: Pairing
-    experts: dict[Pair, Net]
-    objective: str = "classify"
-    label_lo: float = 0.0
-    label_range: float = 1.0
-
-    def expert_for(self, pair: Pair) -> Net:
-        if pair not in self.experts:
-            raise ExpertError(f"no expert for pair {pair}")
-        return self.experts[pair]
+    """Raised for expert misuse: unknown pairs, empty training classes, bad K."""
 
 
 def init_ensemble(
@@ -53,13 +32,9 @@ def init_ensemble(
     hidden_dims: tuple[int, ...],
     activation: str,
     seed: int,
-    objective: str = "classify",
-    label_lo: float = 0.0,
-    label_range: float = 1.0,
-) -> ExpertEnsemble:
-    """One deterministic network per pair, each with its own derived seed."""
-    if objective not in OBJECTIVES:
-        raise ExpertError(f"objective must be one of {OBJECTIVES}")
+) -> Experts:
+    """One deterministic network per pair, each with its own derived seed; its one
+    output is a logit or a normalized label, as :func:`train_experts_epoch` trains it."""
     experts = {}
     for pair in pairing.pairs:
         spec = NetSpec(
@@ -70,13 +45,7 @@ def init_ensemble(
             seed=derive_seed(seed, "expert", pair),
         )
         experts[pair] = init_net(spec)
-    return ExpertEnsemble(
-        pairing=pairing,
-        experts=experts,
-        objective=objective,
-        label_lo=label_lo,
-        label_range=label_range,
-    )
+    return experts
 
 
 def pair_sets(pairing: Pairing, js: JitteredScheme, y: np.ndarray) -> PairSets:
@@ -101,57 +70,57 @@ def pair_sets(pairing: Pairing, js: JitteredScheme, y: np.ndarray) -> PairSets:
 
 
 def train_experts_epoch(
-    ens: ExpertEnsemble,
+    experts: Experts,
     ds: Dataset,
     sets: PairSets,
+    labels: np.ndarray | None,
     lr: float,
     batch_size: int,
     seed: int,
 ) -> dict[Pair, float]:
     """One epoch of mini-batch steps per expert; returns mean pre-step losses.
 
-    Classification experts train with binary cross-entropy on logits (target
-    1 for the lower-indexed fragment); regression experts train with mean
-    squared error on normalized labels.  ``sets`` is the epoch's
-    :func:`pair_sets`.  Shuffling is deterministic per (seed, pair).
+    With ``labels`` None each expert is a classifier, trained with binary
+    cross-entropy on logits (target 1 for the lower-indexed fragment);
+    otherwise it regresses ``labels`` at its rows with mean squared error.
+    ``sets`` is the epoch's :func:`pair_sets`.  Shuffling is deterministic
+    per (seed, pair).
     """
     losses: dict[Pair, float] = {}
-    for pair in ens.pairing.pairs:
+    for pair, net in experts.items():
         rows, tags = sets[pair]
-        if ens.objective == "classify":
-            targets = (tags == pair[0]).astype(np.float64)
-            loss_name = "bce_logits"
+        if labels is None:
+            targets, loss_name = (tags == pair[0]).astype(np.float64), "bce_logits"
         else:
-            targets = (ds.y[rows] - ens.label_lo) / ens.label_range
-            loss_name = "mse"
+            targets, loss_name = labels[rows], "mse"
         order = stream(seed, "shuffle", pair).permutation(len(rows))
         # Sample-weighted mean: invariant to the shuffle when lr is zero.
-        losses[pair] = train_epoch(
-            ens.experts[pair], ds.x[rows], targets, order, loss_name, lr, batch_size
-        )
+        losses[pair] = train_epoch(net, ds.x[rows], targets, order, loss_name, lr, batch_size)
     return losses
+
+
+def _forward(experts: Experts, pair: Pair, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if pair not in experts:
+        raise ExpertError(f"no expert for pair {pair}")
+    return forward_batch(experts[pair], X)
 
 
 # pair_logits, pair_features and predict_label: src/ calls none of them; the
 # tests' oracles do, and benchmark/tracing.py patches them by name.
-def pair_logits(ens: ExpertEnsemble, pair: Pair, X: np.ndarray) -> np.ndarray:
-    out, _ = forward_batch(ens.expert_for(pair), X)
-    return out[:, 0]
+def pair_logits(experts: Experts, pair: Pair, X: np.ndarray) -> np.ndarray:
+    return _forward(experts, pair, X)[0][:, 0]
 
 
-def pair_features(ens: ExpertEnsemble, pair: Pair, X: np.ndarray) -> np.ndarray:
-    _, feats = forward_batch(ens.expert_for(pair), X)
-    return feats
+def pair_features(experts: Experts, pair: Pair, X: np.ndarray) -> np.ndarray:
+    return _forward(experts, pair, X)[1]
 
 
-def predict_label(ens: ExpertEnsemble, pair: Pair, X: np.ndarray) -> np.ndarray:
-    """Regression experts' output rescaled to label units."""
-    if ens.objective != "regress":
-        raise ExpertError("predict_label requires a regression ensemble")
-    return ens.label_lo + pair_logits(ens, pair, X) * ens.label_range
+def predict_label(experts: Experts, pair: Pair, X: np.ndarray, lo: float, span: float) -> np.ndarray:
+    """A regression expert's output rescaled to label units, ``lo + out * span``."""
+    return lo + pair_logits(experts, pair, X) * span
 
 
-def build_feature_bank(ens: ExpertEnsemble, ds: Dataset) -> Passes:
+def build_feature_bank(experts: Experts, ds: Dataset) -> Passes:
     """The epoch's expert pass: each pair's current expert run once over
     every training row, its (outputs, features) per pair.
 
@@ -161,8 +130,8 @@ def build_feature_bank(ens: ExpertEnsemble, ds: Dataset) -> Passes:
     the experts train, so stale banks would vote in the wrong geometry.
     """
     passes: Passes = {}
-    for pair in ens.pairing.pairs:
-        out, feats = forward_batch(ens.expert_for(pair), ds.x)
+    for pair, net in experts.items():
+        out, feats = forward_batch(net, ds.x)
         passes[pair] = out[:, 0], feats
     return passes
 

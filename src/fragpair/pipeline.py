@@ -22,7 +22,7 @@ from .config import ConfigError, ExperimentConfig
 from .data import Dataset, generate_synthetic, load_csv, split_dataset
 from .data import inject_gaussian_noise, inject_symmetric_noise
 from .experts import (
-    ExpertEnsemble,
+    Experts,
     Pair,
     PairSets,
     Passes,
@@ -259,25 +259,28 @@ class _Votes:
 
 def _train_experts(
     cfg: ExperimentConfig,
-    ens: ExpertEnsemble,
+    experts: Experts,
+    pairing: Pairing,
     scheme: FragmentationScheme,
     train: Dataset,
+    labels: Optional[np.ndarray],
     epoch: int,
 ) -> tuple[dict, PairSets, Passes] | PipelineError:
-    """Epoch ``epoch``'s expert half: its jitter and pair sets, one training
-    epoch per pair expert and the expert pass, with the epoch's record begun.
-    A failure is returned as the :class:`PipelineError` naming epoch and stage."""
+    """Epoch ``epoch``'s expert half: its jitter and pair sets, one training epoch
+    per pair expert on ``labels`` and the expert pass, with the epoch's record
+    begun.  A failure is returned as the :class:`PipelineError` naming epoch and stage."""
     stage = "jitter"
     try:
         js = jitter_scheme(scheme, cfg.jitter, cfg.seed, epoch)
         record = {"epoch": epoch, "jitter_delta": js.delta}
 
         stage = "train_experts"
-        sets = pair_sets(ens.pairing, js, train.y)
+        sets = pair_sets(pairing, js, train.y)
         losses = train_experts_epoch(
-            ens,
+            experts,
             train,
             sets,
+            labels,
             cfg.expert_lr,
             cfg.batch_size,
             derive_seed(cfg.seed, "expert_epoch", epoch),
@@ -285,7 +288,7 @@ def _train_experts(
         record["expert_loss"] = float(np.mean(list(losses.values())))
 
         stage = "build_banks"
-        return record, sets, build_feature_bank(ens, train)
+        return record, sets, build_feature_bank(experts, train)
     except Exception as exc:
         return _stage_error(epoch, stage, exc)
 
@@ -351,7 +354,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
         lo, span = train.label_min, train.label_range
         norm_targets = (train.y - lo) / span
         pairing: Optional[Pairing] = None
-        ens: Optional[ExpertEnsemble] = None
+        experts: Optional[Experts] = None
+        # Regression experts regress the regressor's own targets.
+        regress = cfg.mode == "select_regr"
+        expert_labels = norm_targets if regress else None
         if cfg.mode != "vanilla":
             stage = "pairing"
             empty = [str(f) for f in np.flatnonzero(scheme.counts == 0) + 1]
@@ -363,15 +369,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
                 pairing = Pairing.from_json(cfg.pairing_override)
             else:
                 pairing = select_contrastive_pairing(fragment_edge_weights(train, scheme))
-            ens = init_ensemble(
+            experts = init_ensemble(
                 pairing,
                 input_dim=train.d,
                 hidden_dims=cfg.expert_net["hidden_dims"],
                 activation=cfg.expert_net["activation"],
                 seed=derive_seed(cfg.seed, "experts"),
-                objective="classify" if cfg.mode == "select" else "regress",
-                label_lo=lo,
-                label_range=span,
             )
 
         reg = init_net(
@@ -386,15 +389,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
 
         result = RunResult(config=cfg, pairing=pairing, out_dir=out_dir)
         # The labels never change during a run: format their selection-row tails once.
-        paired_dir = out_dir is not None and ens is not None
+        paired_dir = out_dir is not None and experts is not None
         tails = SelectionOutcome.jsonl_tails(train) if paired_dir else None
 
+        def expert_half(e: int):
+            return _train_experts(cfg, experts, pairing, scheme, train, expert_labels, e)
         # The next epoch's record, sets and pass, or the PipelineError its expert
         # half returned, raised when that epoch comes.
-        ahead = _train_experts(cfg, ens, scheme, train, 1) if ens is not None else None
+        ahead = expert_half(1) if experts is not None else None
 
         for epoch in range(1, cfg.epochs + 1):
-            if ens is None:
+            if experts is None:
                 record: dict = {"epoch": epoch}
                 selected = np.arange(train.n)
             else:
@@ -406,8 +411,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
                     votes = _Votes(cfg.knn_k)
                     votes.submit(sets, passes)
                 # The next epoch's expert half, done while this epoch's votes are.
-                ahead = (_train_experts(cfg, ens, scheme, train, epoch + 1)
-                         if epoch < cfg.epochs else None)
+                ahead = expert_half(epoch + 1) if epoch < cfg.epochs else None
                 winners = votes.collect()
                 # Handed over before this epoch is finished, so that the next
                 # vote runs while it is.
@@ -416,7 +420,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
                         votes.submit(*ahead[1:])
                     except Exception as exc:
                         ahead = _stage_error(epoch + 1, "select", exc)
-                outcome = select_clean(train, ens, scheme, passes, winners, cfg.seed, epoch)
+                outcome = select_clean(train, pairing, scheme, passes, winners, regress,
+                                       cfg.seed, epoch)
                 selected = outcome.combine(cfg.selection_combine)
                 record["n_pred"] = int(outcome.chosen_pred.sum())
                 record["n_repr"] = int(outcome.chosen_repr.sum())
@@ -465,8 +470,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
             ckpt_dir = out_dir / "checkpoints"
             ckpt_dir.mkdir(exist_ok=True)
             save_net(reg, ckpt_dir / "regressor.npz")
-            if ens is not None:
-                for (i, j), net in ens.experts.items():
+            if experts is not None:
+                for (i, j), net in experts.items():
                     save_net(net, ckpt_dir / f"expert_{i}_{j}.npz")
             write_summary_csv(out_dir / "summary.csv", [summary_row(cfg, result.final)])
         return result

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .experts import ExpertEnsemble, Pair, Passes
+from .experts import Pair, Passes
 # Not called here; benchmark/tracing.py patches these names in this module.
 from .experts import knn_votes, pair_features, pair_logits, predict_label  # noqa: F401
 from .fragments import FragmentationScheme, Pairing
@@ -42,25 +42,24 @@ def neighborhood_gate(self_matrix: np.ndarray) -> np.ndarray:
 
 
 def pred_winners(
-    ens: ExpertEnsemble, scheme: FragmentationScheme, passes: Passes
+    scheme: FragmentationScheme, passes: Passes, regress: bool
 ) -> dict[Pair, np.ndarray]:
     """Each pair's predictive vote per training row, from the outputs of the
     epoch's expert pass, ``passes``.
 
-    The vote is the fragment the expert's output names, as the ensemble's
-    objective reads it: a ``classify`` expert's hard classification, a
-    ``regress`` expert's nearer pair mean (the expression of
+    The vote is the fragment the expert's output names: a classifier's hard
+    classification, or, where ``regress``, the pair mean nearer the output
+    rescaled to label units over the scheme's range (the expression of
     ``predict_label``), and 0, neither fragment, where both means are
     equally near.
     """
     winners = {}
-    for pair in ens.pairing.pairs:
+    for pair, (out, _) in passes.items():
         i, j = pair
-        out = passes[pair][0]
-        if ens.objective == "classify":
+        if not regress:
             winners[pair] = np.where(out > 0.0, i, j)
         else:
-            h = ens.label_lo + out * ens.label_range
+            h = scheme.label_min + out * scheme.label_range
             di = np.abs(scheme.means[i - 1] - h)
             dj = np.abs(scheme.means[j - 1] - h)
             winners[pair] = np.where(di < dj, i, np.where(dj < di, j, 0))
@@ -193,22 +192,24 @@ def bernoulli_select(
 
 def select_clean(
     ds: Dataset,
-    ens: ExpertEnsemble,
+    pairing: Pairing,
     scheme: FragmentationScheme,
     passes: Passes,
     repr_winners: dict[Pair, np.ndarray],
+    regress: bool,
     seed: int,
     epoch: int,
 ) -> SelectionOutcome:
     """Both per-sample clean probabilities, then the epoch's Bernoulli picks.
 
-    The predictive vote is the one the ensemble's objective gives from the
-    outputs of ``passes``, the epoch's expert pass (see :func:`pred_winners`);
-    ``repr_winners`` is the epoch's K-NN vote per pair (``experts.knn_votes``).
+    The predictive vote is the one that classifier experts, or regression
+    experts where ``regress``, give from the outputs of ``passes``, the
+    epoch's expert pass (see :func:`pred_winners`); ``repr_winners`` is the
+    epoch's K-NN vote per pair (``experts.knn_votes``).
     """
     rho = prior_rows(ds.y, scheme.means, scheme.label_range)
-    pred = pred_winners(ens, scheme, passes)
-    alpha_pred = neighborhood_gate(self_agreement_matrix(ens.pairing, pred))
-    alpha_repr = neighborhood_gate(self_agreement_matrix(ens.pairing, repr_winners))
+    pred = pred_winners(scheme, passes, regress)
+    alpha_pred = neighborhood_gate(self_agreement_matrix(pairing, pred))
+    alpha_repr = neighborhood_gate(self_agreement_matrix(pairing, repr_winners))
     p_pred, p_repr = (rho * alpha_pred).sum(axis=1), (rho * alpha_repr).sum(axis=1)
     return bernoulli_select(p_pred, p_repr, seed, epoch)

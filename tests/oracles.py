@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from fragpair.experts import (
-    ExpertEnsemble,
+    Experts,
     Pair,
     PairSets,
     Passes,
@@ -145,13 +145,13 @@ def gradient_check(
 # --- experts ----------------------------------------------------------------
 
 
-def classify_pair(ens: ExpertEnsemble, pair: Pair, x: np.ndarray) -> int:
+def classify_pair(experts: Experts, pair: Pair, x: np.ndarray) -> int:
     """Hard classification into one of the pair's fragments.
 
     Positive logit means the lower-indexed fragment; an exact zero logit is
     resolved to the higher-indexed fragment.
     """
-    logit = float(pair_logits(ens, pair, np.asarray(x, dtype=np.float64)[None, :])[0])
+    logit = float(pair_logits(experts, pair, np.asarray(x, dtype=np.float64)[None, :])[0])
     i, j = pair
     return i if logit > 0.0 else j
 
@@ -184,30 +184,34 @@ def fragment_prior(y: float, scheme: FragmentationScheme) -> np.ndarray:
     return prior_rows(np.asarray([y]), scheme.means, scheme.label_range)[0]
 
 
-def self_agreement_pred(x: np.ndarray, f: int, ens: ExpertEnsemble) -> int:
+def self_agreement_pred(x: np.ndarray, f: int, experts: Experts, pairing: Pairing) -> int:
     """1 iff the pair expert classifies x into fragment f rather than its partner."""
-    pair = pair_of(ens.pairing, f)
-    return int(classify_pair(ens, pair, x) == f)
+    pair = pair_of(pairing, f)
+    return int(classify_pair(experts, pair, x) == f)
 
 
-def self_agreement_repr(x: np.ndarray, f: int, ens: ExpertEnsemble, banks: Banks, K: int) -> int:
+def self_agreement_repr(
+    x: np.ndarray, f: int, experts: Experts, pairing: Pairing, banks: Banks, K: int
+) -> int:
     """1 iff the K-NN vote in the pair expert's feature space lands on f."""
-    pair = pair_of(ens.pairing, f)
-    feature = pair_features(ens, pair, np.asarray(x, dtype=np.float64)[None, :])[0]
+    pair = pair_of(pairing, f)
+    feature = pair_features(experts, pair, np.asarray(x, dtype=np.float64)[None, :])[0]
     return int(knn_classify(*banks[pair], feature, K, pair) == f)
 
 
 def self_agreement_regr(
-    x: np.ndarray, f: int, ens: ExpertEnsemble, scheme: FragmentationScheme
+    x: np.ndarray, f: int, experts: Experts, pairing: Pairing, scheme: FragmentationScheme
 ) -> int:
-    """1 iff the pair's regression output is strictly nearer f's mean label.
+    """1 iff the pair's regression output, in label units over the scheme's
+    range, is strictly nearer f's mean label.
 
     The strict inequality makes an exact midpoint count as disagreement for
     both fragments of the pair.
     """
-    pair = pair_of(ens.pairing, f)
-    mate = partner(ens.pairing, f)
-    h = float(predict_label(ens, pair, np.asarray(x, dtype=np.float64)[None, :])[0])
+    pair = pair_of(pairing, f)
+    mate = partner(pairing, f)
+    X = np.asarray(x, dtype=np.float64)[None, :]
+    h = float(predict_label(experts, pair, X, scheme.label_min, scheme.label_range)[0])
     own = abs(scheme.means[f - 1] - h)
     other = abs(scheme.means[mate - 1] - h)
     return int(own < other)
@@ -230,7 +234,8 @@ def neighborhood_agreement(f: int, self_agreements: np.ndarray) -> int:
 def selection_probability(
     x: np.ndarray,
     y: float,
-    ens: ExpertEnsemble,
+    experts: Experts,
+    pairing: Pairing,
     variant: str,
     scheme: FragmentationScheme,
     banks: Optional[Banks] = None,
@@ -240,17 +245,17 @@ def selection_probability(
 
     The scalar rules composed one sample at a time: the reference that the
     vectorized ``select_clean`` is tested against.  "pred" and "regr" are
-    the predictive votes of a ``classify`` and a ``regress`` ensemble.
+    the predictive votes of classifier and of regression experts.
     """
-    fragments = range(1, ens.pairing.num_fragments + 1)
+    fragments = range(1, pairing.num_fragments + 1)
     if variant == "pred":
-        votes = [self_agreement_pred(x, f, ens) for f in fragments]
+        votes = [self_agreement_pred(x, f, experts, pairing) for f in fragments]
     elif variant == "repr":
         if banks is None:
             raise ValueError("representational agreement requires feature banks")
-        votes = [self_agreement_repr(x, f, ens, banks, K) for f in fragments]
+        votes = [self_agreement_repr(x, f, experts, pairing, banks, K) for f in fragments]
     elif variant == "regr":
-        votes = [self_agreement_regr(x, f, ens, scheme) for f in fragments]
+        votes = [self_agreement_regr(x, f, experts, pairing, scheme) for f in fragments]
     else:
         raise ValueError("variant must be 'pred', 'repr' or 'regr'")
     alpha = np.array([neighborhood_agreement(f, votes) for f in fragments], dtype=np.float64)

@@ -325,7 +325,9 @@ class TestInputErrors:
         (None, "no such file: "),
         ("x0,x1,label\n0.1,zz,1\n", "row 1: cannot parse x1='zz' as a number"),
         ("a,b\n1,2\n", "missing columns: x0, x1, label"),
-    ], ids=["missing", "unparsable", "no_columns"])
+        ("x0,x1,label\n0.1,0.5,1\n0.2,0.6\n", "row 2: 2 cell(s) where the header has 3"),
+        ("x0,x1,label\n0.1,0.5,1\n0.2,0.6,2,9\n", "row 2: 4 cell(s) where the header has 3"),
+    ], ids=["missing", "unparsable", "no_columns", "short_row", "long_row"])
     def test_unreadable_data_before_the_first_epoch(self, tmp_path, command, content,
                                                     message) -> None:
         data = tmp_path / "data.csv"

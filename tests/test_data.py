@@ -48,6 +48,22 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 2"):
             load_csv(path, ["a"], "label")
 
+    # csv.DictReader fills a short row's missing cells with None and files a
+    # long row's extra cells apart: both are errors here, naming the row.
+    @pytest.mark.parametrize("text, cells", [
+        ("x0,label\n0.1,1\n0.2\n0.3,3\n", 1),
+        ("x0,label\n0.1,1\n0.2,2,9\n0.3,3\n", 3),
+    ], ids=["short", "long"])
+    def test_row_with_wrong_cell_count_names_row(self, tmp_path, text, cells) -> None:
+        path = _write(tmp_path / "d.csv", text)
+        with pytest.raises(DataError, match=f"^row 2: {cells} cell\\(s\\) where the header has 2$"):
+            load_csv(path, ["x0"], "label")
+
+    def test_blank_lines_are_no_rows(self, tmp_path) -> None:
+        path = _write(tmp_path / "d.csv", "x0,label\n0.1,1\n\n0.2,2\n\n")
+        ds = load_csv(path, ["x0"], "label")
+        assert np.array_equal(ds.y, [1.0, 2.0])
+
     def test_missing_file(self, tmp_path) -> None:
         with pytest.raises(DataError, match="no such file"):
             load_csv(tmp_path / "absent.csv", ["a"], "label")

@@ -21,6 +21,7 @@ from fragpair.net import forward_batch
 from oracles import classify_pair, feature_banks, forward, knn_classify
 
 STRIDE = Pairing(pairs=((1, 3), (2, 4)))
+ADJACENT = Pairing(pairs=((1, 2), (3, 4)))
 
 
 def clean_dataset(n: int = 400, seed: int = 0) -> Dataset:
@@ -30,73 +31,86 @@ def clean_dataset(n: int = 400, seed: int = 0) -> Dataset:
 def make_ensemble(
     ds: Dataset,
     seed: int = 0,
-    objective: str = "classify",
     hidden_dims: tuple[int, ...] = (16, 8),
     activation: str = "relu",
 ):
     scheme = fragment_labels(ds, 4)
-    ens = init_ensemble(
+    experts = init_ensemble(
         STRIDE,
         input_dim=ds.d,
         hidden_dims=hidden_dims,
         activation=activation,
         seed=seed,
-        objective=objective,
-        label_lo=ds.label_min,
-        label_range=ds.label_range,
     )
-    return ens, scheme
+    return experts, scheme
+
+
+def norm_labels(ds: Dataset) -> np.ndarray:
+    """A run's regression targets: the labels scaled to [0, 1] over their range."""
+    return (ds.y - ds.label_min) / ds.label_range
 
 
 class TestEnsembleInit:
     def test_one_expert_per_pair(self) -> None:
         ds = clean_dataset()
-        ens, _ = make_ensemble(ds)
-        assert set(ens.experts) == {(1, 3), (2, 4)}
-        for net in ens.experts.values():
+        experts, _ = make_ensemble(ds)
+        assert list(experts) == [(1, 3), (2, 4)]
+        for net in experts.values():
             assert net.spec.output_dim == 1
 
     def test_experts_get_distinct_seeds(self) -> None:
         ds = clean_dataset()
-        ens, _ = make_ensemble(ds)
-        w13 = ens.experts[(1, 3)].weights[0]
-        w24 = ens.experts[(2, 4)].weights[0]
+        experts, _ = make_ensemble(ds)
+        w13 = experts[(1, 3)].weights[0]
+        w24 = experts[(2, 4)].weights[0]
         assert not np.array_equal(w13, w24)
 
 
 class TestTraining:
     def test_separated_fragments_reach_high_accuracy(self) -> None:
         ds = clean_dataset(n=400)
-        ens, scheme = make_ensemble(ds)
+        experts, scheme = make_ensemble(ds)
         sets = pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), ds.y)
         for epoch in range(50):
-            train_experts_epoch(ens, ds, sets, lr=0.1, batch_size=32, seed=epoch)
+            train_experts_epoch(experts, ds, sets, None, lr=0.1, batch_size=32, seed=epoch)
         assignment = scheme.assign_many(ds.y)
         for pair in STRIDE.pairs:
             members = np.flatnonzero(np.isin(assignment, pair))
             hits = sum(
-                classify_pair(ens, pair, ds.x[idx]) == assignment[idx]
+                classify_pair(experts, pair, ds.x[idx]) == assignment[idx]
                 for idx in members
             )
             assert hits / len(members) > 0.95
 
-    def test_lr_zero_keeps_losses_constant(self) -> None:
+    @pytest.mark.parametrize("regress", [False, True], ids=["classify", "regress"])
+    def test_lr_zero_keeps_losses_constant(self, regress: bool) -> None:
         ds = clean_dataset(n=200)
-        ens, scheme = make_ensemble(ds)
-        sets = pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), ds.y)
-        first = train_experts_epoch(ens, ds, sets, lr=0.0, batch_size=64, seed=1)
-        second = train_experts_epoch(ens, ds, sets, lr=0.0, batch_size=64, seed=2)
-        for pair in STRIDE.pairs:
+        # Adjacent pairs, jittered: rows in the overlap of a pair's fragments train twice.
+        experts = init_ensemble(ADJACENT, input_dim=ds.d, hidden_dims=(16, 8),
+                                activation="relu", seed=0)
+        sets = pair_sets(ADJACENT, JitteredScheme(base=fragment_labels(ds, 4), delta=4.0), ds.y)
+        assert all(len(np.unique(rows)) < len(rows) for rows, _ in sets.values())
+        labels = norm_labels(ds) if regress else None
+        first = train_experts_epoch(experts, ds, sets, labels, lr=0.0, batch_size=64, seed=1)
+        second = train_experts_epoch(experts, ds, sets, labels, lr=0.0, batch_size=64, seed=2)
+        for pair in ADJACENT.pairs:
             assert first[pair] == pytest.approx(second[pair], abs=1e-12)
+        if regress:
+            for pair, (rows, _) in sets.items():
+                out, _ = forward_batch(experts[pair], ds.x[rows])
+                expected = np.mean((out[:, 0] - labels[rows]) ** 2)
+                assert first[pair] == pytest.approx(expected, rel=1e-12)
 
-    def test_identical_seeds_identical_trajectories(self) -> None:
+    @pytest.mark.parametrize("regress", [False, True], ids=["classify", "regress"])
+    def test_identical_seeds_identical_trajectories(self, regress: bool) -> None:
         ds = clean_dataset(n=200)
+        labels = norm_labels(ds) if regress else None
         trajectories = []
         for _ in range(2):
-            ens, scheme = make_ensemble(ds, seed=5)
+            experts, scheme = make_ensemble(ds, seed=5)
             sets = pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), ds.y)
             trajectories.append(
-                [train_experts_epoch(ens, ds, sets, 0.1, 32, seed=e) for e in range(5)]
+                [train_experts_epoch(experts, ds, sets, labels, 0.1, 32, seed=e) for e in range(5)]
             )
         assert trajectories[0] == trajectories[1]
 
@@ -110,10 +124,9 @@ class TestTraining:
         ds = Dataset(x=np.stack([y / 100.0, y / 100.0], axis=1), y=y)
         with pytest.warns(UserWarning):
             scheme = fragment_labels(ds, 4)
-            ens, _ = make_ensemble(ds)
         js = JitteredScheme(base=scheme, delta=0.0)
         with pytest.raises(ExpertError, match=r"\(1, 3\)"):
-            pair_sets(ens.pairing, js, ds.y)
+            pair_sets(STRIDE, js, ds.y)
 
     def test_overlap_duplicates_with_both_labels(self) -> None:
         # Adjacent pair plus a wide jitter buffer: samples near the shared
@@ -121,7 +134,7 @@ class TestTraining:
         ds = clean_dataset(n=300)
         scheme = fragment_labels(ds, 4)
         js = JitteredScheme(base=scheme, delta=4.0)
-        rows, tags = pair_sets(Pairing(pairs=((1, 2), (3, 4))), js, ds.y)[(1, 2)]
+        rows, tags = pair_sets(ADJACENT, js, ds.y)[(1, 2)]
         duplicated = [r for r in np.unique(rows) if (rows == r).sum() == 2]
         assert duplicated
         for r in duplicated:
@@ -130,33 +143,33 @@ class TestTraining:
 
 class TestClassifyPair:
     def _forced_logit_ensemble(self, ds: Dataset, logit: float):
-        ens, scheme = make_ensemble(ds)
-        net = ens.experts[(1, 3)]
+        experts, scheme = make_ensemble(ds)
+        net = experts[(1, 3)]
         for W in net.weights:
             W[:] = 0.0
         net.biases[-1][:] = logit
-        return ens
+        return experts
 
     def test_positive_logit_lower_fragment(self) -> None:
         ds = clean_dataset(50)
-        ens = self._forced_logit_ensemble(ds, 3.2)
-        assert classify_pair(ens, (1, 3), ds.x[0]) == 1
+        experts = self._forced_logit_ensemble(ds, 3.2)
+        assert classify_pair(experts, (1, 3), ds.x[0]) == 1
 
     def test_negative_logit_higher_fragment(self) -> None:
         ds = clean_dataset(50)
-        ens = self._forced_logit_ensemble(ds, -0.1)
-        assert classify_pair(ens, (1, 3), ds.x[0]) == 3
+        experts = self._forced_logit_ensemble(ds, -0.1)
+        assert classify_pair(experts, (1, 3), ds.x[0]) == 3
 
     def test_zero_logit_goes_to_higher_index(self) -> None:
         ds = clean_dataset(50)
-        ens = self._forced_logit_ensemble(ds, 0.0)
-        assert classify_pair(ens, (1, 3), ds.x[0]) == 3
+        experts = self._forced_logit_ensemble(ds, 0.0)
+        assert classify_pair(experts, (1, 3), ds.x[0]) == 3
 
     def test_unknown_pair(self) -> None:
         ds = clean_dataset(50)
-        ens, _ = make_ensemble(ds)
+        experts, _ = make_ensemble(ds)
         with pytest.raises(ExpertError):
-            classify_pair(ens, (1, 2), ds.x[0])
+            classify_pair(experts, (1, 2), ds.x[0])
 
 
 class TestFeatureBank:
@@ -164,9 +177,9 @@ class TestFeatureBank:
 
     def test_partition_without_jitter(self) -> None:
         ds = clean_dataset(n=100)
-        ens, scheme = make_ensemble(ds)
+        experts, scheme = make_ensemble(ds)
         js = JitteredScheme(base=scheme, delta=0.0)
-        banks = feature_banks(build_feature_bank(ens, ds), pair_sets(STRIDE, js, ds.y))
+        banks = feature_banks(build_feature_bank(experts, ds), pair_sets(STRIDE, js, ds.y))
         total = sum(len(banks[pair][0]) for pair in STRIDE.pairs)
         assert total == 100
         for pair in STRIDE.pairs:
@@ -174,8 +187,8 @@ class TestFeatureBank:
 
     def test_jitter_overlap_adds_entries(self) -> None:
         ds = clean_dataset(n=300)
-        ens, scheme = make_ensemble(ds)
-        passes = build_feature_bank(ens, ds)
+        experts, scheme = make_ensemble(ds)
+        passes = build_feature_bank(experts, ds)
         bank0 = feature_banks(
             passes, pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), ds.y)
         )
@@ -188,14 +201,14 @@ class TestFeatureBank:
 
     def test_bank_features_equal_expert_forward(self) -> None:
         ds = clean_dataset(n=60)
-        ens, scheme = make_ensemble(ds)
+        experts, scheme = make_ensemble(ds)
         js = JitteredScheme(base=scheme, delta=0.0)
-        banks = feature_banks(build_feature_bank(ens, ds), pair_sets(STRIDE, js, ds.y))
+        banks = feature_banks(build_feature_bank(experts, ds), pair_sets(STRIDE, js, ds.y))
         assignment = scheme.assign_many(ds.y)
         pair = (1, 3)
         member_rows = np.flatnonzero(np.isin(assignment, pair))
         for row_pos, ds_idx in enumerate(member_rows):
-            _, feats = forward(ens.experts[pair], ds.x[ds_idx])
+            _, feats = forward(experts[pair], ds.x[ds_idx])
             # Single-row and batched matmuls may differ in the last ulp.
             assert np.allclose(banks[pair][0][row_pos], feats, rtol=0, atol=1e-12)
 
@@ -207,15 +220,15 @@ class TestFeatureBank:
     )
     def test_bank_is_the_pass_rows_bit_for_bit(self, hidden_dims, activation) -> None:
         ds = clean_dataset(n=390)
-        ens, scheme = make_ensemble(ds, hidden_dims=hidden_dims, activation=activation)
+        experts, scheme = make_ensemble(ds, hidden_dims=hidden_dims, activation=activation)
         js = JitteredScheme(base=scheme, delta=5.0)
         sets = pair_sets(STRIDE, js, ds.y)
-        train_experts_epoch(ens, ds, sets, lr=0.1, batch_size=32, seed=0)
-        passes = build_feature_bank(ens, ds)
+        train_experts_epoch(experts, ds, sets, None, lr=0.1, batch_size=32, seed=0)
+        passes = build_feature_bank(experts, ds)
         banks = feature_banks(passes, sets)
         rows, frags = js.membership_rows(ds.y)
         for pair in STRIDE.pairs:
-            out, feats = forward_batch(ens.experts[pair], ds.x)
+            out, feats = forward_batch(experts[pair], ds.x)
             keep = np.isin(frags, pair)
             assert np.array_equal(banks[pair][0], feats[rows[keep]])
             assert np.array_equal(banks[pair][1], frags[keep])
@@ -399,12 +412,11 @@ class TestKnnOracle:
         # both fragments, so they sit in the bank twice, once under each tag
         # (38 and 43 rows here): ties at distance zero between different tags.
         ds = clean_dataset(n=390)
-        adjacent = Pairing(pairs=((1, 2), (3, 4)))
-        ens = init_ensemble(adjacent, input_dim=ds.d, hidden_dims=(16, 8),
-                            activation="relu", seed=0)
-        sets = pair_sets(adjacent, JitteredScheme(base=fragment_labels(ds, 4), delta=5.0), ds.y)
-        train_experts_epoch(ens, ds, sets, lr=0.1, batch_size=32, seed=0)
-        passes = build_feature_bank(ens, ds)
+        experts = init_ensemble(ADJACENT, input_dim=ds.d, hidden_dims=(16, 8),
+                                activation="relu", seed=0)
+        sets = pair_sets(ADJACENT, JitteredScheme(base=fragment_labels(ds, 4), delta=5.0), ds.y)
+        train_experts_epoch(experts, ds, sets, None, lr=0.1, batch_size=32, seed=0)
+        passes = build_feature_bank(experts, ds)
         for pair, (rows, tags) in sets.items():
             unique, counts = np.unique(rows, return_counts=True)
             twice = unique[counts == 2]

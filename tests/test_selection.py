@@ -52,21 +52,18 @@ def fixture_scheme():
     return ds, fragment_labels(ds, 4)
 
 
-def forced_ensemble(ds, winners: dict) -> "object":
+def forced_ensemble(ds, winners: dict) -> dict:
     """Zero-weight experts whose head bias pins the hard classification.
 
     ``winners`` maps each pair to the fragment every query must resolve to.
     """
-    ens = init_ensemble(
-        STRIDE, input_dim=ds.d, hidden_dims=(4,), activation="relu", seed=0,
-        label_lo=ds.label_min, label_range=ds.label_range,
-    )
+    experts = init_ensemble(STRIDE, input_dim=ds.d, hidden_dims=(4,), activation="relu", seed=0)
     for pair, winner in winners.items():
-        net = ens.experts[pair]
+        net = experts[pair]
         for W in net.weights:
             W[:] = 0.0
         net.biases[-1][:] = 5.0 if winner == pair[0] else -5.0
-    return ens
+    return experts
 
 
 class TestFragmentPrior:
@@ -110,27 +107,27 @@ class TestFragmentPrior:
 class TestSelfAgreements:
     def test_pred_agreement_follows_expert(self) -> None:
         ds, _ = fixture_scheme()
-        ens = forced_ensemble(ds, {(1, 3): 1, (2, 4): 4})
+        experts = forced_ensemble(ds, {(1, 3): 1, (2, 4): 4})
         x = ds.x[0]
-        assert self_agreement_pred(x, 1, ens) == 1
-        assert self_agreement_pred(x, 3, ens) == 0
-        assert self_agreement_pred(x, 4, ens) == 1
-        assert self_agreement_pred(x, 2, ens) == 0
+        assert self_agreement_pred(x, 1, experts, STRIDE) == 1
+        assert self_agreement_pred(x, 3, experts, STRIDE) == 0
+        assert self_agreement_pred(x, 4, experts, STRIDE) == 1
+        assert self_agreement_pred(x, 2, experts, STRIDE) == 0
 
     def test_repr_agreement_exact_bank_hit(self) -> None:
         ds, _ = fixture_scheme()
-        ens = forced_ensemble(ds, {(1, 3): 1, (2, 4): 2})
+        experts = forced_ensemble(ds, {(1, 3): 1, (2, 4): 2})
         # Zeroed experts map every input to the zero feature vector, so feed
         # the bank distinct hand-built features instead.
         bank = {(1, 3): (np.array([[0.0, 0.0, 0.0, 0.0], [9.0, 9.0, 9.0, 9.0]]), np.array([1, 3]))}
-        assert self_agreement_repr(ds.x[0], 1, ens, bank, K=1) == 1
-        assert self_agreement_repr(ds.x[0], 3, ens, bank, K=1) == 0
+        assert self_agreement_repr(ds.x[0], 1, experts, STRIDE, bank, K=1) == 1
+        assert self_agreement_repr(ds.x[0], 3, experts, STRIDE, bank, K=1) == 0
 
     def test_repr_agreement_all_neighbors_partner(self) -> None:
         ds, _ = fixture_scheme()
-        ens = forced_ensemble(ds, {(1, 3): 1, (2, 4): 2})
+        experts = forced_ensemble(ds, {(1, 3): 1, (2, 4): 2})
         bank = {(1, 3): (np.zeros((5, 4)), np.full(5, 3))}
-        assert self_agreement_repr(ds.x[0], 1, ens, bank, K=3) == 0
+        assert self_agreement_repr(ds.x[0], 1, experts, STRIDE, bank, K=3) == 0
 
     def test_regr_agreement_exact_mean_and_midpoint(self) -> None:
         from fragpair.fragments import FragmentationScheme
@@ -142,21 +139,18 @@ class TestSelfAgreements:
             means=np.array([12.5, 37.5, 62.5, 87.5]),
             counts=np.array([1, 1, 1, 1]),
         )
-        ens = init_ensemble(
-            STRIDE, input_dim=ds.d, hidden_dims=(4,), activation="relu", seed=0,
-            objective="regress", label_lo=0.0, label_range=100.0,
-        )
-        net = ens.experts[(1, 3)]
+        experts = init_ensemble(STRIDE, input_dim=ds.d, hidden_dims=(4,), activation="relu", seed=0)
+        net = experts[(1, 3)]
         for W in net.weights:
             W[:] = 0.0
         # Output lands exactly on fragment 1's mean label.
         net.biases[-1][:] = 0.125
-        assert self_agreement_regr(ds.x[0], 1, ens, scheme) == 1
-        assert self_agreement_regr(ds.x[0], 3, ens, scheme) == 0
+        assert self_agreement_regr(ds.x[0], 1, experts, STRIDE, scheme) == 1
+        assert self_agreement_regr(ds.x[0], 3, experts, STRIDE, scheme) == 0
         # Midpoint of the two means: strict inequality fails on both sides.
         net.biases[-1][:] = 0.375
-        assert self_agreement_regr(ds.x[0], 1, ens, scheme) == 0
-        assert self_agreement_regr(ds.x[0], 3, ens, scheme) == 0
+        assert self_agreement_regr(ds.x[0], 1, experts, STRIDE, scheme) == 0
+        assert self_agreement_regr(ds.x[0], 3, experts, STRIDE, scheme) == 0
 
 
 class TestNeighborhoodAgreement:
@@ -198,9 +192,9 @@ class TestSelectionProbability:
         ds, scheme = fixture_scheme()
         # Experts vote fragment 1 and fragment 2: alpha = [1, 1, 0, 0] after
         # gating, so p = rho_1 + rho_2 for the predictive variant.
-        ens = forced_ensemble(ds, {(1, 3): 1, (2, 4): 2})
+        experts = forced_ensemble(ds, {(1, 3): 1, (2, 4): 2})
         y = 20.0
-        p = selection_probability(ds.x[0], y, ens, "pred", scheme)
+        p = selection_probability(ds.x[0], y, experts, STRIDE, "pred", scheme)
         rho = fragment_prior(y, scheme)
         assert p == pytest.approx(rho[0] + rho[1], abs=1e-12)
 
@@ -220,9 +214,9 @@ class TestSelectionProbability:
 
     def test_probability_in_unit_interval(self) -> None:
         ds, scheme = fixture_scheme()
-        ens = forced_ensemble(ds, {(1, 3): 3, (2, 4): 2})
+        experts = forced_ensemble(ds, {(1, 3): 3, (2, 4): 2})
         for y in (0.0, 13.0, 50.0, 99.0, 100.0):
-            p = selection_probability(ds.x[0], y, ens, "pred", scheme)
+            p = selection_probability(ds.x[0], y, experts, STRIDE, "pred", scheme)
             assert 0.0 <= p <= 1.0
 
 
@@ -269,16 +263,13 @@ class TestSelectCleanEndToEnd:
         clean = generate_synthetic(600, 2, 0.0, 100.0, 0.05, seed=2)
         noisy = inject_symmetric_noise(clean, 0.4, seed=3)
         scheme = fragment_labels(noisy, 4)
-        ens = init_ensemble(
-            STRIDE, input_dim=2, hidden_dims=(16, 8), activation="relu", seed=1,
-            label_lo=noisy.label_min, label_range=noisy.label_range,
-        )
+        experts = init_ensemble(STRIDE, input_dim=2, hidden_dims=(16, 8), activation="relu", seed=1)
         sets = pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), noisy.y)
         for epoch in range(40):
-            train_experts_epoch(ens, noisy, sets, lr=0.1, batch_size=32, seed=epoch)
-        passes = build_feature_bank(ens, noisy)
-        outcome = select_clean(noisy, ens, scheme, passes, repr_winners(passes, sets, 5), seed=0,
-                               epoch=9)
+            train_experts_epoch(experts, noisy, sets, None, lr=0.1, batch_size=32, seed=epoch)
+        passes = build_feature_bank(experts, noisy)
+        outcome = select_clean(noisy, STRIDE, scheme, passes, repr_winners(passes, sets, 5),
+                               regress=False, seed=0, epoch=9)
         corrupted = noisy.y != noisy.y_gt
         assert outcome.p_pred[~corrupted].mean() > outcome.p_pred[corrupted].mean() + 0.2
         assert outcome.p_repr[~corrupted].mean() > outcome.p_repr[corrupted].mean() + 0.2
@@ -286,16 +277,13 @@ class TestSelectCleanEndToEnd:
     def test_near_perfect_expert_agreement_on_clean_data(self) -> None:
         ds = generate_synthetic(500, 2, 0.0, 100.0, 0.05, seed=4)
         scheme = fragment_labels(ds, 4)
-        ens = init_ensemble(
-            STRIDE, input_dim=2, hidden_dims=(16, 8), activation="relu", seed=1,
-            label_lo=ds.label_min, label_range=ds.label_range,
-        )
+        experts = init_ensemble(STRIDE, input_dim=2, hidden_dims=(16, 8), activation="relu", seed=1)
         sets = pair_sets(STRIDE, JitteredScheme(base=scheme, delta=0.0), ds.y)
         for epoch in range(50):
-            train_experts_epoch(ens, ds, sets, lr=0.1, batch_size=32, seed=epoch)
+            train_experts_epoch(experts, ds, sets, None, lr=0.1, batch_size=32, seed=epoch)
         assignment = scheme.assign_many(ds.y)
         agreements = [
-            self_agreement_pred(ds.x[i], int(assignment[i]), ens) for i in range(ds.n)
+            self_agreement_pred(ds.x[i], int(assignment[i]), experts, STRIDE) for i in range(ds.n)
         ]
         assert np.mean(agreements) > 0.9
 
@@ -321,36 +309,37 @@ class TestVectorizedMatchesScalarRules:
     # non-negative terms of a total <= 1 in different orders.
     TOL = 4 * np.finfo(np.float64).eps
 
-    @pytest.mark.parametrize("objective", ["classify", "regress"])
-    def test_probabilities_match_row_by_row(self, objective) -> None:
+    @pytest.mark.parametrize("regress", [False, True], ids=["classify", "regress"])
+    def test_probabilities_match_row_by_row(self, regress) -> None:
         from fragpair.data import inject_symmetric_noise
 
         ds = inject_symmetric_noise(
             generate_synthetic(160, 2, 0.0, 100.0, 0.05, seed=7), 0.3, seed=8
         )
         scheme = fragment_labels(ds, 4)
-        ens = init_ensemble(
-            STRIDE, input_dim=2, hidden_dims=(8, 4), activation="relu", seed=2,
-            objective=objective, label_lo=ds.label_min, label_range=ds.label_range,
-        )
+        experts = init_ensemble(STRIDE, input_dim=2, hidden_dims=(8, 4), activation="relu", seed=2)
         sets = pair_sets(STRIDE, JitteredScheme(base=scheme, delta=4.0), ds.y)
+        # A run's regression experts regress its labels scaled over their range.
+        labels = (ds.y - ds.label_min) / ds.label_range if regress else None
         for epoch in range(5):
-            train_experts_epoch(ens, ds, sets, lr=0.1, batch_size=16, seed=epoch)
-        passes = build_feature_bank(ens, ds)
+            train_experts_epoch(experts, ds, sets, labels, lr=0.1, batch_size=16, seed=epoch)
+        passes = build_feature_bank(experts, ds)
         banks = feature_banks(passes, sets)
-        # The matrix's "pred" vote follows the ensemble's objective; the scalar
+        # The matrix's "pred" vote follows the experts' objective; the scalar
         # oracle names the two predictive votes apart.
-        if objective == "classify":
+        if not regress:
             variant = "pred"
-            pred = lambda x, f: self_agreement_pred(x, f, ens)  # noqa: E731
+            pred = lambda x, f: self_agreement_pred(x, f, experts, STRIDE)  # noqa: E731
         else:
             variant = "regr"
-            pred = lambda x, f: self_agreement_regr(x, f, ens, scheme)  # noqa: E731
-        repr_ = lambda x, f: self_agreement_repr(x, f, ens, banks, 5)  # noqa: E731
-        winners = {"pred": pred_winners(ens, scheme, passes), "repr": repr_winners(passes, sets, 5)}
-        outcome = select_clean(ds, ens, scheme, passes, winners["repr"], seed=0, epoch=1)
+            pred = lambda x, f: self_agreement_regr(x, f, experts, STRIDE, scheme)  # noqa: E731
+        repr_ = lambda x, f: self_agreement_repr(x, f, experts, STRIDE, banks, 5)  # noqa: E731
+        winners = {"pred": pred_winners(scheme, passes, regress),
+                   "repr": repr_winners(passes, sets, 5)}
+        outcome = select_clean(ds, STRIDE, scheme, passes, winners["repr"], regress, seed=0,
+                               epoch=1)
         gates = {
-            k: neighborhood_gate(self_agreement_matrix(ens.pairing, winners[k]))
+            k: neighborhood_gate(self_agreement_matrix(STRIDE, winners[k]))
             for k in ("pred", "repr")
         }
         fragments = range(1, 5)
@@ -365,7 +354,7 @@ class TestVectorizedMatchesScalarRules:
                 alpha = np.array([neighborhood_agreement(f, votes) for f in fragments])
                 assert np.array_equal(gates[k][row], alpha)
                 assert p[row] == pytest.approx(float(rho @ alpha), rel=0, abs=self.TOL)
-                scalar = selection_probability(x, y, ens, oracle, scheme, banks, K=5)
+                scalar = selection_probability(x, y, experts, STRIDE, oracle, scheme, banks, K=5)
                 assert scalar == float(rho @ alpha)
         # Both vote sources vary across rows, so the comparison is not vacuous.
         assert len(np.unique(outcome.p_pred)) > 2

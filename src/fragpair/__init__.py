@@ -9,7 +9,6 @@ from .data import (
     load_csv,
     split_dataset,
     write_csv,
-    write_jsonl,
 )
 from .experts import build_feature_bank, init_ensemble, pair_sets, train_experts_epoch
 from .fragments import (

@@ -16,7 +16,7 @@ import os
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, read_json
-from .data import DataError, write_csv, write_jsonl
+from .data import DataError, write_csv
 from .pipeline import (
     PipelineError,
     load_dataset,
@@ -43,7 +43,7 @@ def _resolve_out_dir(arg: str | None, cfg: ExperimentConfig) -> Path:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     ds = load_dataset(_load_config(args))
-    (write_jsonl if args.out.endswith(".jsonl") else write_csv)(ds, args.out)
+    write_csv(ds, args.out)
     corrupted = "" if ds.y_gt is None else f", {int((ds.y != ds.y_gt).sum())} labels corrupted"
     print(f"wrote {ds.n} samples (d={ds.d}{corrupted}) to {args.out}")
     return 0
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write the data a run of the config loads (before the split)")
     add_config_args(gen)
-    gen.add_argument("--out", required=True, help=".csv or .jsonl output path")
+    gen.add_argument("--out", required=True, help="CSV output path (load_csv reads it back)")
     gen.set_defaults(func=_cmd_generate)
 
     run = sub.add_parser("run", help="execute one seeded experiment")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -19,7 +18,8 @@ MODES = ("select", "select_regr", "vanilla")
 
 # Each nested object's defaults, written once: by kind for the dataset and
 # the noise, by field for the nets.  A partial object keeps these for the
-# keys it leaves out.
+# keys it leaves out.  A dataset's keys but its kind are the parameters of
+# generate_synthetic or load_csv, and a net's keys are NetSpec fields.
 DEFAULTS = {
     "dataset": {
         "synthetic": {"n": 2000, "d": 2, "label_lo": 0.0, "label_hi": 100.0,
@@ -78,9 +78,39 @@ def _known(raw, allowed, context: str) -> dict:
     return raw
 
 
+def _refuse(self, *args, **kwargs):
+    raise TypeError("a validated config is read-only: change its to_dict() copy, or use replace()")
+
+
+class _List(list):
+    """A validated config's list; ``__reduce__`` lets pickle and deepcopy rebuild it."""
+
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+
+    def __reduce__(self):
+        return _List, (list(self),)
+
+
+class _Dict(dict):
+    """A validated config's object, read-only like ``_List``."""
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _Dict, (dict(self),)
+
+
+def _read_only(value):
+    """A copy of ``value`` in which every object and list is read-only."""
+    if isinstance(value, dict):
+        return _Dict((key, _read_only(item)) for key, item in value.items())
+    return _List(map(_read_only, value)) if isinstance(value, list) else value
+
+
 def _take(raw, defaults: dict, context: str) -> dict:
-    """``raw``'s keys over ``defaults``, in a copy that shares nothing with either."""
-    return copy.deepcopy({**defaults, **_known(raw, defaults, context)})
+    """``raw``'s keys over ``defaults``, in a read-only copy that shares nothing with either."""
+    return _read_only({**defaults, **_known(raw, defaults, context)})
 
 
 def _take_kind(raw, context: str, kinds: dict, default_kind: Optional[str] = None) -> dict:
@@ -108,7 +138,8 @@ def read_json(path: str | Path):
 class ExperimentConfig:
     """Everything a run needs; (config, seed) determines every output byte.
 
-    Every field is JSON data; validation fills each nested object from ``DEFAULTS``.
+    Every field is JSON data; validation fills each nested object from
+    ``DEFAULTS`` and leaves it, and each list in it, read-only.
     """
 
     dataset: dict = field(default_factory=dict)

@@ -1,9 +1,8 @@
-"""Dataset container, CSV reading, CSV and JSON-lines writing, synthetic data and label noise."""
+"""Dataset container, CSV reading and writing, synthetic data and label noise."""
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -176,7 +175,8 @@ def load_csv(
 ) -> Dataset:
     """Read a dataset from a headered UTF-8 CSV file (a byte-order mark is skipped).
 
-    Row indices in error messages are 1-based data rows (the header is row 0).
+    Each column read must appear once in the header.  Row indices in error
+    messages are 1-based data rows (the header is row 0).
     """
     path = Path(path)
     if not path.exists():
@@ -188,16 +188,19 @@ def load_csv(
         missing = [c for c in wanted if c not in header]
         if missing:
             raise DataError(f"missing columns: {', '.join(missing)}")
+        doubled = [c for c in dict.fromkeys(wanted) if header.count(c) > 1]
+        if doubled:
+            raise DataError(f"header names {', '.join(doubled)} more than once")
+        at = {c: header.index(c) for c in wanted}
         xs, ys, gts = [], [], []
         # A blank line is no row.
         for row_idx, cells in enumerate(filter(None, reader), start=1):
             if len(cells) != len(header):
                 raise DataError(f"row {row_idx}: {len(cells)} cell(s) where the header has {len(header)}")
-            row = dict(zip(header, cells))
-            xs.append([_parse_cell(row[c], c, row_idx) for c in feature_cols])
-            ys.append(_parse_cell(row[label_col], label_col, row_idx))
+            xs.append([_parse_cell(cells[at[c]], c, row_idx) for c in feature_cols])
+            ys.append(_parse_cell(cells[at[label_col]], label_col, row_idx))
             if gt_col is not None:
-                gts.append(_parse_cell(row[gt_col], gt_col, row_idx))
+                gts.append(_parse_cell(cells[at[gt_col]], gt_col, row_idx))
     if not xs:
         raise DataError(f"{path} holds no data rows")
     return Dataset(
@@ -230,18 +233,3 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
             if ds.y_gt is not None:
                 row += [repr(float(ds.y_gt[i])), str(int(ds.y[i] != ds.y_gt[i]))]
             writer.writerow(row)
-
-
-def write_jsonl(ds: Dataset, path: str | Path) -> None:
-    """Write a dataset as JSON lines with the same schema as :func:`write_csv`."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for i in range(ds.n):
-            record: dict = {
-                "x": [float(v) for v in ds.x[i]],
-                "label": float(ds.y[i]),
-            }
-            if ds.y_gt is not None:
-                record["label_gt"] = float(ds.y_gt[i])
-                record["noisy"] = bool(ds.y[i] != ds.y_gt[i])
-            fh.write(json.dumps(record) + "\n")

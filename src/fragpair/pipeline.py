@@ -89,23 +89,11 @@ class RunResult:
 
 def load_dataset(cfg: ExperimentConfig) -> Dataset:
     """The config's source with the config's noise applied: the data a run splits."""
-    src = cfg.dataset
-    if src["kind"] == "synthetic":
-        ds = generate_synthetic(
-            n=src["n"],
-            d=src["d"],
-            label_lo=src["label_lo"],
-            label_hi=src["label_hi"],
-            feature_noise_std=src["feature_noise_std"],
-            seed=derive_seed(cfg.seed, "data"),
-        )
+    src = dict(cfg.dataset)
+    if src.pop("kind") == "synthetic":
+        ds = generate_synthetic(**src, seed=derive_seed(cfg.seed, "data"))
     else:
-        ds = load_csv(
-            src["path"],
-            feature_cols=src["feature_cols"],
-            label_col=src["label_col"],
-            gt_col=src["gt_col"],
-        )
+        ds = load_csv(**src)
     if cfg.noise is None:
         return ds
     noise_seed = cfg.noise["seed"]
@@ -369,23 +357,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
                 pairing = Pairing.from_json(cfg.pairing_override)
             else:
                 pairing = select_contrastive_pairing(fragment_edge_weights(train, scheme))
-            experts = init_ensemble(
-                pairing,
-                input_dim=train.d,
-                hidden_dims=cfg.expert_net["hidden_dims"],
-                activation=cfg.expert_net["activation"],
-                seed=derive_seed(cfg.seed, "experts"),
-            )
+            experts = init_ensemble(pairing, input_dim=train.d, **cfg.expert_net,
+                                    seed=derive_seed(cfg.seed, "experts"))
 
-        reg = init_net(
-            NetSpec(
-                input_dim=train.d,
-                hidden_dims=cfg.regressor_net["hidden_dims"],
-                output_dim=1,
-                activation=cfg.regressor_net["activation"],
-                seed=derive_seed(cfg.seed, "regressor"),
-            )
-        )
+        reg = init_net(NetSpec(input_dim=train.d, output_dim=1, **cfg.regressor_net,
+                               seed=derive_seed(cfg.seed, "regressor")))
 
         result = RunResult(config=cfg, pairing=pairing, out_dir=out_dir)
         # The labels never change during a run: format their selection-row tails once.

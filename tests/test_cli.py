@@ -67,11 +67,12 @@ class TestGenerate:
         assert ds.n == 50 and ds.d == 2
         assert "wrote 50 samples" in capsys.readouterr().out
 
-    def test_writes_jsonl(self, tmp_path) -> None:
-        out = tmp_path / "data.jsonl"
+    def test_any_out_path_is_the_csv_a_run_loads(self, tmp_path) -> None:
+        out, csv_out = tmp_path / "data.jsonl", tmp_path / "data.csv"
         main(["generate", *synthetic(10), "--out", str(out)])
-        rows = [json.loads(line) for line in out.read_text().splitlines()]
-        assert len(rows) == 10 and "label" in rows[0]
+        main(["generate", *synthetic(10), "--out", str(csv_out)])
+        assert out.read_bytes() == csv_out.read_bytes()
+        assert load_csv(out, default_feature_cols(2), "label", gt_col="label_gt").n == 10
 
     def test_writes_the_data_a_run_loads(self, tmp_path, output_root) -> None:
         config = ["--config", small_config_file(tmp_path, seed=5)]
@@ -327,7 +328,8 @@ class TestInputErrors:
         ("a,b\n1,2\n", "missing columns: x0, x1, label"),
         ("x0,x1,label\n0.1,0.5,1\n0.2,0.6\n", "row 2: 2 cell(s) where the header has 3"),
         ("x0,x1,label\n0.1,0.5,1\n0.2,0.6,2,9\n", "row 2: 4 cell(s) where the header has 3"),
-    ], ids=["missing", "unparsable", "no_columns", "short_row", "long_row"])
+        ("x0,x1,label,x0\n0.1,0.5,1,7\n", "header names x0 more than once"),
+    ], ids=["missing", "unparsable", "no_columns", "short_row", "long_row", "doubled_column"])
     def test_unreadable_data_before_the_first_epoch(self, tmp_path, command, content,
                                                     message) -> None:
         data = tmp_path / "data.csv"

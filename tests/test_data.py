@@ -14,7 +14,6 @@ from fragpair.data import (
     load_csv,
     split_dataset,
     write_csv,
-    write_jsonl,
 )
 
 
@@ -79,6 +78,20 @@ class TestLoadCsv:
         path = _write(tmp_path / "d.csv", "a,label\n1,1\n2,2\n")
         with pytest.raises(DataError, match="missing columns: b"):
             load_csv(path, ["a", "b"], "label")
+
+    @pytest.mark.parametrize("header, name", [
+        ("x0,label,x0", "x0"),
+        ("label,x0,label", "label"),
+    ], ids=["feature", "label"])
+    def test_column_read_twice_in_the_header_is_named(self, tmp_path, header, name) -> None:
+        path = _write(tmp_path / "d.csv", f"{header}\n0.1,1,7\n0.2,2,8\n")
+        with pytest.raises(DataError, match=f"^header names {name} more than once$"):
+            load_csv(path, ["x0"], "label")
+
+    def test_column_not_read_may_repeat(self, tmp_path) -> None:
+        path = _write(tmp_path / "d.csv", "note,x0,note,label\na,0.1,b,1\nc,0.2,d,2\n")
+        ds = load_csv(path, ["x0"], "label")
+        assert np.array_equal(ds.x[:, 0], [0.1, 0.2]) and np.array_equal(ds.y, [1.0, 2.0])
 
 
 class TestDatasetInvariants:
@@ -258,17 +271,6 @@ class TestRoundTrip:
         assert header.split(",")[-1] == "noisy"
         flags = np.array([int(r.split(",")[-1]) for r in rows])
         assert np.array_equal(flags, (noisy.y != noisy.y_gt).astype(int))
-
-    def test_jsonl_mirrors_schema(self, tmp_path) -> None:
-        import json
-
-        ds = generate_synthetic(5, 2, 0.0, 10.0, 0.0, seed=1)
-        path = tmp_path / "out.jsonl"
-        write_jsonl(ds, path)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(rows) == 5
-        assert rows[0]["label"] == rows[0]["label_gt"]
-        assert rows[0]["noisy"] is False
 
 
 class TestSplit:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -187,8 +189,44 @@ class TestConfigValidation:
         raw["expert_net"]["hidden_dims"].append(4)
         raw["pairing_override"][0].append(5)
         assert cfg.to_dict() == before and cfg.config_hash() == digest
-        cfg.replace(seed=1).dataset["feature_cols"].append("x2")
+        with pytest.raises(TypeError, match="read-only"):
+            cfg.replace(seed=1).dataset["feature_cols"].append("x2")
         assert cfg.to_dict() == before and cfg.config_hash() == digest
+
+    @pytest.mark.parametrize("path", ["dataset", "noise", "expert_net", "regressor_net",
+                                      "dataset.feature_cols", "expert_net.hidden_dims"])
+    def test_nested_objects_are_read_only(self, path) -> None:
+        cfg = small_config(dataset=self.CSV)
+        name, *inner = path.split(".")
+        obj = getattr(cfg, name)
+        for part in inner:
+            obj = obj[part]
+        key = 0 if isinstance(obj, list) else next(iter(obj))
+        before, digest = cfg.to_dict(), cfg.config_hash()
+        with pytest.raises(TypeError, match="read-only"):
+            obj[key] = 7
+        with pytest.raises(TypeError, match="read-only"):
+            obj.append(7) if isinstance(obj, list) else obj.update({key: 7})
+        with pytest.raises(TypeError, match="read-only"):
+            obj.pop(key)
+        with pytest.raises(TypeError, match="read-only"):
+            del obj[key]
+        with pytest.raises(TypeError, match="read-only"):
+            obj.clear()
+        with pytest.raises(TypeError, match="read-only"):
+            if isinstance(obj, list):
+                obj += [7]
+            else:
+                obj |= {key: 7}
+        assert cfg.to_dict() == before and cfg.config_hash() == digest
+
+    def test_copies_of_a_config_equal_it_and_stay_read_only(self) -> None:
+        cfg = small_config(dataset=self.CSV, pairing_override=[[1, 3], [2, 4]])
+        copies = pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), ExperimentConfig(**vars(cfg))
+        for copied in copies:
+            assert copied == cfg and copied.config_hash() == cfg.config_hash()
+            with pytest.raises(TypeError, match="read-only"):
+                copied.expert_net["hidden_dims"].append(4)
 
     def test_real_fields_accept_integers(self) -> None:
         cfg = small_config(expert_lr=1, jitter=0, reference_rho=2,

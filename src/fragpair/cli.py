@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, read_json
@@ -106,7 +107,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for run_dir in map(Path, args.runs):
         cfg = ExperimentConfig.from_file(run_dir / "config.json")
         metrics = run_dir / "metrics.jsonl"
-        records = metrics.read_text().splitlines()
+        try:
+            records = metrics.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{metrics}: not UTF-8 text: {exc.reason}") from None
         if not records:
             raise ConfigError(f"{run_dir}: metrics.jsonl holds no finished epoch")
         try:
@@ -115,13 +119,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise ConfigError(f"{metrics}: line {len(records)} is not a whole record ({exc.msg})") from None
         rows.append(summary_row(cfg, final))
     if args.out:
-        write_summary_csv(Path(args.out), rows)
+        with open(args.out, "w", newline="") as fh:
+            write_summary_csv(fh, rows)
         print(f"wrote {args.out}")
     else:
-        writer_keys = list(rows[0].keys())
-        print(",".join(writer_keys))
-        for row in rows:
-            print(",".join(str(row[k]) for k in writer_keys))
+        write_summary_csv(sys.stdout, rows)
     return 0
 
 

@@ -127,9 +127,11 @@ def _is_name(value) -> bool:
 
 
 def read_json(path: str | Path):
-    """A UTF-8 JSON file's data; malformed JSON raises a ConfigError naming the file."""
+    """A UTF-8 JSON file's data; bad text or JSON raises a ConfigError naming the file."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -231,6 +233,8 @@ class ExperimentConfig:
                      f"dataset.label_col: must be a non-empty string, got {spec['label_col']!r}")
             _require(spec["gt_col"] is None or _is_name(spec["gt_col"]),
                      f"dataset.gt_col: must be null or a non-empty string, got {spec['gt_col']!r}")
+            _require(len(set(cols)) == len(cols) and not {spec["label_col"], spec["gt_col"]} & set(cols),
+                     f"dataset.feature_cols: must name each column once and not label_col or gt_col, got {cols!r}")
         object.__setattr__(self, "dataset", spec)
 
     def _validate_noise(self) -> None:

@@ -181,26 +181,29 @@ def load_csv(
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        wanted = list(feature_cols) + [label_col] + ([gt_col] if gt_col is not None else [])
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise DataError(f"missing columns: {', '.join(missing)}")
-        doubled = [c for c in dict.fromkeys(wanted) if header.count(c) > 1]
-        if doubled:
-            raise DataError(f"header names {', '.join(doubled)} more than once")
-        at = {c: header.index(c) for c in wanted}
-        xs, ys, gts = [], [], []
-        # A blank line is no row.
-        for row_idx, cells in enumerate(filter(None, reader), start=1):
-            if len(cells) != len(header):
-                raise DataError(f"row {row_idx}: {len(cells)} cell(s) where the header has {len(header)}")
-            xs.append([_parse_cell(cells[at[c]], c, row_idx) for c in feature_cols])
-            ys.append(_parse_cell(cells[at[label_col]], label_col, row_idx))
-            if gt_col is not None:
-                gts.append(_parse_cell(cells[at[gt_col]], gt_col, row_idx))
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            wanted = list(feature_cols) + [label_col] + ([gt_col] if gt_col is not None else [])
+            missing = [c for c in wanted if c not in header]
+            if missing:
+                raise DataError(f"missing columns: {', '.join(missing)}")
+            doubled = [c for c in dict.fromkeys(wanted) if header.count(c) > 1]
+            if doubled:
+                raise DataError(f"header names {', '.join(doubled)} more than once")
+            at = {c: header.index(c) for c in wanted}
+            xs, ys, gts = [], [], []
+            # A blank line is no row.
+            for row_idx, cells in enumerate(filter(None, reader), start=1):
+                if len(cells) != len(header):
+                    raise DataError(f"row {row_idx}: {len(cells)} cell(s) where the header has {len(header)}")
+                xs.append([_parse_cell(cells[at[c]], c, row_idx) for c in feature_cols])
+                ys.append(_parse_cell(cells[at[label_col]], label_col, row_idx))
+                if gt_col is not None:
+                    gts.append(_parse_cell(cells[at[gt_col]], gt_col, row_idx))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not xs:
         raise DataError(f"{path} holds no data rows")
     return Dataset(

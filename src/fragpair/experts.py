@@ -245,76 +245,6 @@ def _leading_axis(feats: np.ndarray) -> np.ndarray:
     return vectors[:, -1] / np.linalg.norm(vectors[:, -1])
 
 
-def _sweep_lower_votes(
-    queries: np.ndarray,
-    q_norms: np.ndarray,
-    feats: np.ndarray,
-    f_norms: np.ndarray,
-    is_lower: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """Each query's count of lower-fragment entries among its k nearest, by the
-    projection sweep of :func:`knn_votes`."""
-    n, m = len(queries), len(feats)
-    floats = max(_BUFFER_FLOATS, m)
-    buffers = (np.empty(floats), np.empty(floats), np.empty(floats, dtype=bool))
-    lower, kth, within = out = _counts(n)
-    # Rows in sweep order; a non-finite bank has no axis and skips the sweep.
-    q_order = np.arange(n)
-    certified = np.zeros(n, dtype=bool)
-    if n and np.isfinite(feats).all():
-        axis = _leading_axis(feats)
-        f_proj = feats @ axis
-        f_order = np.argsort(f_proj, kind="stable")
-        f_proj = f_proj[f_order]
-        s_feats, s_norms, s_lower = feats[f_order], f_norms[f_order], is_lower[f_order]
-        # The query order only decides which block a row joins.
-        q_proj = queries @ axis
-        q_order = np.argsort(q_proj)
-        q_proj = q_proj[q_order]
-        queries, q_norms = queries[q_order], q_norms[q_order]
-        # Each row's window [lo, hi) in sorted bank order.
-        lo_of = np.empty(n, dtype=np.intp)
-        hi_of = np.empty(n, dtype=np.intp)
-        width = np.inf
-        stops = list(range(min(_FIRST_ROWS, n), n, _SWEEP_ROWS)) + [n]
-        for start, stop in zip([0] + stops[:-1], stops):
-            here = slice(start, stop)
-            lo = int(np.searchsorted(f_proj, q_proj[start] - width, "left"))
-            hi = int(np.searchsorted(f_proj, q_proj[stop - 1] + width, "right"))
-            lo = max(0, min(lo, hi - k))  # at least k rows
-            hi = max(hi, lo + k)
-            _count_nearest(
-                queries[here], q_norms[here], s_feats[lo:hi], s_norms[lo:hi],
-                s_lower[lo:hi], k, buffers, (lower[here], kth[here], within[here]),
-            )
-            lo_of[here] = lo
-            hi_of[here] = hi
-            top = (9 * (stop - start)) // 10
-            width = _WINDOW_REACH * float(np.sqrt(np.partition(kth[here], top)[top]))
-        # Certify each row: the projection gap to the nearest bank row outside
-        # its window, less the rounding margins, must clear its K-th distance,
-        # and no tie may straddle the cut.
-        h = feats.shape[1]
-        c = 8 * (h + 2) * np.finfo(np.float64).eps / 2
-        underflow = (h + 3) * np.finfo(np.float64).smallest_subnormal
-        reach = np.sqrt(q_norms) + np.sqrt(f_norms.max())
-        padded = np.concatenate(([-np.inf], f_proj, [np.inf]))
-        with np.errstate(invalid="ignore"):  # inf - inf where a query is infinite
-            gap = np.minimum(q_proj - padded[lo_of], padded[hi_of + 1] - q_proj)
-            gap -= c * reach + underflow
-        margin = c * reach * reach + underflow
-        certified = (within == k) & (gap > 0.0) & (gap * gap > kth + margin)
-    redo = np.flatnonzero(~certified)
-    if redo.size:
-        redone = _counts(redo.size)
-        _count_nearest(queries[redo], q_norms[redo], feats, f_norms, is_lower, k, buffers, redone)
-        lower[redo] = redone[0]
-    votes = np.empty(n, dtype=np.int32)
-    votes[q_order] = lower
-    return votes
-
-
 def knn_votes(
     feats: np.ndarray, tags: np.ndarray, queries: np.ndarray, K: int, pair: Pair
 ) -> np.ndarray:
@@ -392,6 +322,60 @@ def knn_votes(
     queries = np.asarray(queries, dtype=np.float64)
     q_norms = (queries * queries).sum(axis=1)
     f_norms = (feats * feats).sum(axis=1)
-    i, j = pair
-    lower = _sweep_lower_votes(queries, q_norms, feats, f_norms, tags == i, k)
-    return np.where(2 * lower > k, i, j)
+    is_lower = tags == pair[0]
+    n, m = len(queries), len(feats)
+    floats = max(_BUFFER_FLOATS, m)
+    buffers = (np.empty(floats), np.empty(floats), np.empty(floats, dtype=bool))
+    lower, kth, within = _counts(n)
+    # Rows in sweep order; a non-finite bank has no axis and skips the sweep.
+    q_order = np.arange(n)
+    certified = np.zeros(n, dtype=bool)
+    if n and np.isfinite(feats).all():
+        axis = _leading_axis(feats)
+        f_proj = feats @ axis
+        f_order = np.argsort(f_proj, kind="stable")
+        f_proj = f_proj[f_order]
+        s_feats, s_norms, s_lower = feats[f_order], f_norms[f_order], is_lower[f_order]
+        # The query order only decides which block a row joins.
+        q_proj = queries @ axis
+        q_order = np.argsort(q_proj)
+        q_proj = q_proj[q_order]
+        queries, q_norms = queries[q_order], q_norms[q_order]
+        # Each row's window [lo, hi) in sorted bank order.
+        lo_of, hi_of = np.empty((2, n), dtype=np.intp)
+        width = np.inf
+        stops = list(range(min(_FIRST_ROWS, n), n, _SWEEP_ROWS)) + [n]
+        for start, stop in zip([0] + stops[:-1], stops):
+            here = slice(start, stop)
+            lo = int(np.searchsorted(f_proj, q_proj[start] - width, "left"))
+            hi = int(np.searchsorted(f_proj, q_proj[stop - 1] + width, "right"))
+            lo = max(0, min(lo, hi - k))  # at least k rows
+            hi = max(hi, lo + k)
+            _count_nearest(
+                queries[here], q_norms[here], s_feats[lo:hi], s_norms[lo:hi],
+                s_lower[lo:hi], k, buffers, (lower[here], kth[here], within[here]),
+            )
+            lo_of[here], hi_of[here] = lo, hi
+            top = (9 * (stop - start)) // 10
+            width = _WINDOW_REACH * float(np.sqrt(np.partition(kth[here], top)[top]))
+        # Certify each row: the projection gap to the nearest bank row outside
+        # its window, less the rounding margins, must clear its K-th distance,
+        # and no tie may straddle the cut.
+        h = feats.shape[1]
+        c = 8 * (h + 2) * np.finfo(np.float64).eps / 2
+        underflow = (h + 3) * np.finfo(np.float64).smallest_subnormal
+        reach = np.sqrt(q_norms) + np.sqrt(f_norms.max())
+        padded = np.concatenate(([-np.inf], f_proj, [np.inf]))
+        with np.errstate(invalid="ignore"):  # inf - inf where a query is infinite
+            gap = np.minimum(q_proj - padded[lo_of], padded[hi_of + 1] - q_proj)
+            gap -= c * reach + underflow
+        margin = c * reach * reach + underflow
+        certified = (within == k) & (gap > 0.0) & (gap * gap > kth + margin)
+    redo = np.flatnonzero(~certified)
+    if redo.size:
+        redone = _counts(redo.size)
+        _count_nearest(queries[redo], q_norms[redo], feats, f_norms, is_lower, k, buffers, redone)
+        lower[redo] = redone[0]
+    votes = np.empty(n, dtype=np.int32)  # lower-fragment votes in query order
+    votes[q_order] = lower
+    return np.where(2 * votes > k, *pair)

@@ -83,14 +83,11 @@ def fragment_labels(ds: Dataset, F: int) -> FragmentationScheme:
     if not ds.label_max > ds.label_min:
         raise DataError("observed label range is degenerate")
     boundaries = np.linspace(ds.label_min, ds.label_max, F + 1)
-    scheme = FragmentationScheme(
-        boundaries=boundaries,
-        means=np.zeros(F),
-        counts=np.zeros(F, dtype=np.intp),
-    )
-    assignment = scheme.assign_many(ds.y)
     means = np.empty(F)
     counts = np.empty(F, dtype=np.intp)
+    # Filled in below: assign_many needs only the boundaries.
+    scheme = FragmentationScheme(boundaries=boundaries, means=means, counts=counts)
+    assignment = scheme.assign_many(ds.y)
     for f in range(1, F + 1):
         members = ds.y[assignment == f]
         counts[f - 1] = len(members)
@@ -99,7 +96,7 @@ def fragment_labels(ds: Dataset, F: int) -> FragmentationScheme:
             means[f - 1] = 0.5 * (boundaries[f - 1] + boundaries[f])
         else:
             means[f - 1] = members.mean()
-    return FragmentationScheme(boundaries=boundaries, means=means, counts=counts)
+    return scheme
 
 
 def fragment_edge_weights(ds: Dataset, scheme: FragmentationScheme) -> np.ndarray:
@@ -276,7 +273,5 @@ def jitter_scheme(
 ) -> JitteredScheme:
     """Draw this epoch's shared boundary shift, uniform on [0, J * label range]."""
     check_jitter(J, scheme.num_fragments)
-    if J == 0.0:
-        return JitteredScheme(base=scheme, delta=0.0)
     delta = float(stream(seed, "jitter", epoch).uniform(0.0, J * scheme.label_range))
     return JitteredScheme(base=scheme, delta=delta)

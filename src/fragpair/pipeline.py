@@ -14,7 +14,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .experts import (
 )
 from .fragments import (
     FragmentationError,
-    FragmentationScheme,
     Pairing,
     fragment_edge_weights,
     fragment_labels,
@@ -130,11 +129,11 @@ def summary_row(cfg: ExperimentConfig, final: dict) -> dict:
     }
 
 
-def write_summary_csv(path: Path, rows: list[dict]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+def write_summary_csv(fh: TextIO, rows: list[dict]) -> None:
+    """Write :func:`summary_row` rows, a header first, as CSV to the text stream ``fh``."""
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def _usable_cpus() -> int:
@@ -245,42 +244,6 @@ class _Votes:
         self.proc.close()
 
 
-def _train_experts(
-    cfg: ExperimentConfig,
-    experts: Experts,
-    pairing: Pairing,
-    scheme: FragmentationScheme,
-    train: Dataset,
-    labels: Optional[np.ndarray],
-    epoch: int,
-) -> tuple[dict, PairSets, Passes] | PipelineError:
-    """Epoch ``epoch``'s expert half: its jitter and pair sets, one training epoch
-    per pair expert on ``labels`` and the expert pass, with the epoch's record
-    begun.  A failure is returned as the :class:`PipelineError` naming epoch and stage."""
-    stage = "jitter"
-    try:
-        js = jitter_scheme(scheme, cfg.jitter, cfg.seed, epoch)
-        record = {"epoch": epoch, "jitter_delta": js.delta}
-
-        stage = "train_experts"
-        sets = pair_sets(pairing, js, train.y)
-        losses = train_experts_epoch(
-            experts,
-            train,
-            sets,
-            labels,
-            cfg.expert_lr,
-            cfg.batch_size,
-            derive_seed(cfg.seed, "expert_epoch", epoch),
-        )
-        record["expert_loss"] = float(np.mean(list(losses.values())))
-
-        stage = "build_banks"
-        return record, sets, build_feature_bank(experts, train)
-    except Exception as exc:
-        return _stage_error(epoch, stage, exc)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) -> RunResult:
     """Execute the full seeded loop; write the run directory when ``out_dir`` is given.
 
@@ -368,10 +331,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
         paired_dir = out_dir is not None and experts is not None
         tails = SelectionOutcome.jsonl_tails(train) if paired_dir else None
 
-        def expert_half(e: int):
-            return _train_experts(cfg, experts, pairing, scheme, train, expert_labels, e)
-        # The next epoch's record, sets and pass, or the PipelineError its expert
-        # half returned, raised when that epoch comes.
+        # Epoch e's expert half: its record begun, pair sets and expert pass, or the
+        # PipelineError naming e and its stage, raised only when epoch e comes.
+        def expert_half(e: int) -> tuple[dict, PairSets, Passes] | PipelineError:
+            at = "jitter"
+            try:
+                js = jitter_scheme(scheme, cfg.jitter, cfg.seed, e)
+                record = {"epoch": e, "jitter_delta": js.delta}
+                at = "train_experts"
+                sets = pair_sets(pairing, js, train.y)
+                losses = train_experts_epoch(experts, train, sets, expert_labels, cfg.expert_lr,
+                                             cfg.batch_size, derive_seed(cfg.seed, "expert_epoch", e))
+                record["expert_loss"] = float(np.mean(list(losses.values())))
+                at = "build_banks"
+                return record, sets, build_feature_bank(experts, train)
+            except Exception as exc:
+                return _stage_error(e, at, exc)
+
         ahead = expert_half(1) if experts is not None else None
 
         for epoch in range(1, cfg.epochs + 1):
@@ -449,7 +425,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
             if experts is not None:
                 for (i, j), net in experts.items():
                     save_net(net, ckpt_dir / f"expert_{i}_{j}.npz")
-            write_summary_csv(out_dir / "summary.csv", [summary_row(cfg, result.final)])
+            with (out_dir / "summary.csv").open("w", newline="") as fh:
+                write_summary_csv(fh, [summary_row(cfg, result.final)])
         return result
     except PipelineError:
         raise

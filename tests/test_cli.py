@@ -250,11 +250,26 @@ class TestReportCommand:
         main(["run", "--config", cfg, "--out-dir", "one"])
         capsys.readouterr()
         assert main(["report", "--runs", str(output_root / "one")]) == 0
-        printed = list(csv.reader(capsys.readouterr().out.splitlines()))
+        out = capsys.readouterr().out
+        printed = list(csv.reader(out.splitlines()))
         with (output_root / "one" / "summary.csv").open(newline="") as fh:
             written = list(csv.reader(fh))
         assert printed == written
         assert written[1][written[0].index("rho")] == "2.5"
+        # The summary.csv text itself, quoting and \r\n line endings included.
+        assert out == (output_root / "one" / "summary.csv").read_bytes().decode()
+
+    def test_stdout_is_the_out_file_text(self, tmp_path, output_root, capsys) -> None:
+        cfg = small_config_file(tmp_path)
+        main(["run", "--config", cfg, "--out-dir", "one"])
+        main(["run", "--config", cfg, "--out-dir", "two", "--set", "seed=1"])
+        runs = ["report", "--runs", str(output_root / "one"), str(output_root / "two")]
+        capsys.readouterr()
+        main(runs)
+        printed = capsys.readouterr().out
+        summary = tmp_path / "summary.csv"
+        main([*runs, "--out", str(summary)])
+        assert printed == summary.read_bytes().decode()
 
 
 class TestInputErrors:
@@ -289,6 +304,20 @@ class TestInputErrors:
         bad = tmp_path / "bad.json"
         bad.write_text('{"epochs": 2')
         self.exits_naming(["run", "--config", str(bad)], f"{bad}: ")
+
+    def test_config_that_is_not_utf8(self, tmp_path) -> None:
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b'{"epochs": 2, "seed": "\xff"}')
+        self.exits_naming(["run", "--config", str(bad)], f"{bad}: not UTF-8 text: ")
+
+    @pytest.mark.parametrize("command", ["run", "generate"])
+    def test_data_that_is_not_utf8(self, tmp_path, command) -> None:
+        data = tmp_path / "latin.csv"
+        data.write_bytes(b"x0,x1,label\n0.1,0.5,1\n0.2,\xff,2\n")
+        argv = [command, *set_flag("dataset", csv_source(data, gt_col=None))]
+        if command == "generate":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        self.exits_naming(argv, f"{data}: not UTF-8 text: invalid start byte")
 
     def test_generate_with_no_samples(self, tmp_path) -> None:
         argv = ["generate", *synthetic(0), "--out", str(tmp_path / "d.csv")]
@@ -385,6 +414,13 @@ class TestInputErrors:
         assert (run_dir / "metrics.jsonl").read_text() == ""
         self.exits_naming(["report", "--runs", str(run_dir)],
                           f"{run_dir}: metrics.jsonl holds no finished epoch")
+
+    def test_report_on_metrics_that_are_not_utf8(self, tmp_path, output_root) -> None:
+        main(["run", "--config", small_config_file(tmp_path), "--out-dir", "latin"])
+        metrics = output_root / "latin" / "metrics.jsonl"
+        metrics.write_bytes(metrics.read_bytes() + b"\xff\n")
+        self.exits_naming(["report", "--runs", str(output_root / "latin")],
+                          f"{metrics}: not UTF-8 text: ")
 
     def test_report_on_a_cut_off_metrics_file(self, tmp_path, output_root) -> None:
         main(["run", "--config", small_config_file(tmp_path), "--out-dir", "cut"])

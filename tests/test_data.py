@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,17 @@ class TestLoadCsv:
         path = _write(tmp_path / "d.csv", "a,label,gt\n1,1,1.5\n2,2,2.5\n")
         ds = load_csv(path, ["a"], "label", gt_col="gt")
         assert np.allclose(ds.y_gt, [1.5, 2.5])
+
+    # A bad byte in the header, or past the reader's first block of text.
+    @pytest.mark.parametrize("data", [
+        b"a,lab\xffel\n1,1\n",
+        b"a,label\n" + b"1,1\n" * 5000 + b"\xfe,2\n",
+    ], ids=["header", "late_row"])
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, data) -> None:
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text: invalid start byte$"):
+            load_csv(path, ["a"], "label")
 
     def test_unparseable_cell_names_row(self, tmp_path) -> None:
         path = _write(tmp_path / "d.csv", "a,label\n1,1\n2,oops\n3,3\n")

@@ -181,6 +181,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{field}: must be"):
             small_config(dataset={**self.CSV, **dataset})
 
+    @pytest.mark.parametrize("dataset", [
+        {"feature_cols": ["x0", "label"]},
+        {"feature_cols": ["x0", "noisy"], "label_col": "noisy"},
+        {"feature_cols": ["label_gt", "x0"], "gt_col": "label_gt"},
+        {"feature_cols": ["x0", "x0"]},
+    ], ids=["label", "named_label", "ground_truth", "named_twice"])
+    def test_feature_cols_hold_no_label_and_no_repeat(self, dataset) -> None:
+        message = "^dataset.feature_cols: must name each column once and not label_col or gt_col, got "
+        with pytest.raises(ConfigError, match=message):
+            small_config(dataset={**self.CSV, **dataset})
+
+    def test_label_col_may_be_gt_col(self) -> None:
+        # The noise-free reference of a csv source reads its labels from gt_col.
+        cfg = small_config(dataset={**self.CSV, "label_col": "label_gt", "gt_col": "label_gt"})
+        assert cfg.dataset["label_col"] == cfg.dataset["gt_col"] == "label_gt"
+
     def test_to_dict_shares_nothing_with_the_config(self) -> None:
         cfg = small_config(dataset=self.CSV, pairing_override=[[1, 3], [2, 4]])
         before, digest = cfg.to_dict(), cfg.config_hash()

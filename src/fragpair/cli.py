@@ -2,17 +2,16 @@
 
 Every command but ``report`` builds one config from ``--config`` and
 ``--set``; ``generate`` writes the data a run of that config loads, before
-the split.  Run directories default to ``$FRAGPAIR_OUTPUT_ROOT`` (or
-``./runs``) unless an absolute ``--out-dir`` is given.  ``main`` turns bad
-input, and a run's unreadable data or directory, into one ``fragpair
-<command>: <message>`` exit; a run that fails otherwise raises ``PipelineError``.
+the split.  Every path is used as given, relative to the working directory;
+a ``run`` without ``--out-dir`` writes ``runs/<mode>_<config hash>_s<seed>``.
+``main`` turns bad input, and a run's unreadable data or directory, into one
+``fragpair <command>: <message>`` exit; a run that fails otherwise raises ``PipelineError``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,21 +25,6 @@ from .pipeline import (
     summary_row,
     write_summary_csv,
 )
-
-OUTPUT_ROOT_ENV = "FRAGPAIR_OUTPUT_ROOT"
-
-
-def output_root() -> Path:
-    return Path(os.environ.get(OUTPUT_ROOT_ENV, "runs"))
-
-
-def _resolve_out_dir(arg: str | None, cfg: ExperimentConfig) -> Path:
-    if arg is None:
-        name = f"{cfg.mode}_{cfg.config_hash()}_s{cfg.seed}"
-        return output_root() / name
-    path = Path(arg)
-    return path if path.is_absolute() else output_root() / path
-
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     ds = load_dataset(_load_config(args))
@@ -82,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rho, _ = run_noise_free_reference(cfg)
         cfg = cfg.replace(reference_rho=rho)
         print(f"noise-free reference MAE: {rho:.6g}")
-    out_dir = _resolve_out_dir(args.out_dir, cfg)
+    out_dir = Path(args.out_dir or f"runs/{cfg.mode}_{cfg.config_hash()}_s{cfg.seed}")
     result = run_experiment(cfg, out_dir=out_dir)
     final = result.final
     parts = [f"mae={final['mae']:.6g}", f"selection_rate={final['selection_rate']:.4f}"]
@@ -96,8 +80,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_reference(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    out_dir = _resolve_out_dir(args.out_dir, cfg) if args.out_dir else None
-    rho, _ = run_noise_free_reference(cfg, out_dir=out_dir)
+    rho, _ = run_noise_free_reference(cfg, out_dir=args.out_dir or None)
     print(f"noise-free reference MAE: {rho:.6g}")
     return 0
 
@@ -117,13 +100,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             final = json.loads(records[-1])
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{metrics}: line {len(records)} is not a whole record ({exc.msg})") from None
+        if not (isinstance(final, dict) and type(final.get("mae")) in (int, float)
+                and type(final.get("selection_rate")) in (int, float)):
+            raise ConfigError(f"{metrics}: line {len(records)} is not an epoch record")
         rows.append(summary_row(cfg, final))
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_summary_csv(fh, rows)
-        print(f"wrote {args.out}")
-    else:
-        write_summary_csv(sys.stdout, rows)
+    write_summary_csv(sys.stdout, rows)
     return 0
 
 
@@ -146,19 +127,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute one seeded experiment")
     add_config_args(run)
-    run.add_argument("--out-dir", help="artifact directory (relative paths live under the output root)")
+    run.add_argument("--out-dir", help="run directory (default: runs/<mode>_<config hash>_s<seed>)")
     run.add_argument("--with-reference", action="store_true",
                      help="train a noise-free reference first and report relative error")
     run.set_defaults(func=_cmd_run)
 
     ref = sub.add_parser("reference", help="noise-free reference MAE for relative error")
     add_config_args(ref)
-    ref.add_argument("--out-dir", default=None)
+    ref.add_argument("--out-dir", help="run directory (none is written when omitted)")
     ref.set_defaults(func=_cmd_reference)
 
     rep = sub.add_parser("report", help="summarize finished run directories")
     rep.add_argument("--runs", nargs="+", required=True)
-    rep.add_argument("--out", help="summary CSV path (prints to stdout when omitted)")
     rep.set_defaults(func=_cmd_report)
 
     return parser
@@ -168,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, DataError, OSError) as exc:
         raise SystemExit(f"fragpair {args.command}: {exc}")
     except PipelineError as exc:
         # Unreadable data or an unusable run directory, before the first epoch.

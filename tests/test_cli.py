@@ -14,10 +14,9 @@ from fragpair.pipeline import PipelineError, prepare_splits, run_experiment
 
 
 @pytest.fixture(autouse=True)
-def output_root(tmp_path, monkeypatch):
-    root = tmp_path / "out_root"
-    monkeypatch.setenv("FRAGPAIR_OUTPUT_ROOT", str(root))
-    return root
+def in_tmp_path(tmp_path, monkeypatch):
+    """Each test runs in its own directory, where relative paths land."""
+    monkeypatch.chdir(tmp_path)
 
 
 def small_config_file(tmp_path, **overrides) -> str:
@@ -74,7 +73,7 @@ class TestGenerate:
         assert out.read_bytes() == csv_out.read_bytes()
         assert load_csv(out, default_feature_cols(2), "label", gt_col="label_gt").n == 10
 
-    def test_writes_the_data_a_run_loads(self, tmp_path, output_root) -> None:
+    def test_writes_the_data_a_run_loads(self, tmp_path) -> None:
         config = ["--config", small_config_file(tmp_path, seed=5)]
         data = tmp_path / "d.csv"
         main(["generate", *config, "--out", str(data)])
@@ -86,9 +85,9 @@ class TestGenerate:
             files = [run / "metrics.jsonl", *sorted((run / "selection").iterdir())]
             return {path.relative_to(run): path.read_bytes() for path in files}
 
-        synthetic = written(output_root / "synthetic")
+        synthetic = written(tmp_path / "synthetic")
         assert len(synthetic) == 3
-        assert written(output_root / "csv") == synthetic
+        assert written(tmp_path / "csv") == synthetic
 
 
 class TestInjectNoise:
@@ -116,21 +115,22 @@ class TestInjectNoise:
 
 
 class TestRun:
-    def test_artifacts_under_output_root(self, tmp_path, output_root, capsys) -> None:
+    def test_artifacts_under_out_dir(self, tmp_path, capsys) -> None:
         cfg = small_config_file(tmp_path)
         assert main(["run", "--config", cfg, "--out-dir", "demo"]) == 0
-        run_dir = output_root / "demo"
+        run_dir = tmp_path / "demo"
         assert (run_dir / "metrics.jsonl").exists()
         lines = (run_dir / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 2
         assert "run complete" in capsys.readouterr().out
 
-    def test_default_directory_name_from_config(self, tmp_path, output_root) -> None:
+    def test_default_directory_name_from_config(self, tmp_path) -> None:
         cfg = small_config_file(tmp_path)
         main(["run", "--config", cfg])
-        candidates = list(output_root.iterdir())
-        assert len(candidates) == 1
-        assert candidates[0].name.startswith("select_")
+        resolved = ExperimentConfig.from_file(cfg)
+        name = f"select_{resolved.config_hash()}_s0"
+        assert [path.name for path in (tmp_path / "runs").iterdir()] == [name]
+        assert (tmp_path / "runs" / name / "summary.csv").exists()
 
     @pytest.mark.parametrize("command", [
         ["run"], ["generate", "--out", "data.csv"], ["reference"],
@@ -146,8 +146,7 @@ class TestRun:
         ({"kind": "synthetic", "n": 6}, 0), ("csv", 4), ("csv", 5),
     ], ids=["synthetic_n6", "csv_seed4", "csv_seed5"])
     @pytest.mark.filterwarnings("ignore:fragment . is empty")
-    def test_a_held_out_split_with_one_label_value(self, tmp_path, output_root, source,
-                                                   seed) -> None:
+    def test_a_held_out_split_with_one_label_value(self, tmp_path, source, seed) -> None:
         if source == "csv":
             # Label 9 on every tenth row, 5 elsewhere.
             data = tmp_path / "data.csv"
@@ -157,28 +156,28 @@ class TestRun:
         argv = ["run", *set_flag("dataset", source), "--set", "mode=vanilla",
                 "--set", "epochs=2", "--set", f"seed={seed}", "--out-dir", "r"]
         assert main(argv) == 0
-        _, test = prepare_splits(ExperimentConfig.from_file(output_root / "r" / "config.json"))
+        _, test = prepare_splits(ExperimentConfig.from_file(tmp_path / "r" / "config.json"))
         assert test.label_range == 0.0
-        assert len((output_root / "r" / "metrics.jsonl").read_text().splitlines()) == 2
+        assert len((tmp_path / "r" / "metrics.jsonl").read_text().splitlines()) == 2
 
-    def test_set_overrides(self, tmp_path, output_root) -> None:
+    def test_set_overrides(self, tmp_path) -> None:
         cfg = small_config_file(tmp_path)
         main([
             "run", "--config", cfg, "--out-dir", "o",
             "--set", "dataset.n=120", "--set", "jitter=0.0",
         ])
-        resolved = json.loads((output_root / "o" / "config.json").read_text())
+        resolved = json.loads((tmp_path / "o" / "config.json").read_text())
         assert resolved["dataset"]["n"] == 120
         assert resolved["jitter"] == 0.0
 
-    def test_with_reference_reports_relative_error(self, tmp_path, output_root, capsys) -> None:
+    def test_with_reference_reports_relative_error(self, tmp_path, capsys) -> None:
         cfg = small_config_file(tmp_path)
         main(["run", "--config", cfg, "--out-dir", "r", "--with-reference"])
         out = capsys.readouterr().out
         assert "noise-free reference MAE" in out
         assert "mrae=" in out
         record = json.loads(
-            (output_root / "r" / "metrics.jsonl").read_text().splitlines()[-1]
+            (tmp_path / "r" / "metrics.jsonl").read_text().splitlines()[-1]
         )
         assert "mrae" in record
 
@@ -186,12 +185,12 @@ class TestRun:
 class TestPairingComparison:
     """A pairing comparison is one ``run`` per pairing, then one ``report``."""
 
-    def test_one_run_per_pairing_and_one_report(self, tmp_path, output_root, capsys) -> None:
+    def test_one_run_per_pairing_and_one_report(self, tmp_path, capsys) -> None:
         cfg = small_config_file(tmp_path)
         main(["run", "--config", cfg, "--out-dir", "contrastive"])
         main(["run", "--config", cfg, *set_flag("pairing_override", [[1, 2], [3, 4]]),
               "--out-dir", "adjacent"])
-        runs = [output_root / "contrastive", output_root / "adjacent"]
+        runs = [tmp_path / "contrastive", tmp_path / "adjacent"]
         capsys.readouterr()
         assert main(["report", "--runs", *map(str, runs)]) == 0
         header, *rows = csv.reader(capsys.readouterr().out.splitlines())
@@ -211,65 +210,61 @@ class TestReferenceCommand:
         assert main(["reference", "--config", cfg]) == 0
         assert "noise-free reference MAE" in capsys.readouterr().out
 
-    def test_config_json_reruns_a_csv_reference(self, tmp_path, output_root) -> None:
+    def test_config_json_reruns_a_csv_reference(self, tmp_path) -> None:
         data = tmp_path / "noisy.csv"
         main(["generate", *synthetic(400),
               *set_flag("noise", {"kind": "symmetric", "rate": 0.4}), "--out", str(data)])
         cfg = small_config_file(tmp_path, dataset=csv_source(data), noise=None,
                                 mode="vanilla", epochs=5)
         main(["reference", "--config", cfg, "--out-dir", "A"])
-        main(["run", "--config", str(output_root / "A" / "config.json"), "--out-dir", "B"])
-        reference = (output_root / "A" / "metrics.jsonl").read_bytes()
-        assert (output_root / "B" / "metrics.jsonl").read_bytes() == reference
+        main(["run", "--config", str(tmp_path / "A" / "config.json"), "--out-dir", "B"])
+        reference = (tmp_path / "A" / "metrics.jsonl").read_bytes()
+        assert (tmp_path / "B" / "metrics.jsonl").read_bytes() == reference
 
 
 class TestReportCommand:
-    def test_summarizes_runs(self, tmp_path, output_root, capsys) -> None:
+    def test_summarizes_runs(self, tmp_path, capsys) -> None:
         cfg = small_config_file(tmp_path)
         main(["run", "--config", cfg, "--out-dir", "one"])
         main(["run", "--config", cfg, "--out-dir", "two", "--set", "seed=1"])
-        summary = tmp_path / "summary.csv"
-        code = main([
-            "report", "--runs", str(output_root / "one"), str(output_root / "two"),
-            "--out", str(summary),
-        ])
-        assert code == 0
-        lines = summary.read_text().strip().split("\n")
+        capsys.readouterr()
+        assert main(["report", "--runs", str(tmp_path / "one"), str(tmp_path / "two")]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("config_hash,seed,mode")
 
-    def test_stdout_table(self, tmp_path, output_root, capsys) -> None:
+    def test_stdout_table(self, tmp_path, capsys) -> None:
         cfg = small_config_file(tmp_path)
         main(["run", "--config", cfg, "--out-dir", "one"])
-        main(["report", "--runs", str(output_root / "one")])
+        main(["report", "--runs", str(tmp_path / "one")])
         out = capsys.readouterr().out
         assert "config_hash" in out
 
-    def test_stdout_rows_match_the_run_summary(self, tmp_path, output_root, capsys) -> None:
+    def test_stdout_rows_match_the_run_summary(self, tmp_path, capsys) -> None:
         cfg = small_config_file(tmp_path, reference_rho=2.5)
         main(["run", "--config", cfg, "--out-dir", "one"])
         capsys.readouterr()
-        assert main(["report", "--runs", str(output_root / "one")]) == 0
+        assert main(["report", "--runs", str(tmp_path / "one")]) == 0
         out = capsys.readouterr().out
         printed = list(csv.reader(out.splitlines()))
-        with (output_root / "one" / "summary.csv").open(newline="") as fh:
+        with (tmp_path / "one" / "summary.csv").open(newline="") as fh:
             written = list(csv.reader(fh))
         assert printed == written
         assert written[1][written[0].index("rho")] == "2.5"
         # The summary.csv text itself, quoting and \r\n line endings included.
-        assert out == (output_root / "one" / "summary.csv").read_bytes().decode()
+        assert out == (tmp_path / "one" / "summary.csv").read_bytes().decode()
 
-    def test_stdout_is_the_out_file_text(self, tmp_path, output_root, capsys) -> None:
-        cfg = small_config_file(tmp_path)
-        main(["run", "--config", cfg, "--out-dir", "one"])
-        main(["run", "--config", cfg, "--out-dir", "two", "--set", "seed=1"])
-        runs = ["report", "--runs", str(output_root / "one"), str(output_root / "two")]
+    def test_relative_out_dir_is_the_directory_report_reads(self, tmp_path, capsys) -> None:
+        main(["run", "--config", small_config_file(tmp_path), "--out-dir", "cmp/a"])
         capsys.readouterr()
-        main(runs)
-        printed = capsys.readouterr().out
-        summary = tmp_path / "summary.csv"
-        main([*runs, "--out", str(summary)])
-        assert printed == summary.read_bytes().decode()
+        assert main(["report", "--runs", "cmp/a"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "cmp/a/summary.csv").read_bytes().decode()
+
+    def test_has_no_out_flag(self, capsys) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--runs", "one", "--out", "summary.csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out summary.csv" in capsys.readouterr().err
 
 
 class TestInputErrors:
@@ -343,12 +338,12 @@ class TestInputErrors:
                           "fragpair run: config: must be an object")
 
     @pytest.mark.parametrize("command", [["reference"], ["run", "--with-reference"]])
-    def test_reference_of_a_csv_without_ground_truth(self, tmp_path, output_root, command) -> None:
+    def test_reference_of_a_csv_without_ground_truth(self, tmp_path, command) -> None:
         data = tmp_path / "two.csv"
         data.write_text("x0,x1,label\n0.1,0.5,1\n0.2,0.6,2\n")
         argv = [*command, *set_flag("dataset", csv_source(data, gt_col=None)), "--out-dir", "r"]
         self.exits_naming(argv, f"fragpair {command[0]}: dataset.gt_col: ")
-        assert not output_root.exists()
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", [["run"]], ids=["run"])
     @pytest.mark.parametrize("content, message", [
@@ -367,12 +362,12 @@ class TestInputErrors:
         argv = [*command, *set_flag("dataset", csv_source(data, gt_col=None))]
         self.exits_naming(argv, f"epoch 0, stage prepare: {message}")
 
-    def test_a_training_set_with_one_label_value(self, tmp_path, output_root) -> None:
+    def test_a_training_set_with_one_label_value(self, tmp_path) -> None:
         data = tmp_path / "data.csv"
         data.write_text("x0,x1,label\n" + "".join(f"{k},0.5,5\n" for k in range(20)))
         argv = ["run", *set_flag("dataset", csv_source(data, gt_col=None)), "--out-dir", "r"]
         self.exits_naming(argv, "epoch 0, stage fragment: observed label range is degenerate")
-        assert (output_root / "r" / "metrics.jsonl").read_text() == ""
+        assert (tmp_path / "r" / "metrics.jsonl").read_text() == ""
 
     def test_out_dir_that_is_a_file(self, tmp_path) -> None:
         taken = tmp_path / "taken"
@@ -391,17 +386,17 @@ class TestInputErrors:
         ([[1, 1], [2, 3]], [], "pairing_override: pair (1, 1) must be ordered i < j"),
         ([[1, 2], [3, 4]], ["--set", "fragments=6"], "pairing_override: covers 4 fragments, expected 6"),
     ], ids=["unordered_pair", "too_few_fragments"])
-    def test_invalid_matching(self, tmp_path, output_root, pairing, sets, message) -> None:
+    def test_invalid_matching(self, tmp_path, pairing, sets, message) -> None:
         argv = ["run", "--config", small_config_file(tmp_path),
                 *set_flag("pairing_override", pairing), *sets, "--out-dir", "r"]
         self.exits_naming(argv, message)
-        assert not output_root.exists()
+        assert not (tmp_path / "r").exists()
 
     def test_report_on_a_missing_directory(self, tmp_path) -> None:
         missing = tmp_path / "missing"
         self.exits_naming(["report", "--runs", str(missing)], str(missing / "config.json"))
 
-    def test_report_on_a_run_with_no_finished_epoch(self, tmp_path, output_root, monkeypatch) -> None:
+    def test_report_on_a_run_with_no_finished_epoch(self, tmp_path, monkeypatch) -> None:
         def diverge(*args, **kwargs):
             raise RuntimeError("diverged")
 
@@ -410,20 +405,32 @@ class TestInputErrors:
         # A run that fails part-way is not an input error: it keeps its traceback.
         with pytest.raises(PipelineError, match="epoch 1, stage train_regressor: diverged"):
             main(argv)
-        run_dir = output_root / "failed"
+        run_dir = tmp_path / "failed"
         assert (run_dir / "metrics.jsonl").read_text() == ""
         self.exits_naming(["report", "--runs", str(run_dir)],
                           f"{run_dir}: metrics.jsonl holds no finished epoch")
 
-    def test_report_on_metrics_that_are_not_utf8(self, tmp_path, output_root) -> None:
+    def test_report_on_metrics_that_are_not_utf8(self, tmp_path) -> None:
         main(["run", "--config", small_config_file(tmp_path), "--out-dir", "latin"])
-        metrics = output_root / "latin" / "metrics.jsonl"
+        metrics = tmp_path / "latin" / "metrics.jsonl"
         metrics.write_bytes(metrics.read_bytes() + b"\xff\n")
-        self.exits_naming(["report", "--runs", str(output_root / "latin")],
+        self.exits_naming(["report", "--runs", str(tmp_path / "latin")],
                           f"{metrics}: not UTF-8 text: ")
 
-    def test_report_on_a_cut_off_metrics_file(self, tmp_path, output_root) -> None:
+    @pytest.mark.parametrize("record", [
+        '{"epoch": 3}', "null", "[1]", '{"epoch": 3, "mae": "x", "selection_rate": 1}',
+        '{"epoch": 3, "mae": 1.5, "selection_rate": true}',
+    ], ids=["no_mae", "null", "list", "text_mae", "bool_rate"])
+    def test_report_on_a_last_line_that_is_not_an_epoch_record(self, tmp_path, record) -> None:
+        run_dir = tmp_path / "odd"
+        main(["run", "--config", small_config_file(tmp_path), "--out-dir", str(run_dir)])
+        metrics = run_dir / "metrics.jsonl"
+        metrics.write_text(metrics.read_text() + record + "\n")
+        self.exits_naming(["report", "--runs", str(run_dir)],
+                          f"{metrics}: line 3 is not an epoch record")
+
+    def test_report_on_a_cut_off_metrics_file(self, tmp_path) -> None:
         main(["run", "--config", small_config_file(tmp_path), "--out-dir", "cut"])
-        metrics = output_root / "cut" / "metrics.jsonl"
+        metrics = tmp_path / "cut" / "metrics.jsonl"
         metrics.write_bytes(metrics.read_bytes()[:30])
-        self.exits_naming(["report", "--runs", str(output_root / "cut")], f"{metrics}: line 1 ")
+        self.exits_naming(["report", "--runs", str(tmp_path / "cut")], f"{metrics}: line 1 ")

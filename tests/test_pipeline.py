@@ -537,6 +537,11 @@ def fail_on_call(monkeypatch, name: str, call: int, fail=None) -> None:
     monkeypatch.setattr(fragpair.pipeline, name, patched)
 
 
+def run_history(raw: dict) -> list[dict]:
+    """The epoch records of the run of config ``raw``, where the call runs."""
+    return run_experiment(ExperimentConfig.from_dict(raw)).history
+
+
 @pytest.fixture(params=[2, 1], ids=["worker", "one_cpu"])
 def cpus(request, monkeypatch):
     """Vote in the run's forked worker, or in its own process as on a one-CPU host."""
@@ -602,6 +607,16 @@ class TestOverlappedVotes:
             run_experiment(cfg, out_dir=tmp_path / "failed")
         metrics = (tmp_path / "failed" / "metrics.jsonl").read_text().splitlines()
         assert metrics == (clean.out_dir / "metrics.jsonl").read_text().splitlines()[:1]
+        assert multiprocessing.active_children() == []
+
+    def test_a_daemonic_process_votes_in_its_own_process(self, monkeypatch) -> None:
+        # A Pool worker is daemonic and may not start children, so its run
+        # forks no vote worker and votes as on a one-CPU host.
+        monkeypatch.setattr(fragpair.pipeline, "_usable_cpus", lambda: 2)
+        raw = small_config().to_dict()
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            history = pool.apply(run_history, (raw,))
+        assert history == run_history(raw)
         assert multiprocessing.active_children() == []
 
     def test_cut_wait_ends_the_worker(self, monkeypatch, capfd) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Optional
 
 from .fragments import Pairing, check_fragment_count, check_jitter
-from .net import ACTIVATIONS
+from .net import NetSpec
 from .selection import COMBINES
 
 MODES = ("select", "select_regr", "vanilla")
@@ -163,9 +163,6 @@ class ExperimentConfig:
     reference_rho: Optional[float] = None
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         self._validate_dataset()
         self._validate_noise()
         F = self.fragments
@@ -257,12 +254,9 @@ class ExperimentConfig:
     def _validate_net(self, name: str) -> None:
         spec = _take(getattr(self, name), DEFAULTS[name], name)
         dims = spec["hidden_dims"]
-        _require(isinstance(dims, list), f"{name}.hidden_dims: must be a list of integers")
-        _require(len(dims) >= 1, f"{name}.hidden_dims: need one or more layers")
-        for h in dims:
-            _require_int(h, f"{name}.hidden_dims", 1)
-        _require(spec["activation"] in ACTIVATIONS,
-                 f"{name}.activation: must be one of {ACTIVATIONS}")
+        _require(isinstance(dims, list) and all(isinstance(h, int) and not isinstance(h, bool) for h in dims),
+                 f"{name}.hidden_dims: must be a list of integers, got {dims!r}")
+        _require_rule(name, NetSpec, 1, dims, 1, spec["activation"])
         object.__setattr__(self, name, spec)
 
     def to_dict(self) -> dict:
@@ -281,8 +275,6 @@ class ExperimentConfig:
     def replace(self, **changes) -> "ExperimentConfig":
         return ExperimentConfig.from_dict({**self.to_dict(), **changes})
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()[:16]

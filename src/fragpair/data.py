@@ -62,11 +62,6 @@ class Dataset:
     def label_range(self) -> float:
         return self.label_max - self.label_min
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.intp)
-        y_gt = None if self.y_gt is None else self.y_gt[idx].copy()
-        return Dataset(x=self.x[idx].copy(), y=self.y[idx].copy(), y_gt=y_gt)
-
 
 def feature_curve(t: np.ndarray, d: int) -> np.ndarray:
     """Smooth injective map from normalized labels t in [0, 1] into R^d.
@@ -154,7 +149,9 @@ def split_dataset(ds: Dataset, test_frac: float, seed: int) -> tuple[Dataset, Da
     n_test = max(1, int(round(ds.n * test_frac)))
     if n_test >= ds.n:
         raise DataError("split leaves no training samples")
-    return ds.subset(perm[n_test:]), ds.subset(perm[:n_test])
+    # Indexing by an index array copies, so neither part shares memory with ds.
+    return tuple(Dataset(x=ds.x[idx], y=ds.y[idx], y_gt=None if ds.y_gt is None else ds.y_gt[idx])
+                 for idx in (perm[n_test:], perm[:n_test]))
 
 
 def _parse_cell(raw: str, column: str, row: int) -> float:

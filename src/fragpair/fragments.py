@@ -56,16 +56,12 @@ class FragmentationScheme:
     def label_range(self) -> float:
         return self.label_max - self.label_min
 
-    @property
-    def width(self) -> float:
-        return self.label_range / self.num_fragments
-
     def assign_many(self, y: np.ndarray) -> np.ndarray:
         """Fragment id (1..F) per label; labels must lie within the range."""
         y = np.asarray(y, dtype=np.float64)
         if np.any(y < self.label_min) or np.any(y > self.label_max):
             raise FragmentationError("label outside the fragmented range")
-        idx = np.floor((y - self.label_min) / self.width).astype(np.intp)
+        idx = np.floor((y - self.label_min) / (self.label_range / self.num_fragments)).astype(np.intp)
         return np.clip(idx, 0, self.num_fragments - 1) + 1
 
     def to_json(self) -> dict:
@@ -108,23 +104,15 @@ def fragment_edge_weights(ds: Dataset, scheme: FragmentationScheme) -> np.ndarra
     the matrix total.
     """
     F = scheme.num_fragments
-    assignment = scheme.assign_many(ds.y)
-    lo = np.full(F, np.nan)
-    hi = np.full(F, np.nan)
-    for f in range(1, F + 1):
-        members = ds.y[assignment == f]
-        if len(members):
-            lo[f - 1], hi[f - 1] = members.min(), members.max()
-    weights = np.zeros((F, F))
-    for i in range(F):
-        for j in range(i + 1, F):
-            if np.isnan(hi[i]) or np.isnan(lo[j]):
-                gap = scheme.boundaries[j] - scheme.boundaries[i + 1]
-                weights[i, j] = max(0.0, float(gap))
-            else:
-                weights[i, j] = lo[j] - hi[i]
-            weights[j, i] = weights[i, j]
-    return weights
+    at = scheme.assign_many(ds.y) - 1
+    lo, hi = np.full(F, np.nan), np.full(F, np.nan)
+    np.fmin.at(lo, at, ds.y)
+    np.fmax.at(hi, at, ds.y)
+    b = scheme.boundaries
+    # Row i, column j > i weighs fragments i + 1 and j + 1; the lower triangle mirrors it.
+    empty = np.isnan(hi)[:, None] | np.isnan(lo)[None, :]
+    weights = np.triu(np.where(empty, np.maximum(0.0, b[:-1] - b[1:, None]), lo - hi[:, None]), 1)
+    return weights + weights.T
 
 
 Matching = tuple[tuple[int, int], ...]

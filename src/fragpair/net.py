@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 from pathlib import Path
 import numpy as np
 
@@ -24,6 +25,13 @@ class NetError(ValueError):
     """Raised for invalid network specs, shapes or diverging training."""
 
 
+def _width(value, name: str) -> int:
+    """A layer width of any integer type but bool, as a plain int."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise NetError(f"{name}: must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class NetSpec:
     input_dim: int
@@ -33,14 +41,14 @@ class NetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        if any(d < 1 for d in dims):
-            raise NetError("all layer dimensions must be >= 1")
+        """The net rules: one hidden layer or more, widths >= 1, a known activation."""
+        for name in ("input_dim", "output_dim"):
+            object.__setattr__(self, name, _width(getattr(self, name), name))
+        object.__setattr__(self, "hidden_dims", tuple(_width(h, "hidden_dims") for h in self.hidden_dims))
         if not self.hidden_dims:
-            raise NetError("at least one hidden layer is required")
+            raise NetError("hidden_dims: need one or more layers")
         if self.activation not in ACTIVATIONS:
-            raise NetError(f"activation must be one of {ACTIVATIONS}")
+            raise NetError(f"activation: must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
 @dataclass

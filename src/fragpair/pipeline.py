@@ -302,7 +302,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
 
         stage = "fragment"
         scheme = fragment_labels(train, cfg.fragments)
-        lo, span = train.label_min, train.label_range
+        lo, span = scheme.label_min, scheme.label_range
         norm_targets = (train.y - lo) / span
         pairing: Optional[Pairing] = None
         experts: Optional[Experts] = None

@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from fragpair.data import Dataset
 from fragpair.experts import (
     Experts,
     Pair,
@@ -88,6 +89,24 @@ def jittered_membership(y: float, js: JitteredScheme) -> tuple[int, ...]:
     """The 1 or 2 fragments whose jittered coverage contains ``y``."""
     base_id = assign(js.base, y)
     return _expand_membership(float(y), base_id, js)
+
+
+def brute_force_edge_weights(ds: Dataset, scheme: FragmentationScheme) -> np.ndarray:
+    """O(n^2) oracle: scan every cross-fragment sample pair."""
+    F = scheme.num_fragments
+    assignment = scheme.assign_many(ds.y)
+    weights = np.zeros((F, F))
+    for i in range(1, F + 1):
+        for j in range(i + 1, F + 1):
+            yi = ds.y[assignment == i]
+            yj = ds.y[assignment == j]
+            if len(yi) and len(yj):
+                weights[i - 1, j - 1] = np.abs(yi[:, None] - yj[None, :]).min()
+            else:
+                gap = scheme.boundaries[j - 1] - scheme.boundaries[i]
+                weights[i - 1, j - 1] = max(0.0, gap)
+            weights[j - 1, i - 1] = weights[i - 1, j - 1]
+    return weights
 
 
 # --- net --------------------------------------------------------------------

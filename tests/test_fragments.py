@@ -17,7 +17,7 @@ from fragpair.fragments import (
     max_jitter,
     select_contrastive_pairing,
 )
-from oracles import assign, jittered_membership, membership_many, partner
+from oracles import assign, brute_force_edge_weights, jittered_membership, membership_many, partner
 
 
 def uniform_dataset(n: int = 4000, lo: float = 0.0, hi: float = 100.0, seed: int = 0) -> Dataset:
@@ -25,24 +25,6 @@ def uniform_dataset(n: int = 4000, lo: float = 0.0, hi: float = 100.0, seed: int
     y = rng.uniform(lo, hi, n)
     y[0], y[1] = lo, hi  # pin the range exactly
     return Dataset(x=y[:, None].copy(), y=y)
-
-
-def brute_force_edge_weights(ds: Dataset, scheme: FragmentationScheme) -> np.ndarray:
-    """O(n^2) oracle: scan every cross-fragment sample pair."""
-    F = scheme.num_fragments
-    assignment = scheme.assign_many(ds.y)
-    weights = np.zeros((F, F))
-    for i in range(1, F + 1):
-        for j in range(i + 1, F + 1):
-            yi = ds.y[assignment == i]
-            yj = ds.y[assignment == j]
-            if len(yi) and len(yj):
-                weights[i - 1, j - 1] = np.abs(yi[:, None] - yj[None, :]).min()
-            else:
-                gap = scheme.boundaries[j - 1] - scheme.boundaries[i]
-                weights[i - 1, j - 1] = max(0.0, gap)
-            weights[j - 1, i - 1] = weights[i - 1, j - 1]
-    return weights
 
 
 def brute_force_best_matching(weights: np.ndarray):
@@ -100,7 +82,7 @@ class TestEdgeWeights:
         ds = uniform_dataset(n=3000)
         scheme = fragment_labels(ds, 4)
         weights = fragment_edge_weights(ds, scheme)
-        assert np.allclose(weights, brute_force_edge_weights(ds, scheme))
+        assert np.array_equal(weights, brute_force_edge_weights(ds, scheme))
         assert weights[0, 1] == pytest.approx(0.0, abs=0.5)
         assert weights[0, 2] == pytest.approx(25.0, abs=0.5)
         assert weights[0, 3] == pytest.approx(50.0, abs=0.5)
@@ -118,7 +100,7 @@ class TestEdgeWeights:
             scheme = fragment_labels(ds, 4)
         weights = fragment_edge_weights(ds, scheme)
         assert weights[0, 3] == pytest.approx(80.0)
-        assert np.allclose(weights, brute_force_edge_weights(ds, scheme))
+        assert np.array_equal(weights, brute_force_edge_weights(ds, scheme))
 
 
 class TestMatchingEnumeration:

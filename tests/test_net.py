@@ -46,6 +46,25 @@ class TestInit:
         with pytest.raises(NetError):
             NetSpec(2, (), 1)
 
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            ((2, (8.9,), 1), "hidden_dims"),
+            ((2, (True, 4), 1), "hidden_dims"),
+            ((2.5, (4,), 1), "input_dim"),
+            ((2, (4,), 1.0), "output_dim"),
+            ((False, (4,), 1), "input_dim"),
+        ],
+    )
+    def test_non_integer_or_bool_dims_rejected_by_name(self, args, name) -> None:
+        with pytest.raises(NetError, match=f"^{name}: must be an integer >= 1, got "):
+            NetSpec(*args)
+
+    def test_integer_types_are_kept_as_plain_ints(self) -> None:
+        spec = NetSpec(np.int64(2), (np.int32(8), np.uint8(4)), np.int64(1))
+        assert (spec.input_dim, spec.hidden_dims, spec.output_dim) == (2, (8, 4), 1)
+        assert all(type(d) is int for d in (spec.input_dim, *spec.hidden_dims, spec.output_dim))
+
 
 class TestForward:
     def test_zero_net_outputs_zero(self) -> None:

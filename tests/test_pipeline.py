@@ -70,6 +70,9 @@ class TestConfigValidation:
             ("mode", "fancy", "mode"),
             ("selection_combine", "both", "selection_combine"),
             ("test_frac", 1.5, "test_frac"),
+            ("expert_net", {"hidden_dims": []}, "^expert_net: hidden_dims: need one or more layers$"),
+            ("expert_net", {"hidden_dims": [8, 0]}, "^expert_net: hidden_dims: must be an integer >= 1"),
+            ("regressor_net", {"activation": "gelu"}, "^regressor_net: activation: must be one of"),
         ],
     )
     def test_invariant_violations_name_the_field(self, field, value, fragment) -> None:

@@ -1,15 +1,18 @@
 """Property tests of jittered membership, the per-pair training sets, the
-max-min pairing and the neighborhood gate against their scalar and
-brute-force oracles, and of the fragment prior's invariants."""
+fragment edge weights, the max-min pairing and the neighborhood gate against
+their scalar and brute-force oracles, and of the fragment prior's invariants."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from fragpair.data import Dataset
 from fragpair.experts import ExpertError, pair_sets
 from fragpair.fragments import (
     MAX_FRAGMENTS,
@@ -17,12 +20,14 @@ from fragpair.fragments import (
     FragmentationScheme,
     JitteredScheme,
     Pairing,
+    fragment_edge_weights,
+    fragment_labels,
     list_perfect_matchings,
     max_jitter,
     select_contrastive_pairing,
 )
 from fragpair.selection import neighborhood_gate, prior_rows
-from oracles import jittered_membership, neighborhood_agreement
+from oracles import brute_force_edge_weights, jittered_membership, neighborhood_agreement
 
 MATCHINGS = {F: list_perfect_matchings(F) for F in (4, 6, 8)}
 
@@ -83,6 +88,32 @@ def test_pair_sets_are_each_pairs_membership(case, data) -> None:
         assert set(tags.tolist()) == set(pair)
         expected = [(idx, f) for idx, f in members if f in pair]
         assert list(zip(rows.tolist(), tags.tolist())) == expected
+
+
+@st.composite
+def fragmented_datasets(draw):
+    """F fragments over a few labels on a coarse grid, so that tied labels and
+    empty fragments are common, with the scheme fragment_labels makes of them."""
+    F = draw(st.sampled_from(range(MIN_FRAGMENTS, MAX_FRAGMENTS + 1, 2)))
+    lo = draw(st.floats(-1e3, 1e3))
+    step = draw(st.floats(1e-3, 1e2))
+    grid = st.integers(0, 2 * F).map(float) | st.floats(0.0, 2.0 * F)
+    y = lo + step * np.array(draw(st.lists(grid, min_size=2, max_size=30)))
+    assume(y.max() > y.min())
+    ds = Dataset(x=y[:, None].copy(), y=y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty fragment warns
+        return ds, fragment_labels(ds, F)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fragmented_datasets())
+def test_edge_weights_are_the_brute_force_scan_bit_for_bit(case) -> None:
+    ds, scheme = case
+    weights = fragment_edge_weights(ds, scheme)
+    expected = brute_force_edge_weights(ds, scheme)
+    assert np.array_equal(weights, expected)
+    assert select_contrastive_pairing(weights) == select_contrastive_pairing(expected)
 
 
 @st.composite

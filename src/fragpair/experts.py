@@ -140,23 +140,6 @@ class KShrinkWarning(UserWarning):
     """K exceeded a feature bank and was shrunk to the largest odd K that fits."""
 
 
-def _effective_k(K: int, bank_size: int, pair: Pair, warn: bool = True) -> int:
-    """K, or else the largest odd K the bank holds, with a warning if ``warn``."""
-    if K < 1 or K % 2 == 0:
-        raise ExpertError("K must be odd and >= 1")
-    if bank_size == 0:
-        raise ExpertError(f"feature bank for pair {pair} is empty")
-    if K <= bank_size:
-        return K
-    k = bank_size if bank_size % 2 == 1 else bank_size - 1
-    if warn:
-        warnings.warn(
-            f"K={K} exceeds bank size {bank_size} for pair {pair}; using K={k}",
-            KShrinkWarning,
-        )
-    return k
-
-
 # Floats per distance buffer (256 KB).  A call allocates its buffers once and
 # reuses them for every block.
 _BUFFER_FLOATS = 1 << 15
@@ -254,8 +237,9 @@ def knn_votes(
     ``pair``.  Squared Euclidean distances are ``max((|q|^2 + |f|^2) - 2 q.f,
     0)``.  The K nearest are every entry closer than the K-th smallest
     distance, then the entries at exactly that distance in bank-index order:
-    ties break toward the lower bank index, as a stable sort would.  K is
-    kept odd (shrunk if it exceeds the bank) so votes cannot tie.
+    ties break toward the lower bank index, as a stable sort would.  K must
+    be odd, so votes cannot tie; a K above the bank size is shrunk to the
+    largest odd K the bank holds, with a :class:`KShrinkWarning`.
 
     **Projection sweep.**  Bank rows and queries are projected onto the
     bank's leading principal axis ``u`` and sorted by projection.  The sorted
@@ -318,12 +302,18 @@ def knn_votes(
     Up to such near-ties, the votes do not depend on the block sizes, the
     window reach or the axis chosen; those decide only how much is pruned.
     """
-    k = _effective_k(K, len(tags), pair)
+    n, m = len(queries), len(feats)
+    if K < 1 or K % 2 == 0:
+        raise ExpertError("K must be odd and >= 1")
+    if m == 0:
+        raise ExpertError(f"feature bank for pair {pair} is empty")
+    k = min(K, m - 1 + m % 2)  # the largest odd K the bank holds
+    if k < K:
+        warnings.warn(f"K={K} exceeds bank size {m} for pair {pair}; using K={k}", KShrinkWarning)
     queries = np.asarray(queries, dtype=np.float64)
     q_norms = (queries * queries).sum(axis=1)
     f_norms = (feats * feats).sum(axis=1)
     is_lower = tags == pair[0]
-    n, m = len(queries), len(feats)
     floats = max(_BUFFER_FLOATS, m)
     buffers = (np.empty(floats), np.empty(floats), np.empty(floats, dtype=bool))
     lower, kth, within = _counts(n)

@@ -59,7 +59,7 @@ class FragmentationScheme:
     def assign_many(self, y: np.ndarray) -> np.ndarray:
         """Fragment id (1..F) per label; labels must lie within the range."""
         y = np.asarray(y, dtype=np.float64)
-        if np.any(y < self.label_min) or np.any(y > self.label_max):
+        if not np.all((y >= self.label_min) & (y <= self.label_max)):  # NaN fails too
             raise FragmentationError("label outside the fragmented range")
         idx = np.floor((y - self.label_min) / (self.label_range / self.num_fragments)).astype(np.intp)
         return np.clip(idx, 0, self.num_fragments - 1) + 1
@@ -164,6 +164,9 @@ class Pairing:
 
     @staticmethod
     def from_json(pairs: Sequence[Sequence[int]]) -> "Pairing":
+        for p in pairs:
+            if len(p) != 2:
+                raise FragmentationError(f"pair {list(p)} must name two fragments")
         canon = tuple(sorted((min(p), max(p)) for p in pairs))
         return Pairing(pairs=canon)
 

@@ -8,6 +8,7 @@ one epoch on the selected samples.  Held-out evaluation uses clean labels.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -23,10 +24,10 @@ from .data import Dataset, generate_synthetic, load_csv, split_dataset
 from .data import inject_gaussian_noise, inject_symmetric_noise
 from .experts import (
     Experts,
+    KShrinkWarning,
     Pair,
     PairSets,
     Passes,
-    _effective_k,
     build_feature_bank,
     init_ensemble,
     knn_votes,
@@ -142,13 +143,14 @@ def _usable_cpus() -> int:
     return len(getaffinity(0)) if getaffinity is not None else 1
 
 
-def _vote(job: dict) -> tuple[dict, list]:
-    """Every pair's :func:`knn_votes`, for a job of (features, rows, tags, k) per
-    pair, of every row against the features at its rows; and the warnings raised."""
+def _vote(job: tuple[int, dict]) -> tuple[dict, list]:
+    """Every pair's :func:`knn_votes`, for a job of K and (features, rows, tags)
+    per pair, of every row against the features at its rows; and the warnings raised."""
+    K, sets = job
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        winners = {pair: knn_votes(feats[rows], tags, feats, k, pair)
-                   for pair, (feats, rows, tags, k) in job.items()}
+        winners = {pair: knn_votes(feats[rows], tags, feats, K, pair)
+                   for pair, (feats, rows, tags) in sets.items()}
     return winners, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
@@ -181,10 +183,10 @@ class _Votes:
 
     def __init__(self, K: int) -> None:
         self.K = K
-        # Whether a bank has shrunk K yet: the run warns of it once.
+        # Whether a vote has shrunk K yet: the run warns of it once.
         self.shrunk = False
         # The job handed over and not yet collected.
-        self.job: Optional[dict] = None
+        self.job: Optional[tuple[int, dict]] = None
         self.proc = None
         if _usable_cpus() < 2:
             return
@@ -203,15 +205,12 @@ class _Votes:
         child_end.close()
 
     def submit(self, sets: PairSets, passes: Passes) -> None:
-        job = {}
-        for pair, (rows, tags) in sets.items():
-            k = _effective_k(self.K, len(tags), pair, warn=not self.shrunk)
-            self.shrunk = self.shrunk or k != self.K
-            job[pair] = passes[pair][1], rows, tags, k
         # Recorded first: a send cut short may leave the worker with the job.
-        self.job = job
+        self.job = self.K, {pair: (passes[pair][1], rows, tags) for pair, (rows, tags) in sets.items()}
         if self.proc is not None:
-            self.conn.send(job)
+            # A worker that is gone is reported, with its exit code, by collect.
+            with contextlib.suppress(ConnectionError):
+                self.conn.send(self.job)
 
     def collect(self) -> dict[Pair, np.ndarray]:
         if self.proc is None:
@@ -219,17 +218,21 @@ class _Votes:
         else:
             try:
                 reply = self.conn.recv()
-            except EOFError:
+            except (EOFError, ConnectionError):  # the worker is gone, its job read or not
                 self.proc.join()
                 raise RuntimeError(f"K-NN vote worker exited with code {self.proc.exitcode}") from None
         self.job = None
         if isinstance(reply, Exception):
             raise reply
         winners, caught = reply
-        # One registry per epoch, as the select stage's own warnings have.
+        # One registry per epoch, as the select stage's own warnings have;
+        # the run's first K shrink is shown and the rest are dropped.
         registry: dict = {}
         for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+            shrink = category is KShrinkWarning
+            if not (shrink and self.shrunk):
+                warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+            self.shrunk |= shrink
         return winners
 
     def close(self) -> None:
@@ -261,26 +264,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
     are independent.  In ``select`` and ``select_regr`` modes, while epoch e's
     votes (``experts.knn_votes`` for every pair) are computed, this process
     does epoch e+1's jitter, pair sets, expert training and expert pass.  It
-    then collects e's votes, hands over e+1's sets and pass, and finishes epoch e
-    (selection, regressor, evaluation and e's files) while e+1's votes are
-    computed.  Where more than one CPU is usable (``os.sched_getaffinity``),
-    one worker process, forked for the run at its first epoch and ended
-    before it returns or raises, computes the votes; otherwise this process
-    computes them when it collects them.  Either way the same ``_vote`` runs
-    on the same inputs and its warnings are raised again here, in the select
-    stage, with one warning registry per epoch; a K shrunk to fit a bank is
-    warned of once per run.  Vanilla runs have no votes and no worker.  The
-    bytes do not depend on where or when the votes are computed: every
-    random stream is counter-based, keyed by epoch and pair, not by the
-    order of draws.
+    then collects e's votes, hands over e+1's sets and pass with the run's K,
+    and finishes epoch e (selection, regressor, evaluation and e's files)
+    while e+1's votes are computed.  Where more than one CPU is usable
+    (``os.sched_getaffinity``), one worker process, forked for the run at its
+    first epoch and ended before it returns or raises, computes the votes;
+    otherwise this process computes them when it collects them.  Either way
+    the same ``_vote`` runs on the same inputs and its warnings are raised
+    again here, in the select stage, with one warning registry per epoch.
+    K is fitted to each bank inside the vote, and of the votes' warnings that
+    K was shrunk to fit a bank only the run's first is shown.  Vanilla runs
+    have no votes and no worker.  The bytes do not depend on where or when
+    the votes are computed: every random stream is counter-based, keyed by
+    epoch and pair, not by the order of draws.
 
     Failures keep the order of one epoch after another.  A failure of epoch
     e+1's expert half waits until epoch e is finished, then raises naming
     epoch e+1 and its stage.  A failure while finishing epoch e names epoch e,
     and e+1's work is dropped.  A vote that fails or a worker that dies names
-    epoch e, stage ``select``; a failed hand-over of e+1's pass names e+1,
-    stage ``select``.  Ctrl-C or an error while the run waits for a vote
-    ends the worker at once.
+    its epoch, stage ``select``: a worker that is gone when e+1's pass is
+    handed over is reported when e+1's votes are collected.  Ctrl-C or an
+    error while the run waits for a vote ends the worker at once.
     """
     stage = "artifacts"
     epoch = 0
@@ -368,10 +372,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
                 # Handed over before this epoch is finished, so that the next
                 # vote runs while it is.
                 if isinstance(ahead, tuple):
-                    try:
-                        votes.submit(*ahead[1:])
-                    except Exception as exc:
-                        ahead = _stage_error(epoch + 1, "select", exc)
+                    votes.submit(*ahead[1:])
                 outcome = select_clean(train, pairing, scheme, passes, winners, regress,
                                        cfg.seed, epoch)
                 selected = outcome.combine(cfg.selection_combine)

@@ -14,7 +14,9 @@ import numpy as np
 
 
 def derive_seed(seed: int, *labels: object) -> int:
-    """Map (seed, label path) to a stable 64-bit stream key."""
+    """Map (seed, label path) to a stable 64-bit stream key; the seed must be an integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed {seed!r}: must be an integer")
     text = repr((int(seed),) + tuple(labels)).encode()
     digest = hashlib.sha256(text).digest()
     return int.from_bytes(digest[:8], "little")

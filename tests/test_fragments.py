@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,14 @@ class TestFragmentLabels:
         for F in (3, 2, 14):
             with pytest.raises(FragmentationError):
                 fragment_labels(ds, F)
+
+    @pytest.mark.parametrize("y", [[np.nan, 3.0], [3.0, np.nan], [-1.0, 3.0], [3.0, 101.0]])
+    def test_label_outside_the_range_or_nan_rejected(self, y) -> None:
+        scheme = fragment_labels(uniform_dataset(), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FragmentationError, match="^label outside the fragmented range$"):
+                scheme.assign_many(np.asarray(y))
 
     def test_degenerate_range_rejected(self) -> None:
         ds = Dataset(x=np.ones((3, 1)), y=np.full(3, 7.0))
@@ -215,6 +226,13 @@ class TestPairingType:
     def test_json_round_trip(self) -> None:
         pairing = Pairing(pairs=((1, 4), (2, 5), (3, 6)))
         assert Pairing.from_json(pairing.to_json()) == pairing
+
+    @pytest.mark.parametrize("entries", [[[1, 2, 2], [3, 4]], [[1, 2], [3]], [[1, 2], []]])
+    def test_from_json_rejects_an_entry_not_of_two_fragments(self, entries) -> None:
+        bad = next(entry for entry in entries if len(entry) != 2)
+        with pytest.raises(FragmentationError,
+                           match=rf"^pair {re.escape(str(bad))} must name two fragments$"):
+            Pairing.from_json(entries)
 
 
 class TestJitter:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from fragpair.net import (
     train_epoch,
     train_step,
 )
+from fragpair.rng import derive_seed
 from oracles import forward, gradient_check, loss_value
 
 
@@ -59,6 +61,19 @@ class TestInit:
     def test_non_integer_or_bool_dims_rejected_by_name(self, args, name) -> None:
         with pytest.raises(NetError, match=f"^{name}: must be an integer >= 1, got "):
             NetSpec(*args)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7", None])
+    def test_non_integer_seed_rejected_by_name(self, seed) -> None:
+        with pytest.raises(TypeError, match=rf"^seed {re.escape(repr(seed))}: must be an integer$"):
+            derive_seed(seed, "net_init")
+        with pytest.raises(TypeError, match="^seed "):
+            init_net(NetSpec(2, (4,), 1, seed=seed))
+
+    def test_numpy_integer_seeds_keep_their_streams(self) -> None:
+        for seed in (np.int64(7), np.uint32(7), np.int8(7)):
+            assert derive_seed(seed, "net_init") == derive_seed(7, "net_init")
+        a, b = tiny_net(seed=np.int64(7)), tiny_net(seed=7)
+        assert all(np.array_equal(wa, wb) for wa, wb in zip(a.weights, b.weights))
 
     def test_integer_types_are_kept_as_plain_ints(self) -> None:
         spec = NetSpec(np.int64(2), (np.int32(8), np.uint8(4)), np.int64(1))

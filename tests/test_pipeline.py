@@ -600,16 +600,47 @@ class TestOverlappedVotes:
             run_experiment(small_config())
         assert multiprocessing.active_children() == []
 
+    # Only a worker can fail a hand-over: on one CPU it records the job.
+    @pytest.mark.parametrize("cpus", [2], ids=["worker"], indirect=True)
     def test_failed_hand_over_waits_for_the_epoch_before(self, tmp_path, monkeypatch,
                                                          cpus) -> None:
         cfg = small_config()
         clean = run_experiment(cfg, out_dir=tmp_path / "clean")
-        # Calls 1 and 2 fit K to epoch 1's two banks; call 3 hands over epoch 2.
-        fail_on_call(monkeypatch, "_effective_k", 3)
-        with pytest.raises(PipelineError, match="^epoch 2, stage select: _effective_k failed$"):
+        collect = fragpair.pipeline._Votes.collect
+
+        def collect_then_lose_the_worker(self):
+            winners = collect(self)
+            self.proc.kill()
+            self.proc.join()
+            return winners
+
+        # Epoch 2's pass is handed over to a worker that is gone.
+        monkeypatch.setattr(fragpair.pipeline._Votes, "collect", collect_then_lose_the_worker)
+        with pytest.raises(PipelineError, match="^epoch 2, stage select: K-NN vote worker "
+                           "exited with code -9$"):
             run_experiment(cfg, out_dir=tmp_path / "failed")
         metrics = (tmp_path / "failed" / "metrics.jsonl").read_text().splitlines()
         assert metrics == (clean.out_dir / "metrics.jsonl").read_text().splitlines()[:1]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_lost_with_its_job_unread_names_its_epoch_and_select(self, monkeypatch) -> None:
+        monkeypatch.setattr(fragpair.pipeline, "_usable_cpus", lambda: 2)
+        submit = fragpair.pipeline._Votes.submit
+        calls = []
+
+        def lose_the_worker_with_its_job_unread(self, *epoch):
+            calls.append(1)
+            if len(calls) == 2:  # epoch 2's job lands in the pipe, unread
+                os.kill(self.proc.pid, signal.SIGSTOP)
+            submit(self, *epoch)
+            if len(calls) == 2:
+                self.proc.kill()
+                self.proc.join()
+
+        monkeypatch.setattr(fragpair.pipeline._Votes, "submit", lose_the_worker_with_its_job_unread)
+        with pytest.raises(PipelineError, match="^epoch 2, stage select: K-NN vote worker "
+                           "exited with code -9$"):
+            run_experiment(small_config())
         assert multiprocessing.active_children() == []
 
     def test_a_daemonic_process_votes_in_its_own_process(self, monkeypatch) -> None:

@@ -194,12 +194,6 @@ class ExperimentConfig:
             _require(self.reference_rho > 0, "reference_rho: must be > 0")
 
     def _validate_pairing_override(self) -> None:
-        shape = "pairing_override: must be a list of [i, j] fragment pairs"
-        _require(isinstance(self.pairing_override, (list, tuple)), shape)
-        for pair in self.pairing_override:
-            _require(isinstance(pair, (list, tuple)) and len(pair) == 2, shape)
-            for f in pair:
-                _require_int(f, "pairing_override")
         pairing = _require_rule("pairing_override", Pairing.from_json, self.pairing_override)
         F = self.fragments
         _require(

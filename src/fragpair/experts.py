@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from typing import Iterator
 
 import numpy as np
 
@@ -140,8 +141,8 @@ class KShrinkWarning(UserWarning):
     """K exceeded a feature bank and was shrunk to the largest odd K that fits."""
 
 
-# Floats per distance buffer (256 KB).  A call allocates its buffers once and
-# reuses them for every block.
+# Floats per distance buffer (256 KB).  A call allocates its two buffers once
+# and reuses them for every block.
 _BUFFER_FLOATS = 1 << 15
 
 # Sorted queries per block of the projection sweep.  Smaller blocks span
@@ -151,43 +152,27 @@ _SWEEP_ROWS = 128
 # The first block takes the whole bank, so it is kept short.
 _FIRST_ROWS = 32
 
-# A block's window reaches this far past its queries' projections, in units
-# of the previous block's 90th-percentile K-th distance.  A tighter window
+# A block's windows reach this far past its queries' projections, in units of
+# the previous block's 90th-percentile smaller m-th distance.  A tighter window
 # sends more rows to the dense fallback; a wider one computes more distances.
 _WINDOW_REACH = 1.2
 
 
-def _count_nearest(
-    queries: np.ndarray,
-    q_norms: np.ndarray,
-    feats: np.ndarray,
-    f_norms: np.ndarray,
-    is_lower: np.ndarray,
-    k: int,
-    buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
-    out: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> None:
-    """Fill ``out`` = (lower, kth, within) per query row: lower-fragment entries
-    among its k nearest columns of ``feats``, its k-th distance, and how many
-    columns lie at or below that distance.
-
-    Ties at the k-th distance that straddle the cut keep every column closer
-    than it, then the first tied columns in column order.  Rows are walked in
-    blocks through the flat ``buffers`` (two float, one bool), allocated once
-    per call: fresh arrays per block would be handed back to the OS and
-    faulted in again.
-    """
-    n, m = len(queries), len(feats)
-    lower, kth, within = out
-    d2_buf, part_buf, mask_buf = buffers
-    block = max(1, len(d2_buf) // m)
+def _distances(
+    queries: np.ndarray, q_norms: np.ndarray, feats: np.ndarray, f_norms: np.ndarray,
+    buffers: tuple[np.ndarray, np.ndarray],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first row, squared distances) for each block of query rows against
+    the rows of ``feats``, walked through the flat float ``buffers``: fresh
+    arrays per block would be handed back to the OS and faulted in again."""
+    n, cols = len(queries), len(feats)
+    d2_buf, part_buf = buffers
+    block = max(1, len(d2_buf) // cols)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        shape = (stop - start, m)
-        size = shape[0] * m
-        d2 = d2_buf[:size].reshape(shape)
-        part = part_buf[:size].reshape(shape)
-        mask = mask_buf[:size].reshape(shape)
+        size = (stop - start) * cols
+        d2 = d2_buf[:size].reshape(stop - start, cols)
+        part = part_buf[:size].reshape(stop - start, cols)
         # (|q|^2 + |f|^2) - 2 q.f in that order for every window; q.f may still
         # round differently in another product shape (see knn_votes).
         np.copyto(d2, f_norms)
@@ -195,30 +180,21 @@ def _count_nearest(
         np.matmul(queries[start:stop], feats.T, out=part)
         part *= 2.0
         d2 -= part
-        np.maximum(d2, 0.0, out=part)
-        part.partition(k - 1, axis=1)
-        cut = part[:, k - 1 : k]
-        kth[start:stop] = cut[:, 0]
-        # cut >= 0, so comparing the unclipped d2 against it gives the same mask.
-        np.less_equal(d2, cut, out=mask)
-        here = within[start:stop]
-        np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32, out=here)
-        np.logical_and(mask, is_lower, out=mask)
-        votes = lower[start:stop]
-        np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32, out=votes)
-        straddle = np.flatnonzero(here > k)
-        if straddle.size:
-            d2_s = np.maximum(d2[straddle], 0.0)
-            cut_s = cut[straddle]
-            closer = d2_s < cut_s
-            tied = d2_s == cut_s
-            need = k - closer.sum(axis=1)
-            closer |= tied & (np.cumsum(tied, axis=1) <= need[:, None])
-            votes[straddle] = (closer & is_lower).sum(axis=1)
+        yield start, np.maximum(d2, 0.0, out=d2)
 
 
-def _counts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return np.empty(n, dtype=np.int32), np.empty(n), np.empty(n, dtype=np.int32)
+def _mth_nearest(
+    queries: np.ndarray, q_norms: np.ndarray, feats: np.ndarray, f_norms: np.ndarray,
+    m: int, buffers: tuple[np.ndarray, np.ndarray], out: np.ndarray,
+) -> None:
+    """Fill ``out`` with each query row's m-th smallest squared distance to the
+    rows of ``feats``, or inf where ``feats`` has fewer than m rows."""
+    if len(feats) < m:
+        out[:] = np.inf
+        return
+    for start, d2 in _distances(queries, q_norms, feats, f_norms, buffers):
+        d2.partition(m - 1, axis=1)
+        out[start : start + len(d2)] = d2[:, m - 1]
 
 
 def _leading_axis(feats: np.ndarray) -> np.ndarray:
@@ -235,137 +211,140 @@ def knn_votes(
 
     The bank is ``feats``, tagged row by row in ``tags`` with a fragment of
     ``pair``.  Squared Euclidean distances are ``max((|q|^2 + |f|^2) - 2 q.f,
-    0)``.  The K nearest are every entry closer than the K-th smallest
-    distance, then the entries at exactly that distance in bank-index order:
-    ties break toward the lower bank index, as a stable sort would.  K must
-    be odd, so votes cannot tie; a K above the bank size is shrunk to the
-    largest odd K the bank holds, with a :class:`KShrinkWarning`.
+    0)``, and the K nearest are the first K in (distance, bank index) order,
+    as a stable sort ranks them.  K must be odd, so votes cannot tie; a K
+    above the bank size is shrunk to the largest odd K the bank holds, with a
+    :class:`KShrinkWarning`.
 
-    **Projection sweep.**  Bank rows and queries are projected onto the
-    bank's leading principal axis ``u`` and sorted by projection.  The sorted
-    queries are walked in blocks (32 rows, then 128 at a time); a block
-    computes distances only against the contiguous run of sorted bank rows
-    whose projections lie within ``[first - w, last + w]``, its own first and
-    last projections widened by ``w``, 1.2 times the previous block's
-    90th-percentile K-th distance, and a window under K rows is widened to K
-    rows.  The first block has no previous one and takes the whole bank in
-    sorted order.  Each distance is formed in the same association order as
-    against the whole bank, but BLAS may round ``q.f`` differently in a
-    window than in the whole bank, since the product's shape picks its
-    kernel: on 40 captured ``select-2k`` calls (numpy 2.4.6, OpenBLAS at one
-    thread), 7,469 of 10.6 M sampled window products differed in bits from
-    the dense ones.  So the votes equal the dense search's except where two
-    distances tie to within rounding; there the product's shape decides.  On
-    200 such calls (320,000 votes) none differed.
+    **Two m-th distances.**  With m = (K + 1) / 2, one fragment holds at least
+    m of the K nearest, so the lower fragment wins exactly when its m-th
+    nearest row comes first.  A row needs only each fragment's m-th distance,
+    computed over that fragment's rows.  Where the two lie within the margin
+    ``dd`` below (a tie, one distance rounded two ways in two products, or
+    NaN), the row's whole-bank distances are argsorted stably and its first K
+    counted: the rule itself.  Farther apart, their order is the true one.
 
-    **Certification.**  A windowed row's result is kept when exactly K window
-    entries lie at or below its K-th distance ``kth`` (no tie straddles the
-    cut) and every bank row left out is provably farther: with ``g`` the
-    projection gap to the nearest excluded row, ``(g - dp)^2 > kth + dd``.
-    The margins bound rounding, with eps = 2^-53, h the feature dimension and
-    ``r = |q| + max |f|``:
+    **Projection sweep.**  Each fragment's rows, in a stable sort, and the
+    queries are ordered by their projection on the bank's leading principal
+    axis ``u``.  The sorted queries are walked in blocks (32 rows, then 128 at
+    a time).  In each fragment a block takes the contiguous run of rows whose
+    projections lie within ``[first - w, last + w]``, its own first and last
+    projections widened by ``w``: 1.2 times the previous block's
+    90th-percentile smaller m-th distance.  A window is widened to m rows, or
+    to its whole fragment if smaller; the first block takes every row.  Each
+    distance is formed in the same order as in the dense kernel, but BLAS may
+    round ``q.f`` differently in a window, since the product's shape picks its
+    kernel.  So the votes follow the rule except where two distances tie to
+    within rounding; there the product's shape decides.  Elsewhere the block
+    sizes, the reach and the axis decide only how much is pruned.
+
+    **Certification.**  A windowed row stands when every row outside both
+    windows is provably farther than its smaller m-th distance ``d``: with
+    ``g`` the smaller of the projection gaps to the two fragments' nearest
+    excluded rows, ``(g - dp)^2 > d + dd``.  Then ``d`` is its fragment's m-th
+    distance, and the other fragment's is no smaller.  The margins
+    bound rounding, with eps = 2^-53, h the feature dimension and ``r = |q| +
+    max |f|`` over the bank rows of finite norm (a distance to any other row
+    is inf or NaN, which sorts last):
 
     - a computed projection ``fl(u.x)`` is within ``h eps |u| |x|`` of
-      ``u.x`` (any summation order, FMA or not), ``|u| = 1`` to within
-      ``(h + 2) eps`` and ``g`` rounds once.  Since ``|u.(q - f)| <= |u| |q - f|``,
+      ``u.x``, ``|u| = 1`` to within ``(h + 2) eps`` and ``g`` rounds once, so
       the true distance to an excluded row is at least ``g - (2h + 3) eps r``;
     - the computed squared distance is within ``(h + 2) eps r^2`` of the
-      true one: each of ``|q|^2``, ``|f|^2`` and ``q.f`` is within ``h eps``
-      times its share of ``r^2``, and the add and the subtract round once
-      each.  The clip at zero only moves it toward the truth.
+      true one; the clip at zero only moves it toward the truth.
 
-    So an excluded row's computed distance exceeds ``kth`` whenever
-    ``(g - (2h + 3) eps r)^2 - (h + 2) eps r^2 > kth``.  The test uses
-    ``dp = c r`` and ``dd = c r^2`` with ``c = 8 (h + 2) eps``, four or more
-    times those bounds, which also covers rounding in ``r``, in the gap and in
-    the test itself; both grow with h, so a wider last hidden layer stays
-    exact.  Each margin also carries ``(h + 3)`` smallest subnormals for
-    underflow.  Overflow gives an infinite or NaN ``kth`` or margin, which
-    fails the test.  A window that spans the bank has an infinite gap, so
-    its rows stand unless a tie straddles the K-th distance.
+    The test uses ``dp = c r`` and ``dd = c r^2`` with ``c = 8 (h + 2) eps``,
+    four or more times those bounds, which also covers rounding in ``r``, in
+    the gap and in the test itself.  Each margin also carries ``(h + 3)``
+    smallest subnormals for underflow.  Overflow gives an infinite or NaN
+    distance or margin, which fails the test.
 
     **Fallback.**  Every row not certified (a window that missed a neighbour,
-    a straddling tie, a NaN or infinite feature) is recomputed in one call of
-    the dense kernel against the whole bank in bank order, which applies the
-    tie rule directly.  A bank with a non-finite entry has no axis, so all its
-    rows take that call.  The kernel walks its rows in blocks of about 256 KB
-    of distances through buffers allocated once per call.
+    a tie, a NaN or infinite feature) takes one dense kernel call per
+    fragment, over its rows in bank order.  A bank with a non-finite entry has
+    no axis, so all its rows take that call.  Every call walks its rows in
+    blocks through two float buffers of about 256 KB, allocated once per vote.
 
     **One thread per vote, beside the next epoch's training.**  The sweep's
-    operations are small, a 128-row block against a window of tens to a few
-    hundred bank rows, so threads spend more on hand-off than they save: on
+    operations are small, so threads spend more on hand-off than they save: on
     49 captured ``select-2k`` calls (2-vCPU host, BLAS at one thread), two
     threads each sweeping half the queries took 7.8 ms a call against 5.6 ms
-    for one thread sweeping all, and the sweep holds the GIL.  A run uses a
-    second CPU another way: see ``pipeline.run_experiment``.
-
-    Up to such near-ties, the votes do not depend on the block sizes, the
-    window reach or the axis chosen; those decide only how much is pruned.
+    for one thread sweeping all.  A run uses a second CPU another way: see
+    ``pipeline.run_experiment``.
     """
-    n, m = len(queries), len(feats)
+    n, size = len(queries), len(feats)
     if K < 1 or K % 2 == 0:
         raise ExpertError("K must be odd and >= 1")
-    if m == 0:
+    if size == 0:
         raise ExpertError(f"feature bank for pair {pair} is empty")
-    k = min(K, m - 1 + m % 2)  # the largest odd K the bank holds
+    k = min(K, size - 1 + size % 2)  # the largest odd K the bank holds
     if k < K:
-        warnings.warn(f"K={K} exceeds bank size {m} for pair {pair}; using K={k}", KShrinkWarning)
+        warnings.warn(f"K={K} exceeds bank size {size} for pair {pair}; using K={k}", KShrinkWarning)
+    m = (k + 1) // 2
     queries = np.asarray(queries, dtype=np.float64)
     q_norms = (queries * queries).sum(axis=1)
     f_norms = (feats * feats).sum(axis=1)
+    # Each row's rounding margins dp and dd (see Certification).
+    h = feats.shape[1]
+    c = 8 * (h + 2) * np.finfo(np.float64).eps / 2
+    underflow = (h + 3) * np.finfo(np.float64).smallest_subnormal
+    reach = np.sqrt(q_norms) + np.sqrt(np.max(f_norms, where=np.isfinite(f_norms), initial=0.0))
+    dp, dd = c * reach + underflow, c * reach * reach + underflow
     is_lower = tags == pair[0]
-    floats = max(_BUFFER_FLOATS, m)
-    buffers = (np.empty(floats), np.empty(floats), np.empty(floats, dtype=bool))
-    lower, kth, within = _counts(n)
-    # Rows in sweep order; a non-finite bank has no axis and skips the sweep.
+    members = (np.flatnonzero(is_lower), np.flatnonzero(~is_lower))  # in bank order
+    floats = max(_BUFFER_FLOATS, size)
+    buffers = (np.empty(floats), np.empty(floats))
+    mth = np.empty((2, n))  # each fragment's m-th distance per row, in sweep order
     q_order = np.arange(n)
     certified = np.zeros(n, dtype=bool)
     if n and np.isfinite(feats).all():
         axis = _leading_axis(feats)
         f_proj = feats @ axis
-        f_order = np.argsort(f_proj, kind="stable")
-        f_proj = f_proj[f_order]
-        s_feats, s_norms, s_lower = feats[f_order], f_norms[f_order], is_lower[f_order]
+        sweeps = []
+        for rows in members:
+            rows = rows[np.argsort(f_proj[rows], kind="stable")]
+            sweeps.append((f_proj[rows], feats[rows], f_norms[rows]))
         # The query order only decides which block a row joins.
         q_proj = queries @ axis
         q_order = np.argsort(q_proj)
         q_proj = q_proj[q_order]
-        queries, q_norms = queries[q_order], q_norms[q_order]
-        # Each row's window [lo, hi) in sorted bank order.
-        lo_of, hi_of = np.empty((2, n), dtype=np.intp)
+        queries, q_norms, dp, dd = (a[q_order] for a in (queries, q_norms, dp, dd))
+        gap = np.full(n, np.inf)  # projection gap to the nearest row left out
         width = np.inf
         stops = list(range(min(_FIRST_ROWS, n), n, _SWEEP_ROWS)) + [n]
         for start, stop in zip([0] + stops[:-1], stops):
             here = slice(start, stop)
-            lo = int(np.searchsorted(f_proj, q_proj[start] - width, "left"))
-            hi = int(np.searchsorted(f_proj, q_proj[stop - 1] + width, "right"))
-            lo = max(0, min(lo, hi - k))  # at least k rows
-            hi = max(hi, lo + k)
-            _count_nearest(
-                queries[here], q_norms[here], s_feats[lo:hi], s_norms[lo:hi],
-                s_lower[lo:hi], k, buffers, (lower[here], kth[here], within[here]),
-            )
-            lo_of[here], hi_of[here] = lo, hi
+            for (proj, s_feats, s_norms), out in zip(sweeps, mth):
+                lo = int(np.searchsorted(proj, q_proj[start] - width, "left"))
+                hi = int(np.searchsorted(proj, q_proj[stop - 1] + width, "right"))
+                need = min(m, len(proj))
+                lo = max(0, min(lo, hi - need))
+                hi = max(hi, lo + need)
+                _mth_nearest(queries[here], q_norms[here], s_feats[lo:hi], s_norms[lo:hi],
+                             m, buffers, out[here])
+                below = proj[lo - 1] if lo else -np.inf
+                above = proj[hi] if hi < len(proj) else np.inf
+                with np.errstate(invalid="ignore"):  # inf - inf where a query is infinite
+                    edge = np.minimum(q_proj[here] - below, above - q_proj[here])
+                np.minimum(gap[here], edge, out=gap[here])
+            nearer = np.minimum(*mth[:, here])
             top = (9 * (stop - start)) // 10
-            width = _WINDOW_REACH * float(np.sqrt(np.partition(kth[here], top)[top]))
-        # Certify each row: the projection gap to the nearest bank row outside
-        # its window, less the rounding margins, must clear its K-th distance,
-        # and no tie may straddle the cut.
-        h = feats.shape[1]
-        c = 8 * (h + 2) * np.finfo(np.float64).eps / 2
-        underflow = (h + 3) * np.finfo(np.float64).smallest_subnormal
-        reach = np.sqrt(q_norms) + np.sqrt(f_norms.max())
-        padded = np.concatenate(([-np.inf], f_proj, [np.inf]))
-        with np.errstate(invalid="ignore"):  # inf - inf where a query is infinite
-            gap = np.minimum(q_proj - padded[lo_of], padded[hi_of + 1] - q_proj)
-            gap -= c * reach + underflow
-        margin = c * reach * reach + underflow
-        certified = (within == k) & (gap > 0.0) & (gap * gap > kth + margin)
+            width = _WINDOW_REACH * float(np.sqrt(np.partition(nearer, top)[top]))
+        # Certify each row: the gap, less its margin, clears the smaller m-th distance.
+        gap -= dp
+        certified = (gap > 0.0) & (gap * gap > np.minimum(*mth) + dd)
     redo = np.flatnonzero(~certified)
-    if redo.size:
-        redone = _counts(redo.size)
-        _count_nearest(queries[redo], q_norms[redo], feats, f_norms, is_lower, k, buffers, redone)
-        lower[redo] = redone[0]
-    votes = np.empty(n, dtype=np.int32)  # lower-fragment votes in query order
-    votes[q_order] = lower
-    return np.where(2 * votes > k, *pair)
+    for rows, out in zip(members, mth):
+        redone = np.empty(redo.size)
+        _mth_nearest(queries[redo], q_norms[redo], feats[rows], f_norms[rows], m, buffers, redone)
+        out[redo] = redone
+    # Two m-th distances within dd may be one distance rounded two ways.
+    lower, upper = mth
+    lower_wins = lower + dd < upper
+    tied = np.flatnonzero(~lower_wins & ~(upper + dd < lower))
+    for start, d2 in _distances(queries[tied], q_norms[tied], feats, f_norms, buffers):
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        lower_wins[tied[start : start + len(d2)]] = 2 * is_lower[nearest].sum(axis=1) > k
+    wins = np.empty(n, dtype=bool)  # in query order
+    wins[q_order] = lower_wins
+    return np.where(wins, *pair)

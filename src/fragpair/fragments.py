@@ -164,11 +164,15 @@ class Pairing:
 
     @staticmethod
     def from_json(pairs: Sequence[Sequence[int]]) -> "Pairing":
-        for p in pairs:
-            if len(p) != 2:
-                raise FragmentationError(f"pair {list(p)} must name two fragments")
-        canon = tuple(sorted((min(p), max(p)) for p in pairs))
-        return Pairing(pairs=canon)
+        """The pairing named by [i, j] pairs of integer fragment ids, each pair in either order."""
+        entries = pairs if isinstance(pairs, (list, tuple)) else [pairs]
+        for p in entries:
+            if not (isinstance(p, (list, tuple)) and len(p) == 2
+                    and all(isinstance(f, int) and not isinstance(f, bool) for f in p)):
+                raise FragmentationError(
+                    f"must be a list of [i, j] pairs of integer fragment ids: {p!r} is not one"
+                )
+        return Pairing(pairs=tuple(sorted((min(p), max(p)) for p in entries)))
 
 
 def matching_score(matching: Matching, weights: np.ndarray) -> tuple[float, float]:

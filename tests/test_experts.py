@@ -266,9 +266,11 @@ class TestKnn:
 
     def test_exact_distance_ties_prefer_lower_index(self) -> None:
         feats = np.array([[1.0], [1.0], [1.0], [1.0], [9.0]])
-        tags = np.array([1, 3, 3, 3, 1])
-        # All four near entries tie at distance zero; K=1 must take index 0.
-        assert knn_classify(feats, tags, np.array([1.0]), 1, (1, 3)) == 1
+        # All four near entries tie at distance zero; K=1 must take index 0,
+        # whichever fragment it belongs to.
+        for tags in ([1, 3, 3, 3, 1], [3, 1, 1, 1, 3]):
+            tags = np.array(tags)
+            assert knn_classify(feats, tags, np.array([1.0]), 1, (1, 3)) == tags[0]
 
     def test_oversized_k_warns_and_uses_bank(self) -> None:
         feats, tags = self._bank(n=6, seed=3)
@@ -316,18 +318,29 @@ def line_bank(seed: int, m: int, n: int, h: int = 8, spread: float = 0.02):
     return feats, rng.choice((2, 5), size=m), queries
 
 
+def mth_ties(feats: np.ndarray, tags: np.ndarray, queries: np.ndarray, k: int, lower_tag) -> int:
+    """Rows whose two fragments' m-th dense distances, m = (k + 1) / 2, are exactly equal."""
+    d2, m = dense_d2(feats, queries), (k + 1) // 2
+    lower, upper = (np.sort(d2[:, rows], axis=1)[:, m - 1]
+                    for rows in (tags == lower_tag, tags != lower_tag))
+    return int((lower == upper).sum())
+
+
 def dense_votes(feats: np.ndarray, tags: np.ndarray, pair, queries: np.ndarray, k: int):
-    """The dense kernel alone, every query against the whole bank in bank order."""
+    """The dense kernel alone, every query against each fragment's rows in bank
+    order; rows whose m-th distances tie take the stable-argsort oracle."""
     i, j = pair
-    n, m = len(queries), len(feats)
-    floats = max(experts_mod._BUFFER_FLOATS, m)
-    buffers = (np.empty(floats), np.empty(floats), np.empty(floats, dtype=bool))
-    out = (np.empty(n, dtype=np.int32), np.empty(n), np.empty(n, dtype=np.int32))
-    experts_mod._count_nearest(
-        queries, (queries * queries).sum(axis=1), feats, (feats * feats).sum(axis=1),
-        tags == i, k, buffers, out,
-    )
-    return np.where(2 * out[0] > k, i, j)
+    floats = max(experts_mod._BUFFER_FLOATS, len(feats))
+    buffers = (np.empty(floats), np.empty(floats))
+    lower, upper = np.empty((2, len(queries)))
+    for tag, out in ((i, lower), (j, upper)):
+        rows = feats[tags == tag]
+        experts_mod._mth_nearest(queries, (queries * queries).sum(axis=1), rows,
+                                 (rows * rows).sum(axis=1), (k + 1) // 2, buffers, out)
+    wins = lower < upper
+    tied = ~wins & ~(upper < lower)
+    wins[tied] = knn_oracle(feats, tags, pair, queries[tied], k) == i
+    return np.where(wins, i, j)
 
 
 class TestKnnOracle:
@@ -359,6 +372,7 @@ class TestKnnOracle:
         rng, feats, tags = self._tie_heavy(K, integer)
         queries = self._queries(rng, feats, 500, integer)
         assert straddling_rows(feats, queries, K) > 0
+        assert mth_ties(feats, tags, queries, K, self.PAIR[0]) > 0
         got = knn_votes(feats, tags, queries, K, self.PAIR)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
 
@@ -405,6 +419,23 @@ class TestKnnOracle:
             got = knn_votes(feats, tags, queries, self.BANK + 2, self.PAIR)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, self.BANK))
 
+    @pytest.mark.parametrize("h", [2, 8, 16])
+    def test_every_row_under_both_tags(self, h: int, monkeypatch) -> None:
+        # Each row's two copies tie exactly, so each query's two m-th distances
+        # tie, and only the bank index may decide.  Windows too short to
+        # certify send most rows to the dense calls, one per fragment, where
+        # the copies' q.f can round apart.
+        monkeypatch.setattr(experts_mod, "_FIRST_ROWS", 1)
+        monkeypatch.setattr(experts_mod, "_WINDOW_REACH", 0.0)
+        rng = np.random.default_rng(h)
+        distinct = rng.normal(size=(300, h)) * 3.0
+        order = rng.permutation(600)
+        feats, tags = np.repeat(distinct, 2, axis=0)[order], np.tile(self.PAIR, 300)[order]
+        queries = np.concatenate([distinct, rng.normal(size=(300, h)) * 3.0])
+        for K in (1, 3, 5):
+            assert mth_ties(feats, tags, queries, K, self.PAIR[0]) > 0
+            got = knn_votes(feats, tags, queries, K, self.PAIR)
+            assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
 
     @pytest.mark.parametrize("K", [1, 5])
     def test_run_bank_with_rows_under_both_tags(self, K: int) -> None:
@@ -433,16 +464,26 @@ class TestKnnSweep:
     PAIR = (2, 5)
 
     def _traced_votes(self, feats, tags, queries, K, monkeypatch):
-        """knn_votes, recording (queries, bank columns) of every kernel call."""
+        """knn_votes, recording (queries, bank rows) of every kernel call."""
         calls = []
-        kernel = experts_mod._count_nearest
+        kernel = experts_mod._mth_nearest
 
         def counting(q, q_norms, f, *args):
-            calls.append((q.copy(), len(f)))
+            calls.append((q.copy(), f.copy()))
             return kernel(q, q_norms, f, *args)
 
-        monkeypatch.setattr(experts_mod, "_count_nearest", counting)
+        monkeypatch.setattr(experts_mod, "_mth_nearest", counting)
         return knn_votes(feats, tags, queries, K, self.PAIR), calls
+
+    def _whole_fragment(self, tags, calls):
+        """The calls over as many rows as a whole fragment holds, as (queries, rows)."""
+        sizes = [(tags == tag).sum() for tag in self.PAIR]
+        return [(q, f) for q, f in calls if len(f) in sizes]
+
+    def _dense_calls(self, feats, tags, calls):
+        """The calls over a whole fragment's rows in bank order, as (queries, tag)."""
+        return [(q, tag) for q, f in calls for tag in self.PAIR
+                if np.array_equal(f, feats[tags == tag])]
 
     @pytest.mark.parametrize("h", [1, 8, 64])
     @pytest.mark.parametrize("K", [1, 5, 9])
@@ -450,15 +491,17 @@ class TestKnnSweep:
         feats, tags, queries = line_bank(h * 10 + K, 800, 1600, h=h)
         got, calls = self._traced_votes(feats, tags, queries, K, monkeypatch)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
-        windowed = sum(len(q) * c for q, c in calls if c < len(feats))
+        whole = self._whole_fragment(tags, calls)
+        windowed = sum(len(q) * len(f) for q, f in calls) - sum(len(q) * len(f) for q, f in whole)
         assert 0 < windowed < 0.3 * len(queries) * len(feats)
 
     def test_fallback_runs_on_few_rows_of_a_pruned_bank(self, monkeypatch) -> None:
         feats, tags, queries = line_bank(3, 900, 1600)
         got, calls = self._traced_votes(feats, tags, queries, 5, monkeypatch)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
-        whole_bank = sum(len(q) for q, c in calls if c == len(feats))
-        assert experts_mod._FIRST_ROWS <= whole_bank <= experts_mod._FIRST_ROWS + 0.05 * 1600
+        # Per fragment: the first block's rows, then the fallback's.
+        whole = sum(len(q) for q, _ in self._whole_fragment(tags, calls))
+        assert 2 * experts_mod._FIRST_ROWS <= whole <= 2 * (experts_mod._FIRST_ROWS + 0.05 * 1600)
 
     @pytest.mark.parametrize("K", [1, 5, 7])
     def test_isotropic_bank(self, K: int) -> None:
@@ -481,30 +524,26 @@ class TestKnnSweep:
         tags = rng.choice(self.PAIR, size=len(points))
         queries = rng.integers(0, 240, 900)[:, None] / 2.0 * np.array(axis)
         assert straddling_rows(feats, queries, K) > 0
+        assert mth_ties(feats, tags, queries, K, self.PAIR[0]) > 0
         monkeypatch.setattr(experts_mod, "_WINDOW_REACH", reach)
         got = knn_votes(feats, tags, queries, K, self.PAIR)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
 
     def test_one_dense_call_per_vote(self, monkeypatch) -> None:
-        # Triplicated bank rows on a line: queries on them see straddling ties,
-        # which only the dense kernel settles, so some rows fail certification.
+        # Triplicated bank rows on a line, and windows too short to hold every
+        # tied neighbour, so many rows fail certification.
+        monkeypatch.setattr(experts_mod, "_WINDOW_REACH", 0.3)
         rng = np.random.default_rng(15)
         points = rng.permutation(np.repeat(np.arange(120.0), 3))
         feats = points[:, None] * np.array((0.6, 0.8, 0.0))
         tags = rng.choice(self.PAIR, size=len(points))
         queries = rng.integers(0, 240, 900)[:, None] / 2.0 * np.array((0.6, 0.8, 0.0))
         assert straddling_rows(feats, queries, 5) > 0
-        whole_bank = []
-        kernel = experts_mod._count_nearest
-
-        def counting(q, q_norms, f, *args):
-            whole_bank.append(f is feats)
-            return kernel(q, q_norms, f, *args)
-
-        monkeypatch.setattr(experts_mod, "_count_nearest", counting)
-        got = knn_votes(feats, tags, queries, 5, self.PAIR)
+        got, calls = self._traced_votes(feats, tags, queries, 5, monkeypatch)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
-        assert sum(whole_bank) == 1
+        dense = self._dense_calls(feats, tags, calls)
+        assert sorted(tag for _, tag in dense) == list(self.PAIR)
+        assert all(len(q) > 0 for q, _ in dense)
 
     def test_query_off_the_line_falls_back(self, monkeypatch) -> None:
         feats, tags, queries = line_bank(5, 600, 1000, h=2)
@@ -514,10 +553,11 @@ class TestKnnSweep:
         queries[500] = far = centre + 3.0 * normal
         got, calls = self._traced_votes(feats, tags, queries, 5, monkeypatch)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
-        fallback, columns = calls[-1]
-        assert columns == len(feats)
-        assert np.all(fallback == far, axis=1).any()
-        assert len(fallback) < 50
+        dense = self._dense_calls(feats, tags, calls)
+        assert sorted(tag for _, tag in dense) == list(self.PAIR)
+        for fallback, _ in dense:
+            assert np.all(fallback == far, axis=1).any()
+            assert len(fallback) < 50
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -532,12 +572,24 @@ class TestKnnSweep:
         )
         assert np.array_equal(got, dense_votes(feats, tags, self.PAIR, queries, 5))
 
-    def test_nan_bank_rows(self) -> None:
+    def test_nan_bank_rows(self, monkeypatch) -> None:
         feats, tags, queries = line_bank(7, 400, 700)
         feats[[3, 200], 0] = np.nan
+        tie_rule_rows = []  # query rows of each whole-bank distance pass
+        distances = experts_mod._distances
+
+        def tracing(q, q_norms, f, *args):
+            if len(f) == len(feats):
+                tie_rule_rows.append(len(q))
+            return distances(q, q_norms, f, *args)
+
+        monkeypatch.setattr(experts_mod, "_distances", tracing)
         got = knn_votes(feats, tags, queries, 5, self.PAIR)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
         assert np.array_equal(got, dense_votes(feats, tags, self.PAIR, queries, 5))
+        # A NaN bank row widens no row's rounding margin, so the m-th
+        # distances still decide, not the whole-bank argsort.
+        assert sum(tie_rule_rows) < 0.05 * len(queries)
 
     def test_query_counts_around_the_sweep_blocks(self) -> None:
         feats, tags, all_queries = line_bank(8, 700, 700)

@@ -230,8 +230,21 @@ class TestPairingType:
     @pytest.mark.parametrize("entries", [[[1, 2, 2], [3, 4]], [[1, 2], [3]], [[1, 2], []]])
     def test_from_json_rejects_an_entry_not_of_two_fragments(self, entries) -> None:
         bad = next(entry for entry in entries if len(entry) != 2)
-        with pytest.raises(FragmentationError,
-                           match=rf"^pair {re.escape(str(bad))} must name two fragments$"):
+        with pytest.raises(FragmentationError, match=rf"^must be a list of \[i, j\] pairs of "
+                           rf"integer fragment ids: {re.escape(repr(bad))} is not one$"):
+            Pairing.from_json(entries)
+
+    @pytest.mark.parametrize("entries, bad", [
+        ([[True, 2], [3, 4]], [True, 2]),
+        ([[1, 2], [3, 4.0]], [3, 4.0]),
+        ([[1, 2], ["3", 4]], ["3", 4]),
+        ([1, 2], 1),
+        ("12", "12"),
+    ], ids=["bool", "float", "string_id", "flat_list", "string"])
+    def test_from_json_rejects_anything_but_integer_pairs(self, entries, bad) -> None:
+        # A bool is an int to Python, but not a fragment id.
+        with pytest.raises(FragmentationError, match=rf"^must be a list of \[i, j\] pairs of "
+                           rf"integer fragment ids: {re.escape(repr(bad))} is not one$"):
             Pairing.from_json(entries)
 
 

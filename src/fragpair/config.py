@@ -250,7 +250,7 @@ class ExperimentConfig:
         dims = spec["hidden_dims"]
         _require(isinstance(dims, list) and all(isinstance(h, int) and not isinstance(h, bool) for h in dims),
                  f"{name}.hidden_dims: must be a list of integers, got {dims!r}")
-        _require_rule(name, NetSpec, 1, dims, 1, spec["activation"])
+        _require_rule(name, NetSpec, 1, dims, spec["activation"])
         object.__setattr__(self, name, spec)
 
     def to_dict(self) -> dict:

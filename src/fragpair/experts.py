@@ -41,7 +41,6 @@ def init_ensemble(
         spec = NetSpec(
             input_dim=input_dim,
             hidden_dims=hidden_dims,
-            output_dim=1,
             activation=activation,
             seed=derive_seed(seed, "expert", pair),
         )
@@ -109,7 +108,7 @@ def _forward(experts: Experts, pair: Pair, X: np.ndarray) -> tuple[np.ndarray, n
 # pair_logits, pair_features and predict_label: src/ calls none of them; the
 # tests' oracles do, and benchmark/tracing.py patches them by name.
 def pair_logits(experts: Experts, pair: Pair, X: np.ndarray) -> np.ndarray:
-    return _forward(experts, pair, X)[0][:, 0]
+    return _forward(experts, pair, X)[0]
 
 
 def pair_features(experts: Experts, pair: Pair, X: np.ndarray) -> np.ndarray:
@@ -130,11 +129,7 @@ def build_feature_bank(experts: Experts, ds: Dataset) -> Passes:
     same bits.  Rerun after each training epoch: the feature space drifts as
     the experts train, so stale banks would vote in the wrong geometry.
     """
-    passes: Passes = {}
-    for pair, net in experts.items():
-        out, feats = forward_batch(net, ds.x)
-        passes[pair] = out[:, 0], feats
-    return passes
+    return {pair: forward_batch(net, ds.x) for pair, net in experts.items()}
 
 
 class KShrinkWarning(UserWarning):

@@ -2,6 +2,7 @@
 
 Kept deliberately small: dense layers, relu/tanh activations, constant
 learning-rate gradient descent, and the two losses the experiments need.
+Every network maps a row to one output, a logit or a normalized label.
 The last hidden layer's post-activation values are exposed as the network's
 feature representation.
 """
@@ -36,14 +37,12 @@ def _width(value, name: str) -> int:
 class NetSpec:
     input_dim: int
     hidden_dims: tuple[int, ...]
-    output_dim: int
     activation: str = "relu"
     seed: int = 0
 
     def __post_init__(self) -> None:
         """The net rules: one hidden layer or more, widths >= 1, a known activation."""
-        for name in ("input_dim", "output_dim"):
-            object.__setattr__(self, name, _width(getattr(self, name), name))
+        object.__setattr__(self, "input_dim", _width(self.input_dim, "input_dim"))
         object.__setattr__(self, "hidden_dims", tuple(_width(h, "hidden_dims") for h in self.hidden_dims))
         if not self.hidden_dims:
             raise NetError("hidden_dims: need one or more layers")
@@ -72,7 +71,7 @@ class Net:
 
 def _layer_views(buf: np.ndarray, spec: NetSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer (out, in) weight and bias views into a flat parameter-sized buffer."""
-    dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
+    dims = (spec.input_dim, *spec.hidden_dims, 1)
     weights, biases, at = [], [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         weights.append(buf[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
@@ -85,7 +84,7 @@ def _layer_views(buf: np.ndarray, spec: NetSpec) -> tuple[list[np.ndarray], list
 def init_net(spec: NetSpec) -> Net:
     """Scaled-uniform fan-in weights, zero biases, deterministic under the spec seed."""
     rng = stream(spec.seed, "net_init")
-    dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
+    dims = (spec.input_dim, *spec.hidden_dims, 1)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = 1.0 / np.sqrt(fan_in)
@@ -109,7 +108,7 @@ def _activate_grad(a: np.ndarray, activation: str) -> np.ndarray:
 
 
 def _forward_cached(net: Net, X: np.ndarray):
-    """Returns (output, activations: the input, then each hidden layer's)."""
+    """Returns (output as an (n, 1) column, activations: the input, then each hidden layer's)."""
     acts = [X]
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
         z = acts[-1] @ W.T
@@ -121,14 +120,14 @@ def _forward_cached(net: Net, X: np.ndarray):
 
 
 def forward_batch(net: Net, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(outputs, features) for a batch; features are the last hidden activations."""
+    """(one output per row, features) for a batch; features are the last hidden activations."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.spec.input_dim:
         raise NetError(
             f"expected input of shape (n, {net.spec.input_dim}), got {X.shape}"
         )
     out, acts = _forward_cached(net, X)
-    return out, acts[-1]
+    return out.ravel(), acts[-1]  # a view of the (n, 1) column
 
 
 def _loss_and_output_grad(out, T, loss):
@@ -146,21 +145,20 @@ def _loss_and_output_grad(out, T, loss):
 
 
 def _check_batch(net: Net, X: np.ndarray, T: np.ndarray, loss: str, lr: float = 0.0):
+    """The batch as float64, its targets as the (n, 1) column the output is."""
     X = np.asarray(X, dtype=np.float64)
     T = np.asarray(T, dtype=np.float64)
-    if T.ndim == 1:
-        T = T[:, None]
     if loss not in LOSSES:
         raise NetError(f"loss must be one of {LOSSES}")
     if X.ndim != 2 or X.shape[1] != net.spec.input_dim:
         raise NetError(f"expected input of shape (n, {net.spec.input_dim})")
-    if T.shape != (X.shape[0], net.spec.output_dim):
-        raise NetError(f"expected targets of shape (n, {net.spec.output_dim})")
+    if T.shape != (X.shape[0],):
+        raise NetError(f"expected targets of shape ({X.shape[0]},), one per input row, got {T.shape}")
     if loss == "bce_logits" and not np.all((T == 0.0) | (T == 1.0)):
         raise NetError("bce_logits targets must be 0 or 1")
     if lr < 0:
         raise NetError("learning rate must be >= 0")
-    return X, T
+    return X, T[:, None]
 
 
 def _step(net: Net, X, T, loss: str, lr: float, grad, grad_w, grad_b) -> float:

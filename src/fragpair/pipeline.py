@@ -327,7 +327,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
             experts = init_ensemble(pairing, input_dim=train.d, **cfg.expert_net,
                                     seed=derive_seed(cfg.seed, "experts"))
 
-        reg = init_net(NetSpec(input_dim=train.d, output_dim=1, **cfg.regressor_net,
+        reg = init_net(NetSpec(input_dim=train.d, **cfg.regressor_net,
                                seed=derive_seed(cfg.seed, "regressor")))
 
         result = RunResult(config=cfg, pairing=pairing, out_dir=out_dir)
@@ -399,7 +399,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
 
             stage = "evaluate"
             out, _ = forward_batch(reg, test.x)
-            record["mae"] = mae(lo + out[:, 0] * span, eval_targets)
+            record["mae"] = mae(lo + out * span, eval_targets)
             record["selection_rate"] = selection_rate(selected, train)
             # Undefined metrics stay absent from the record.
             err = error_residual_ratio(selected, train) if train.y_gt is not None else None

@@ -113,7 +113,7 @@ def brute_force_edge_weights(ds: Dataset, scheme: FragmentationScheme) -> np.nda
 
 
 def forward(net: Net, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-sample forward pass: (output vector, feature vector)."""
+    """Single-sample forward pass: (scalar output, feature vector)."""
     out, feats = forward_batch(net, np.asarray(x, dtype=np.float64)[None, :])
     return out[0], feats[0]
 

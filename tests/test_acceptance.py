@@ -132,15 +132,15 @@ def test_criterion_3_gradient_check_twenty_random_nets() -> None:
     for trial in range(20):
         activation = "tanh" if trial % 2 == 0 else "relu"
         hidden = tuple(int(h) for h in rng.integers(2, 7, size=int(rng.integers(1, 3))))
-        net = init_net(NetSpec(3, hidden, 1, activation, seed=trial))
+        net = init_net(NetSpec(3, hidden, activation, seed=trial))
         X = rng.normal(size=(8, 3))
         if activation == "relu":
             X += 0.3
         for loss in ("mse", "bce_logits"):
             T = (
-                rng.normal(size=(8, 1))
+                rng.normal(size=8)
                 if loss == "mse"
-                else (rng.random((8, 1)) > 0.5).astype(float)
+                else (rng.random(8) > 0.5).astype(float)
             )
             worst = max(worst, gradient_check(net, X, T, loss, eps=1e-5))
     elapsed = time.time() - start

@@ -434,3 +434,10 @@ class TestInputErrors:
         metrics = tmp_path / "cut" / "metrics.jsonl"
         metrics.write_bytes(metrics.read_bytes()[:30])
         self.exits_naming(["report", "--runs", str(tmp_path / "cut")], f"{metrics}: line 1 ")
+
+
+@pytest.mark.parametrize("assignment", ["epochs", "", "dataset.n"])
+def test_set_without_an_equals_sign(assignment) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--set", assignment])
+    assert exc.value.code == f"fragpair run: --set expects key=value, got {assignment!r}"

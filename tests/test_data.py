@@ -296,3 +296,33 @@ class TestSplit:
         assert np.array_equal(test_a.y, test_b.y)
         merged = np.sort(np.concatenate([train_a.y, test_a.y]))
         assert np.array_equal(merged, np.sort(ds.y))
+
+
+TINY = Dataset(x=np.zeros((4, 1)), y=np.arange(4.0))
+
+
+# Each case is (call on a scratch directory, the DataError's whole message,
+# with {tmp} for that directory).
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: Dataset(x=np.zeros(3), y=np.zeros(3)), "feature matrix must be (n, d) with n >= 1"),
+    (lambda tmp: Dataset(x=np.zeros((0, 2)), y=np.zeros(0)), "feature matrix must be (n, d) with n >= 1"),
+    (lambda tmp: Dataset(x=np.zeros((3, 1)), y=np.zeros(2)), "label vector length must match feature rows"),
+    (lambda tmp: Dataset(x=np.zeros((3, 1)), y=np.zeros(3), y_gt=np.zeros(2)),
+     "ground-truth vector length must match labels"),
+    (lambda tmp: Dataset(x=np.zeros((3, 1)), y=np.zeros(3), y_gt=np.array([0.0, np.nan, 0.0])),
+     "ground-truth labels must be finite"),
+    (lambda tmp: generate_synthetic(0, 2, 0.0, 1.0, 0.1, seed=0), "n and d must be >= 1"),
+    (lambda tmp: generate_synthetic(5, 0, 0.0, 1.0, 0.1, seed=0), "n and d must be >= 1"),
+    (lambda tmp: generate_synthetic(5, 2, 0.0, 1.0, -0.1, seed=0), "feature_noise_std must be >= 0"),
+    (lambda tmp: split_dataset(TINY, 1.0, seed=0), "test_frac must lie in (0, 1)"),
+    (lambda tmp: split_dataset(TINY, 0.0, seed=0), "test_frac must lie in (0, 1)"),
+    (lambda tmp: split_dataset(Dataset(x=np.zeros((1, 1)), y=np.zeros(1)), 0.5, seed=0),
+     "split leaves no training samples"),
+    (lambda tmp: load_csv(_write(tmp / "d.csv", "a,label\n1,1\n2,inf\n"), ["a"], "label"),
+     "row 2: non-finite value in column label"),
+    (lambda tmp: load_csv(_write(tmp / "d.csv", "a,label\n\n"), ["a"], "label"), "{tmp}/d.csv holds no data rows"),
+], ids=["x_1d", "x_no_rows", "y_length", "y_gt_length", "y_gt_nan", "n_zero", "d_zero",
+        "negative_noise_std", "test_frac_one", "test_frac_zero", "one_row_split", "csv_inf", "csv_no_rows"])
+def test_input_checks_raise_data_errors(tmp_path, call, message) -> None:
+    with pytest.raises(DataError, match=f"^{re.escape(message.format(tmp=tmp_path))}$"):
+        call(tmp_path)

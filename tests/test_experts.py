@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -56,7 +57,7 @@ class TestEnsembleInit:
         experts, _ = make_ensemble(ds)
         assert list(experts) == [(1, 3), (2, 4)]
         for net in experts.values():
-            assert net.spec.output_dim == 1
+            assert forward_batch(net, ds.x)[0].shape == (ds.n,)
 
     def test_experts_get_distinct_seeds(self) -> None:
         ds = clean_dataset()
@@ -98,7 +99,7 @@ class TestTraining:
         if regress:
             for pair, (rows, _) in sets.items():
                 out, _ = forward_batch(experts[pair], ds.x[rows])
-                expected = np.mean((out[:, 0] - labels[rows]) ** 2)
+                expected = np.mean((out - labels[rows]) ** 2)
                 assert first[pair] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("regress", [False, True], ids=["classify", "regress"])
@@ -233,7 +234,7 @@ class TestFeatureBank:
             assert np.array_equal(banks[pair][0], feats[rows[keep]])
             assert np.array_equal(banks[pair][1], frags[keep])
             assert np.array_equal(passes[pair][1], feats)
-            assert np.array_equal(passes[pair][0], out[:, 0])
+            assert np.array_equal(passes[pair][0], out)
 
 
 class TestKnn:
@@ -609,3 +610,14 @@ class TestKnnSweep:
             assert np.array_equal(knn_votes(feats, tags, queries, 301, self.PAIR), expected)
         with pytest.warns(UserWarning, match="exceeds bank size"):
             assert np.array_equal(knn_votes(feats, tags, queries, 303, self.PAIR), expected)
+
+
+@pytest.mark.parametrize("bank, K, message", [
+    (np.zeros((0, 2)), 1, "feature bank for pair (1, 3) is empty"),
+    (np.zeros((4, 2)), 4, "K must be odd and >= 1"),
+    (np.zeros((4, 2)), 0, "K must be odd and >= 1"),
+], ids=["empty_bank", "even_k", "zero_k"])
+def test_knn_vote_inputs_checked(bank, K, message) -> None:
+    tags = np.resize([1, 3], len(bank))
+    with pytest.raises(ExpertError, match=f"^{re.escape(message)}$"):
+        knn_votes(bank, tags, np.zeros((2, 2)), K, (1, 3))

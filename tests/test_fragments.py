@@ -314,3 +314,14 @@ class TestJitter:
             for f in members
         ]
         assert list(zip(rows.tolist(), frags.tolist())) == expected
+
+
+@pytest.mark.parametrize("weights, message", [
+    (np.zeros(4), "weights must be a square matrix"),
+    (np.zeros((4, 3)), "weights must be a square matrix"),
+    (np.triu(np.ones((4, 4))), "weights must be symmetric"),
+    (-np.ones((4, 4)), "weights must be non-negative"),
+], ids=["vector", "not_square", "asymmetric", "negative"])
+def test_pairing_weights_checked(weights, message) -> None:
+    with pytest.raises(FragmentationError, match=f"^{message}$"):
+        select_contrastive_pairing(weights)

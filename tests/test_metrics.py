@@ -126,3 +126,9 @@ class TestSelectionRate:
         with pytest.raises(MetricsError):
             selection_rate(np.array([1, 1]), ds)
 
+
+@pytest.mark.parametrize("metric", [error_residual_ratio, selection_rate])
+@pytest.mark.parametrize("index", [-1, 10])
+def test_index_outside_the_dataset_rejected(metric, index) -> None:
+    with pytest.raises(MetricsError, match="^selected index outside the dataset$"):
+        metric(np.array([0, index]), noisy_dataset(10))

@@ -22,8 +22,8 @@ from fragpair.rng import derive_seed
 from oracles import forward, gradient_check, loss_value
 
 
-def tiny_net(hidden=(8,), activation="relu", seed=0, input_dim=2, output_dim=1) -> Net:
-    return init_net(NetSpec(input_dim, tuple(hidden), output_dim, activation, seed))
+def tiny_net(hidden=(8,), activation="relu", seed=0, input_dim=2) -> Net:
+    return init_net(NetSpec(input_dim, tuple(hidden), activation, seed))
 
 
 class TestInit:
@@ -34,7 +34,7 @@ class TestInit:
             assert np.array_equal(wa, wb)
 
     def test_shape_chain(self) -> None:
-        net = tiny_net(hidden=(8,), input_dim=2, output_dim=1)
+        net = tiny_net(hidden=(8,), input_dim=2)
         assert net.weights[0].shape == (8, 2)
         assert net.weights[1].shape == (1, 8)
 
@@ -44,18 +44,17 @@ class TestInit:
 
     def test_invalid_dims(self) -> None:
         with pytest.raises(NetError):
-            NetSpec(0, (4,), 1)
+            NetSpec(0, (4,))
         with pytest.raises(NetError):
-            NetSpec(2, (), 1)
+            NetSpec(2, ())
 
     @pytest.mark.parametrize(
         "args,name",
         [
-            ((2, (8.9,), 1), "hidden_dims"),
-            ((2, (True, 4), 1), "hidden_dims"),
-            ((2.5, (4,), 1), "input_dim"),
-            ((2, (4,), 1.0), "output_dim"),
-            ((False, (4,), 1), "input_dim"),
+            ((2, (8.9,)), "hidden_dims"),
+            ((2, (True, 4)), "hidden_dims"),
+            ((2.5, (4,)), "input_dim"),
+            ((False, (4,)), "input_dim"),
         ],
     )
     def test_non_integer_or_bool_dims_rejected_by_name(self, args, name) -> None:
@@ -67,7 +66,7 @@ class TestInit:
         with pytest.raises(TypeError, match=rf"^seed {re.escape(repr(seed))}: must be an integer$"):
             derive_seed(seed, "net_init")
         with pytest.raises(TypeError, match="^seed "):
-            init_net(NetSpec(2, (4,), 1, seed=seed))
+            init_net(NetSpec(2, (4,), seed=seed))
 
     def test_numpy_integer_seeds_keep_their_streams(self) -> None:
         for seed in (np.int64(7), np.uint32(7), np.int8(7)):
@@ -76,9 +75,9 @@ class TestInit:
         assert all(np.array_equal(wa, wb) for wa, wb in zip(a.weights, b.weights))
 
     def test_integer_types_are_kept_as_plain_ints(self) -> None:
-        spec = NetSpec(np.int64(2), (np.int32(8), np.uint8(4)), np.int64(1))
-        assert (spec.input_dim, spec.hidden_dims, spec.output_dim) == (2, (8, 4), 1)
-        assert all(type(d) is int for d in (spec.input_dim, *spec.hidden_dims, spec.output_dim))
+        spec = NetSpec(np.int64(2), (np.int32(8), np.uint8(4)))
+        assert (spec.input_dim, spec.hidden_dims) == (2, (8, 4))
+        assert all(type(d) is int for d in (spec.input_dim, *spec.hidden_dims))
 
 
 class TestForward:
@@ -96,19 +95,20 @@ class TestForward:
         net.weights[1][:] = 2.5
         net.biases[1][:] = 0.0
         out, feats = forward(net, np.array([0.7]))
-        assert out[0] == pytest.approx(2.5 * np.tanh(0.7), abs=1e-12)
+        assert out == pytest.approx(2.5 * np.tanh(0.7), abs=1e-12)
         assert feats[0] == pytest.approx(np.tanh(0.7), abs=1e-12)
 
     def test_matches_naive_reevaluation(self) -> None:
         rng = np.random.default_rng(3)
-        net = tiny_net(hidden=(7, 5), activation="tanh", input_dim=4, output_dim=2, seed=9)
+        net = tiny_net(hidden=(7, 5), activation="tanh", input_dim=4, seed=9)
         X = rng.normal(size=(20, 4))
         out, feats = forward_batch(net, X)
 
         h = X
         for W, b in zip(net.weights[:-1], net.biases[:-1]):
             h = np.tanh(h @ W.T + b)
-        expected = h @ net.weights[-1].T + net.biases[-1]
+        expected = h @ net.weights[-1][0] + net.biases[-1][0]
+        assert out.shape == (20,)
         assert np.max(np.abs(out - expected)) < 1e-12
         assert np.max(np.abs(feats - h)) < 1e-12
 
@@ -204,7 +204,7 @@ class TestTrainEpoch:
 
     def test_rows_select_a_subset_in_order(self) -> None:
         rng = np.random.default_rng(4)
-        X, T = rng.normal(size=(50, 2)), rng.normal(size=(50, 1))
+        X, T = rng.normal(size=(50, 2)), rng.normal(size=50)
         rows = np.array([7, 3, 3, 40, 12, 0, 49])
         net, oracle = tiny_net(seed=3), tiny_net(seed=3)
         assert train_epoch(net, X, T, rows, "mse", 0.1, 3) == per_step_epoch(
@@ -221,6 +221,7 @@ class TestTrainEpoch:
             (np.ones((4, 2)), np.zeros(4), np.arange(4), "mse", -0.1, "learning rate"),
             (np.ones((4, 2)), np.zeros(4), np.arange(0), "mse", 0.1, "non-empty"),
             (np.ones((4, 2)), np.zeros(4), np.arange(4), "hinge", 0.1, "loss"),
+            (np.ones((4, 2)), np.zeros((4, 1)), np.arange(4), "mse", 0.1, "targets"),
         ],
     )
     def test_rejects_bad_inputs_before_any_step(self, X, T, rows, loss, lr, match) -> None:
@@ -275,7 +276,7 @@ class TestFlatBuffer:
         net = tiny_net(hidden=(6, 4), activation="tanh", input_dim=3, seed=6)
         save_net(net, tmp_path / "net.npz")
         back = load_net(tmp_path / "net.npz")
-        X, T = rng.normal(size=(8, 3)), rng.normal(size=(8, 1))
+        X, T = rng.normal(size=(8, 3)), rng.normal(size=8)
         assert gradient_check(back, X, T, "mse", eps=1e-5) < 1e-4
         assert np.array_equal(back.flat, net.flat)  # perturbations restored
 
@@ -285,7 +286,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(11)
         net = tiny_net(hidden=(6, 4), activation="tanh", input_dim=3, seed=4)
         X = rng.normal(size=(10, 3))
-        T = rng.normal(size=(10, 1))
+        T = rng.normal(size=10)
         assert gradient_check(net, X, T, "mse", eps=1e-5) < 1e-4
 
     def test_relu_away_from_kinks(self) -> None:
@@ -313,9 +314,9 @@ class TestGradientCheck:
                 X += 0.25  # keep pre-activations off the kink
             loss = "mse" if trial % 4 < 2 else "bce_logits"
             T = (
-                rng.normal(size=(6, 1))
+                rng.normal(size=6)
                 if loss == "mse"
-                else (rng.random((6, 1)) > 0.5).astype(float)
+                else (rng.random(6) > 0.5).astype(float)
             )
             assert gradient_check(net, X, T, loss, eps=1e-5) < 1e-4
 
@@ -366,7 +367,20 @@ class TestCheckpoint:
         with np.load(path) as archive:
             header = archive["spec"].tobytes()
         assert header == (
-            b'{"input_dim": 2, "hidden_dims": [16, 8], "output_dim": 1, '
+            b'{"input_dim": 2, "hidden_dims": [16, 8], '
             b'"activation": "tanh", "seed": 18446744073709551557}'
         )
         assert load_net(path).spec == net.spec
+
+
+@pytest.mark.parametrize("rows, batch_size, message", [
+    (np.arange(4), 0, "batch_size must be >= 1"),
+    (np.arange(4), -3, "batch_size must be >= 1"),
+    (np.arange(4).reshape(2, 2), 2, "rows must be a non-empty 1-d index array"),
+], ids=["batch_zero", "batch_negative", "rows_2d"])
+def test_epoch_rows_and_batch_size_checked(rows, batch_size, message) -> None:
+    net = tiny_net()
+    before = net.flat.copy()
+    with pytest.raises(NetError, match=f"^{message}$"):
+        train_epoch(net, np.ones((4, 2)), np.zeros(4), rows, "mse", 0.1, batch_size)
+    assert np.array_equal(net.flat, before)

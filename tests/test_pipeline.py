@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -17,15 +18,19 @@ import numpy as np
 import pytest
 
 import fragpair.pipeline
+from fragpair.cli import main
 from fragpair.config import ConfigError, ExperimentConfig
-from fragpair.experts import KShrinkWarning, knn_votes
-from fragpair.metrics import mrae
+from fragpair.experts import KShrinkWarning, build_feature_bank, knn_votes
+from fragpair.fragments import fragment_labels
+from fragpair.metrics import mae, mrae
+from fragpair.net import forward_batch, load_net
 from fragpair.pipeline import (
     PipelineError,
     prepare_splits,
     run_experiment,
     run_noise_free_reference,
 )
+from fragpair.selection import select_clean
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -355,6 +360,49 @@ class TestRunExperiment:
         )
         last = result.out_dir / "selection" / f"epoch_{cfg.epochs:04d}.jsonl"
         assert last.read_text() == expected
+
+    def test_empty_selection_skips_the_regressor_epoch(self, tmp_path, monkeypatch, capsys) -> None:
+        def nothing_picked_at_epoch_2(*args, **kwargs):
+            outcome = select_clean(*args, **kwargs)
+            if args[-1] != 2:
+                return outcome
+            none = np.zeros_like(outcome.chosen_pred)
+            return dataclasses.replace(outcome, chosen_pred=none, chosen_repr=none)
+
+        monkeypatch.setattr(fragpair.pipeline, "select_clean", nothing_picked_at_epoch_2)
+        with pytest.warns(UserWarning, match="^epoch 2: empty selection, regressor skips the epoch$"):
+            result = run_experiment(small_config(epochs=2), out_dir=tmp_path / "run")
+        first, empty = result.history
+        assert "regressor_loss" in first and first["n_selected"] > 0
+        assert empty["n_selected"] == 0 and empty["selection_rate"] == 0.0
+        assert "err" not in empty and "regressor_loss" not in empty
+        assert empty["mae"] == first["mae"]  # no step ran, so the regressor is epoch 1's
+        summary = (tmp_path / "run" / "summary.csv").read_bytes().decode()
+        header, row = (line.split(",") for line in summary.splitlines())
+        assert row[header.index("final_err")] == ""
+        capsys.readouterr()
+        assert main(["report", "--runs", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().out == summary
+
+    @pytest.mark.parametrize("mode", ["select", "select_regr"])
+    def test_checkpoints_reload_through_load_net(self, tmp_path, monkeypatch, mode) -> None:
+        passes = []
+        monkeypatch.setattr(fragpair.pipeline, "build_feature_bank",
+                            lambda experts, ds: passes.append(build_feature_bank(experts, ds)) or passes[-1])
+        cfg = small_config(mode=mode)
+        result = run_experiment(cfg, out_dir=tmp_path / "run")
+        ckpts = tmp_path / "run" / "checkpoints"
+        train, test = prepare_splits(cfg)
+        scheme = fragment_labels(train, cfg.fragments)
+        out, _ = forward_batch(load_net(ckpts / "regressor.npz"), test.x)
+        last = json.loads((tmp_path / "run" / "metrics.jsonl").read_text().splitlines()[-1])
+        assert mae(scheme.label_min + out * scheme.label_range, test.y_gt) == last["mae"]
+        assert len(passes) == cfg.epochs
+        for (i, j), (outputs, feats) in passes[-1].items():
+            out, back = forward_batch(load_net(ckpts / f"expert_{i}_{j}.npz"), train.x)
+            assert np.array_equal(out, outputs) and np.array_equal(back, feats)
+        assert sorted(p.name for p in ckpts.iterdir()) == sorted(
+            ["regressor.npz"] + [f"expert_{i}_{j}.npz" for i, j in result.pairing.pairs])
 
     def test_jittered_membership_computed_once_per_epoch(self, monkeypatch) -> None:
         from fragpair.fragments import JitteredScheme

@@ -1,6 +1,7 @@
 """Property tests of jittered membership, the per-pair training sets, the
 fragment edge weights, the max-min pairing and the neighborhood gate against
-their scalar and brute-force oracles, and of the fragment prior's invariants."""
+their scalar and brute-force oracles, of the fragment prior's invariants, and
+of a run's picks under an affine change of the label range."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import fragpair.pipeline
+from fragpair.config import ExperimentConfig
 from fragpair.data import Dataset
 from fragpair.experts import ExpertError, pair_sets
 from fragpair.fragments import (
@@ -26,7 +29,8 @@ from fragpair.fragments import (
     max_jitter,
     select_contrastive_pairing,
 )
-from fragpair.selection import neighborhood_gate, prior_rows
+from fragpair.pipeline import run_experiment
+from fragpair.selection import neighborhood_gate, prior_rows, select_clean
 from oracles import brute_force_edge_weights, jittered_membership, neighborhood_agreement
 
 MATCHINGS = {F: list_perfect_matchings(F) for F in (4, 6, 8)}
@@ -185,3 +189,44 @@ def test_neighborhood_gate_is_the_scalar_oracle_row_by_row(self_matrix) -> None:
         for row in self_matrix
     ]
     assert gate.tolist() == expected
+
+
+def picks_and_history(monkeypatch, mode: str, noise: dict, lo: float, hi: float):
+    """Every epoch's (chosen_pred, chosen_repr) and the records of a seed-0
+    run, n=400 and 10 epochs, with labels drawn from [lo, hi]."""
+    picks = []
+
+    def recorded(*args, **kwargs):
+        outcome = select_clean(*args, **kwargs)
+        picks.append((outcome.chosen_pred, outcome.chosen_repr))
+        return outcome
+
+    monkeypatch.setattr(fragpair.pipeline, "select_clean", recorded)
+    cfg = ExperimentConfig.from_dict({
+        "dataset": {"kind": "synthetic", "n": 400, "d": 2, "label_lo": lo, "label_hi": hi,
+                    "feature_noise_std": 0.1},
+        "noise": noise, "epochs": 10, "seed": 0, "mode": mode,
+    })
+    return picks, run_experiment(cfg).history
+
+
+# Each label, clean or noisy, is an affine image of the [0, 100] run's up to
+# rounding, and the fragments and both nets' targets scale with the range.  So
+# every pick is the same bit, and err and MAE as a share of the range agree to
+# rounding.
+@pytest.mark.parametrize("mode", ["select", "select_regr"])
+@pytest.mark.parametrize("noise", [{"kind": "symmetric", "rate": 0.4},
+                                   {"kind": "gaussian", "max_std_frac": 0.3}],
+                         ids=["symmetric", "gaussian"])
+def test_affine_label_range_leaves_the_picks_unchanged(monkeypatch, mode, noise) -> None:
+    base_picks, base = picks_and_history(monkeypatch, mode, noise, 0.0, 100.0)
+    assert len(base_picks) == 10
+    for lo, hi in ((1000.0, 1200.0), (-1.0, 1.0)):
+        picks, history = picks_and_history(monkeypatch, mode, noise, lo, hi)
+        assert len(picks) == len(base_picks)
+        for (pred, repr_), (base_pred, base_repr) in zip(picks, base_picks):
+            assert np.array_equal(pred, base_pred) and np.array_equal(repr_, base_repr)
+        for record, base_record in zip(history, base):
+            assert record["n_selected"] == base_record["n_selected"]
+            assert record["err"] == pytest.approx(base_record["err"], rel=1e-12, abs=0)
+            assert record["mae"] / (hi - lo) == pytest.approx(base_record["mae"] / 100.0, rel=1e-12, abs=0)

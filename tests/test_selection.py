@@ -395,3 +395,10 @@ class TestSelectionJsonl:
         outcome = bernoulli_select(rng.random(ds.n), rng.random(ds.n) ** 9, seed=1, epoch=2)
         tails = SelectionOutcome.jsonl_tails(ds)
         assert outcome.jsonl(tails) == self.oracle(outcome, ds)
+
+
+@pytest.mark.parametrize("how", ["both", "Union", ""])
+def test_unknown_combination_rejected(how) -> None:
+    outcome = bernoulli_select(np.full(4, 0.5), np.full(4, 0.5), seed=0, epoch=1)
+    with pytest.raises(ValueError, match=f"^unknown selection combination {how!r}$"):
+        outcome.combine(how)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import warnings
 from typing import Iterator
 
@@ -136,9 +137,14 @@ class KShrinkWarning(UserWarning):
     """K exceeded a feature bank and was shrunk to the largest odd K that fits."""
 
 
-# Floats per distance buffer (256 KB).  A call allocates its two buffers once
-# and reuses them for every block.
+# Floats per distance buffer (256 KB), at least one bank row.  Each thread keeps
+# its two, grown but never shrunk, so that no call faults fresh pages in.
 _BUFFER_FLOATS = 1 << 15
+_workspace = threading.local()
+
+# A squared distance's int64 bits, sign cleared, order as the distances do;
+# each NaN is clipped to one key above +inf's, so NaNs tie and sort last.
+_NAN_KEY = np.float64(np.inf).view(np.int64) + 1
 
 # Sorted queries per block of the projection sweep.  Smaller blocks span
 # narrower windows but pay numpy's per-call cost more often.
@@ -216,8 +222,8 @@ def knn_votes(
     nearest row comes first.  A row needs only each fragment's m-th distance,
     computed over that fragment's rows.  Where the two lie within the margin
     ``dd`` below (a tie, one distance rounded two ways in two products, or
-    NaN), the row's whole-bank distances are argsorted stably and its first K
-    counted: the rule itself.  Farther apart, their order is the true one.
+    NaN), the row's first K are counted from its whole-bank distances, by a
+    K-th-value selection: the rule itself.  Farther apart, their order is true.
 
     **Projection sweep.**  Each fragment's rows, in a stable sort, and the
     queries are ordered by their projection on the bank's leading principal
@@ -258,7 +264,7 @@ def knn_votes(
     a tie, a NaN or infinite feature) takes one dense kernel call per
     fragment, over its rows in bank order.  A bank with a non-finite entry has
     no axis, so all its rows take that call.  Every call walks its rows in
-    blocks through two float buffers of about 256 KB, allocated once per vote.
+    blocks through the thread's two float buffers of about 256 KB each.
 
     **One thread per vote, beside the next epoch's training.**  The sweep's
     operations are small, so threads spend more on hand-off than they save: on
@@ -288,17 +294,18 @@ def knn_votes(
     is_lower = tags == pair[0]
     members = (np.flatnonzero(is_lower), np.flatnonzero(~is_lower))  # in bank order
     floats = max(_BUFFER_FLOATS, size)
-    buffers = (np.empty(floats), np.empty(floats))
+    buffers = getattr(_workspace, "buffers", None)
+    if buffers is None or len(buffers[0]) < floats:
+        buffers = _workspace.buffers = (np.empty(floats), np.empty(floats))
     mth = np.empty((2, n))  # each fragment's m-th distance per row, in sweep order
     q_order = np.arange(n)
     certified = np.zeros(n, dtype=bool)
     if n and np.isfinite(feats).all():
         axis = _leading_axis(feats)
         f_proj = feats @ axis
-        sweeps = []
-        for rows in members:
-            rows = rows[np.argsort(f_proj[rows], kind="stable")]
-            sweeps.append((f_proj[rows], feats[rows], f_norms[rows]))
+        order = np.argsort(f_proj, kind="stable")
+        sweeps = [(f_proj[rows], feats[rows], f_norms[rows])
+                  for rows in (order[is_lower[order]], order[~is_lower[order]])]
         # The query order only decides which block a row joins.
         q_proj = queries @ axis
         q_order = np.argsort(q_proj)
@@ -337,9 +344,27 @@ def knn_votes(
     lower, upper = mth
     lower_wins = lower + dd < upper
     tied = np.flatnonzero(~lower_wins & ~(upper + dd < lower))
+    lower_rows = is_lower.astype(np.float64)
+    steps = lower_rows - np.append(lower_rows[1:], 0.0)
     for start, d2 in _distances(queries[tied], q_norms[tied], feats, f_norms, buffers):
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        lower_wins[tied[start : start + len(d2)]] = 2 * is_lower[nearest].sum(axis=1) > k
+        # A row's first k in a stable argsort, without the sort: every entry
+        # below its k-th smallest key, then the ones equal to it in bank order.
+        keys = np.abs(d2, out=d2).view(np.int64)
+        np.minimum(keys, _NAN_KEY, out=keys)
+        part = buffers[1][: d2.size].reshape(d2.shape)
+        ranked = part.view(np.int64)
+        np.copyto(ranked, keys)
+        ranked.partition(k - 1, axis=1)
+        kth = ranked[:, k - 1 : k].copy()
+        need = k - (ranked[:, : k - 1] < kth).sum(axis=1, keepdims=True)
+        # The running count of equal entries, capped at need, steps up by one at
+        # each one taken, so its sum against steps counts the lower ones taken.
+        np.equal(keys, kth, out=part)
+        np.cumsum(part, axis=1, out=part)
+        np.minimum(part, need, out=part)
+        taken = part @ steps
+        taken += np.less(keys, kth, out=part) @ lower_rows
+        lower_wins[tied[start : start + len(d2)]] = 2 * taken > k
     wins = np.empty(n, dtype=bool)  # in query order
     wins[q_order] = lower_wins
     return np.where(wins, *pair)

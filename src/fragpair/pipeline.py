@@ -47,7 +47,7 @@ from .net import NetSpec, forward_batch, init_net, save_net, train_epoch
 # Not called here; benchmark/tracing.py patches pipeline.train_step.
 from .net import train_step  # noqa: F401
 from .rng import derive_seed, stream
-from .selection import SelectionOutcome, select_clean
+from .selection import SelectionOutcome, SelectionText, select_clean
 
 
 class PipelineError(RuntimeError):
@@ -331,9 +331,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
                                seed=derive_seed(cfg.seed, "regressor")))
 
         result = RunResult(config=cfg, pairing=pairing, out_dir=out_dir)
-        # The labels never change during a run: format their selection-row tails once.
-        paired_dir = out_dir is not None and experts is not None
-        tails = SelectionOutcome.jsonl_tails(train) if paired_dir else None
+        selection_text = SelectionText(train) if out_dir is not None and experts is not None else None
 
         # Epoch e's expert half: its record begun, pair sets and expert pass, or the
         # PipelineError naming e and its stage, raised only when epoch e comes.
@@ -379,10 +377,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
                 record["n_pred"] = int(outcome.chosen_pred.sum())
                 record["n_repr"] = int(outcome.chosen_repr.sum())
                 result.last_selection = outcome
-                if tails is not None:
+                if selection_text is not None:
                     stage = "artifacts"
                     path = out_dir / "selection" / f"epoch_{epoch:04d}.jsonl"
-                    path.write_text(outcome.jsonl(tails))
+                    path.write_text(selection_text.text(outcome))
 
             record["n_selected"] = int(len(selected))
 

@@ -111,51 +111,9 @@ class SelectionOutcome:
             raise ValueError(f"unknown selection combination {how!r}")
         return np.flatnonzero(COMBINES[how](self.chosen_pred, self.chosen_repr))
 
-    # One selection-file row in the key order of ``records``; the last field
-    # is the sample's label tail from ``jsonl_tails``.  Not a dataclass field.
-    _JSONL_ROW = (
-        '{"index": %d, "p_pred": %r, "p_repr": %r, "chosen_pred": %s, "chosen_repr": %s%s'
-    )
-
-    def jsonl(self, tails: list[str]) -> str:
-        """One epoch's selection file: the JSON lines of ``records``, byte for byte.
-
-        ``tails`` holds each sample's fixed row ending from ``jsonl_tails``.
-        ``json.dumps`` writes a finite float as ``float.__repr__`` does, and
-        every probability here is a finite sum of softmax weights, so ``%r``
-        gives its bytes.
-        """
-        flags = ("false", "true")
-        return "".join(
-            map(
-                self._JSONL_ROW.__mod__,
-                zip(
-                    range(len(self.p_pred)),
-                    self.p_pred.tolist(),
-                    self.p_repr.tolist(),
-                    [flags[c] for c in self.chosen_pred.tolist()],
-                    [flags[c] for c in self.chosen_repr.tolist()],
-                    tails,
-                ),
-            )
-        )
-
-    @staticmethod
-    def jsonl_tails(ds: Dataset) -> list[str]:
-        """Per-sample endings of the ``jsonl`` rows: the labels, fixed for a run.
-
-        ``Dataset`` rejects non-finite labels, so ``%r`` matches ``json.dumps``.
-        """
-        if ds.y_gt is None:
-            return [', "y": %r}\n' % y for y in ds.y.tolist()]
-        return [
-            ', "y": %r, "y_gt": %r}\n' % pair
-            for pair in zip(ds.y.tolist(), ds.y_gt.tolist())
-        ]
-
     # Not called in src/; the tests' oracle, and benchmark/tracing.py patches it.
     def records(self, ds: Dataset) -> list[dict]:
-        """Per-row view of one epoch's selection; ``jsonl`` writes the same rows."""
+        """Per-row view of one epoch's selection; :class:`SelectionText` writes the same rows."""
         rows = []
         for idx in range(len(self.p_pred)):
             row: dict = {
@@ -170,6 +128,45 @@ class SelectionOutcome:
                 row["y_gt"] = float(ds.y_gt[idx])
             rows.append(row)
         return rows
+
+
+class SelectionText:
+    """A run's selection files, each the JSON lines of ``SelectionOutcome.records``
+    over the training set ``ds``, byte for byte.  One list holds six parts per
+    row: index head, ``p_pred``, ``p_repr`` key, ``p_repr``, picks and label
+    tail.  Heads, keys and tails are made once; each epoch formats only the
+    probabilities whose bits changed since the last, with ``float.__repr__``,
+    as ``json.dumps`` writes a finite float.
+    """
+
+    _FLAGS = np.array([f', "chosen_pred": {p}, "chosen_repr": {r}'
+                       for p in ("false", "true") for r in ("false", "true")], dtype=object)
+
+    def __init__(self, ds: Dataset) -> None:
+        n = ds.n
+        self.parts = ["0.0"] * (6 * n)  # p_pred and p_repr: the texts of self.bits
+        self.parts[0::6] = [f'{{"index": {i}, "p_pred": ' for i in range(n)]
+        self.parts[2::6] = [', "p_repr": '] * n
+        if ds.y_gt is None:
+            self.parts[5::6] = [f', "y": {y!r}}}\n' for y in ds.y.tolist()]
+        else:
+            self.parts[5::6] = [f', "y": {y!r}, "y_gt": {g!r}}}\n'
+                                for y, g in zip(ds.y.tolist(), ds.y_gt.tolist())]
+        # The previous epoch's p_pred and p_repr as int64 bits: unlike float
+        # equality, these tell 0.0 from -0.0, whose texts differ.
+        self.bits = np.zeros((2, n), dtype=np.int64)
+
+    def text(self, outcome: SelectionOutcome) -> str:
+        """``outcome``'s selection file, formatting only what the previous call's did not hold."""
+        parts = self.parts
+        for slot, (p, last) in enumerate(zip((outcome.p_pred, outcome.p_repr), self.bits)):
+            bits = p.view(np.int64)
+            changed = np.flatnonzero(bits != last)
+            for at, value in zip((6 * changed + 1 + 2 * slot).tolist(), p[changed].tolist()):
+                parts[at] = float.__repr__(value)
+            last[:] = bits
+        parts[4::6] = self._FLAGS[2 * outcome.chosen_pred + outcome.chosen_repr].tolist()
+        return "".join(parts)
 
 
 def bernoulli_select(

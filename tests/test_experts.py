@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fragpair.experts as experts_mod
 from fragpair.data import Dataset, generate_synthetic
@@ -610,6 +615,116 @@ class TestKnnSweep:
             assert np.array_equal(knn_votes(feats, tags, queries, 301, self.PAIR), expected)
         with pytest.warns(UserWarning, match="exceeds bank size"):
             assert np.array_equal(knn_votes(feats, tags, queries, 303, self.PAIR), expected)
+
+
+class TestKnnTieRule:
+    """The tie rule's k-th-value selection against the stable-argsort oracle at its edges."""
+
+    PAIR = (2, 5)
+    # Small integers keep every product exact; an infinite feature gives a
+    # distance of +inf or NaN by the sign of the query's coordinate.
+    VALUES = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, np.inf, -np.inf, np.nan])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_small_banks_with_duplicates_and_non_finite_features(self, data) -> None:
+        size, h = data.draw(st.integers(3, 40)), data.draw(st.integers(1, 3))
+        distinct = data.draw(arrays(np.float64, (data.draw(st.integers(1, 6)), h), elements=self.VALUES))
+        picks = data.draw(arrays(np.int64, size, elements=st.integers(0, len(distinct) - 1)))
+        feats = distinct[picks]
+        tags = np.array(self.PAIR)[data.draw(arrays(np.int64, size, elements=st.integers(0, 1)))]
+        others = data.draw(arrays(np.float64, (data.draw(st.integers(0, 8)), h), elements=self.VALUES))
+        queries = np.concatenate([feats, others])
+        K = 2 * data.draw(st.integers(0, (size - 1) // 2)) + 1
+        got = knn_votes(feats, tags, queries, K, self.PAIR)
+        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_inf_before_nan_decides_a_vote(self) -> None:
+        # From the query -1: NaN, NaN, 1 and +inf.  The first three in stable
+        # order are 1 and +inf (lower) and the first NaN (upper), so the lower
+        # fragment wins; taking NaN as +inf would take both NaNs instead.
+        feats = np.array([[np.nan], [np.nan], [0.0], [np.inf]])
+        tags = np.array([5, 5, 2, 2])
+        queries = np.array([[-1.0]])
+        assert knn_oracle(feats, tags, self.PAIR, queries, 3).tolist() == [2]
+        assert knn_votes(feats, tags, queries, 3, self.PAIR).tolist() == [2]
+
+
+class TestWorkspace:
+    """Each thread's two distance buffers, reused by every call of that thread."""
+
+    PAIR = (2, 5)
+
+    @staticmethod
+    def _bank(seed: int, size: int):
+        rng = np.random.default_rng(seed)
+        feats = rng.integers(-2, 3, size=(size, 3)).astype(np.float64)
+        queries = np.concatenate([feats, rng.integers(-3, 4, size=(size // 2, 3)).astype(np.float64)])
+        return feats, rng.choice((2, 5), size=size), queries
+
+    def _votes_match(self, seed: int, size: int, K: int = 5) -> None:
+        feats, tags, queries = self._bank(seed, size)
+        got = knn_votes(feats, tags, queries, K, self.PAIR)
+        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
+
+    @staticmethod
+    def _in_threads(targets) -> None:
+        """Run each target in its own thread at once; raise the first failure."""
+        failures = []
+
+        def guarded(target):
+            try:
+                target()
+            except BaseException as exc:  # reported below, in the test's thread
+                failures.append(exc)
+
+        threads = [threading.Thread(target=guarded, args=(t,)) for t in targets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        if failures:
+            raise failures[0]
+
+    def test_large_then_small_then_large_bank(self, monkeypatch) -> None:
+        # Buffers of a few bank rows, so the 500-row bank grows them; a new
+        # thread starts with none.
+        monkeypatch.setattr(experts_mod, "_BUFFER_FLOATS", 64)
+        held = []
+
+        def calls():
+            self._votes_match(1, 500)
+            held.append(experts_mod._workspace.buffers)
+            self._votes_match(2, 30)
+            held.append(experts_mod._workspace.buffers)
+            self._votes_match(3, 500, K=7)
+            held.append(experts_mod._workspace.buffers)
+
+        self._in_threads([calls])
+        assert [len(buffers[0]) for buffers in held] == [500, 500, 500]
+        assert all(buffers is held[0] for buffers in held)
+
+    def test_threads_at_once(self, monkeypatch) -> None:
+        monkeypatch.setattr(experts_mod, "_BUFFER_FLOATS", 64)
+        held = []
+
+        def calls(thread: int):
+            for size in (40, 300, 90, 301):
+                self._votes_match(10 * thread + size, size)
+            held.append(experts_mod._workspace.buffers)
+
+        self._in_threads([lambda t=t: calls(t) for t in range(4)])
+        assert len(held) == 4
+        assert not any(np.shares_memory(a[0], b[0]) or np.shares_memory(a[1], b[1])
+                       for i, a in enumerate(held) for b in held[i + 1 :])
 
 
 @pytest.mark.parametrize("bank, K, message", [

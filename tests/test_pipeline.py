@@ -262,6 +262,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="pairing_override"):
             small_config(pairing_override=[[1, 2]])
 
+    def test_default_jitter_rejected_at_twelve_fragments(self) -> None:
+        # The default jitter, 0.05, is wider than the 1/22 that F=12 allows.
+        message = "jitter: jitter fraction must lie in [0, 0.0454545] for F=12, got 0.05"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict({"fragments": 12})
+        assert ExperimentConfig.from_dict({"fragments": 12, "jitter": 1 / 22}).fragments == 12
+
     def test_round_trip_through_dict(self) -> None:
         cfg = small_config(jitter=0.1, mode="select_regr")
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
@@ -334,12 +341,12 @@ class TestRunExperiment:
         assert {"index", "p_pred", "p_repr", "chosen_pred", "chosen_repr", "y", "y_gt"} <= set(row)
 
     def test_selection_records_built_only_when_written(self, tmp_path, monkeypatch) -> None:
-        from fragpair.selection import SelectionOutcome
+        from fragpair.selection import SelectionOutcome, SelectionText
 
         formatted, records = [], []
-        jsonl = SelectionOutcome.jsonl
+        text = SelectionText.text
         monkeypatch.setattr(
-            SelectionOutcome, "jsonl", lambda self, tails: formatted.append(1) or jsonl(self, tails)
+            SelectionText, "text", lambda self, outcome: formatted.append(1) or text(self, outcome)
         )
         monkeypatch.setattr(
             SelectionOutcome, "records", lambda self, ds: records.append(1) or []

@@ -16,6 +16,7 @@ from fragpair.experts import (
 from fragpair.fragments import JitteredScheme, Pairing, fragment_labels
 from fragpair.selection import (
     SelectionOutcome,
+    SelectionText,
     bernoulli_select,
     neighborhood_gate,
     pred_winners,
@@ -385,7 +386,7 @@ class TestSelectionJsonl:
             chosen_pred=np.arange(n) % 2 == 0,
             chosen_repr=np.arange(n) % 3 == 0,
         )
-        text = outcome.jsonl(SelectionOutcome.jsonl_tails(ds))
+        text = SelectionText(ds).text(outcome)
         assert text == self.oracle(outcome, ds)
         assert ('"y_gt"' in text) is with_gt
 
@@ -393,8 +394,30 @@ class TestSelectionJsonl:
         rng = np.random.default_rng(3)
         ds = generate_synthetic(300, 2, -50.0, 50.0, 0.1, seed=6)
         outcome = bernoulli_select(rng.random(ds.n), rng.random(ds.n) ** 9, seed=1, epoch=2)
-        tails = SelectionOutcome.jsonl_tails(ds)
-        assert outcome.jsonl(tails) == self.oracle(outcome, ds)
+        assert SelectionText(ds).text(outcome) == self.oracle(outcome, ds)
+
+    @pytest.mark.parametrize("with_gt", [True, False])
+    def test_consecutive_epochs(self, with_gt) -> None:
+        # Each epoch some rows keep their value, some change, and some return
+        # to their value of two epochs back; 0.0 and -0.0 swap places.
+        from fragpair.data import Dataset
+
+        clean = generate_synthetic(240, 2, -50.0, 50.0, 0.1, seed=7)
+        ds = Dataset(x=clean.x, y=clean.y, y_gt=clean.y[::-1].copy() if with_gt else None)
+        rng = np.random.default_rng(8)
+        choices = np.array(self.PROBABILITIES + [-0.0, 0.5, 0.25])
+        formatter = SelectionText(ds)
+        history = [rng.choice(choices, size=(2, ds.n)), rng.random((2, ds.n))]
+        for epoch in range(1, 9):
+            previous, before = history[-1], history[-2]
+            fresh = rng.random((2, ds.n))
+            fresh[:, ::4] = 0.0 if epoch % 2 else -0.0
+            which = rng.integers(0, 3, size=(2, ds.n))
+            p = np.where(which == 0, previous, np.where(which == 1, before, fresh))
+            history.append(p)
+            outcome = bernoulli_select(p[0].copy(), p[1].copy(), seed=2, epoch=epoch)
+            lines = formatter.text(outcome).splitlines()
+            assert lines == [json.dumps(r) for r in outcome.records(ds)]
 
 
 @pytest.mark.parametrize("how", ["both", "Union", ""])

@@ -19,7 +19,9 @@ MODES = ("select", "select_regr", "vanilla")
 # Each nested object's defaults, written once: by kind for the dataset and
 # the noise, by field for the nets.  A partial object keeps these for the
 # keys it leaves out.  A dataset's keys but its kind are the parameters of
-# generate_synthetic or load_csv, and a net's keys are NetSpec fields.
+# generate_synthetic or load_csv, a noise object's keys but its kind are the
+# parameters of inject_symmetric_noise or inject_gaussian_noise, and a net's
+# keys are NetSpec fields.
 DEFAULTS = {
     "dataset": {
         "synthetic": {"n": 2000, "d": 2, "label_lo": 0.0, "label_hi": 100.0,

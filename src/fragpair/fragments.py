@@ -194,14 +194,8 @@ def select_contrastive_pairing(weights: np.ndarray) -> Pairing:
         raise FragmentationError("weights must be symmetric")
     if np.any(weights < 0):
         raise FragmentationError("weights must be non-negative")
-    F = weights.shape[0]
-    best: Matching | None = None
-    best_score: tuple[float, float] = (-np.inf, -np.inf)
-    for matching in list_perfect_matchings(F):
-        score = matching_score(matching, weights)
-        if score > best_score:
-            best, best_score = matching, score
-    assert best is not None
+    # max keeps the first of equal scores: the enumeration order breaks the last ties.
+    best = max(list_perfect_matchings(weights.shape[0]), key=lambda m: matching_score(m, weights))
     return Pairing(pairs=best)
 
 
@@ -233,10 +227,6 @@ class JitteredScheme:
     base: FragmentationScheme
     delta: float
 
-    @property
-    def num_fragments(self) -> int:
-        return self.base.num_fragments
-
     def membership_rows(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flattened membership as (sample row, fragment id) arrays.
 
@@ -248,19 +238,17 @@ class JitteredScheme:
         y = np.asarray(y, dtype=np.float64)
         base = self.base.assign_many(y)
         b = self.base.boundaries
-        F = self.num_fragments
+        F = self.base.num_fragments
         in_left = (base > 1) & (y < b[base - 1] + self.delta)
         in_right = (base < F) & (y >= b[base] - self.delta)
         both = in_left & in_right
         nearer_left = (y - b[base - 1]) <= (b[base] - y)
         in_right &= ~(both & nearer_left)
         in_left &= ~(both & ~nearer_left)
-        rows = np.concatenate(
-            [np.flatnonzero(in_left), np.arange(len(y)), np.flatnonzero(in_right)]
-        )
-        frags = np.concatenate([base[in_left] - 1, base, base[in_right] + 1])
-        order = np.lexsort((frags, rows))
-        return rows[order], frags[order]
+        # Columns are the left neighbour, the base fragment and the right one,
+        # so the nonzero entries come out by row, then fragment id.
+        rows, side = np.nonzero(np.stack([in_left, np.ones_like(in_left), in_right], axis=1))
+        return rows, base[rows] + side - 1
 
 
 def jitter_scheme(

@@ -96,12 +96,11 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
         ds = load_csv(**src)
     if cfg.noise is None:
         return ds
-    noise_seed = cfg.noise["seed"]
-    if noise_seed is None:
-        noise_seed = derive_seed(cfg.seed, "noise")
-    if cfg.noise["kind"] == "symmetric":
-        return inject_symmetric_noise(ds, cfg.noise["rate"], noise_seed)
-    return inject_gaussian_noise(ds, cfg.noise["max_std_frac"], noise_seed)
+    noise = dict(cfg.noise)
+    inject = inject_symmetric_noise if noise.pop("kind") == "symmetric" else inject_gaussian_noise
+    if noise["seed"] is None:
+        noise["seed"] = derive_seed(cfg.seed, "noise")
+    return inject(ds, **noise)
 
 
 def prepare_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -321,7 +320,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
                     f"empty fragment {', '.join(empty)}: every pair expert needs both its fragments"
                 )
             if cfg.pairing_override is not None:
-                pairing = Pairing.from_json(cfg.pairing_override)
+                pairing = Pairing(pairs=cfg.pairing_override)
             else:
                 pairing = select_contrastive_pairing(fragment_edge_weights(train, scheme))
             experts = init_ensemble(pairing, input_dim=train.d, **cfg.expert_net,

@@ -65,7 +65,7 @@ def membership_many(js: JitteredScheme, y: np.ndarray) -> list[tuple[int, ...]]:
 
 
 def _expand_membership(y: float, base_id: int, js: JitteredScheme) -> tuple[int, ...]:
-    F = js.num_fragments
+    F = js.base.num_fragments
     b = js.base.boundaries
     in_left = base_id > 1 and y < b[base_id - 1] + js.delta
     in_right = base_id < F and y >= b[base_id] - js.delta

@@ -240,16 +240,27 @@ class TestNoiseSpec:
 
     DATASET = {"kind": "synthetic", "n": 200, "d": 2, "label_lo": 0.0, "label_hi": 10.0}
 
-    def test_symmetric_dispatch(self) -> None:
+    @pytest.mark.parametrize("seed", [7, None], ids=["integer_seed", "null_seed"])
+    @pytest.mark.parametrize(
+        "kind, inject, param",
+        [("symmetric", inject_symmetric_noise, {"rate": 0.5}),
+         ("gaussian", inject_gaussian_noise, {"max_std_frac": 0.3})],
+        ids=["symmetric", "gaussian"],
+    )
+    def test_dispatch(self, kind, inject, param, seed) -> None:
+        """Each kind's injector gets its parameter and the noise seed; a null
+        seed is derived from the run's seed."""
         from fragpair.config import ExperimentConfig
         from fragpair.pipeline import load_dataset, prepare_splits
         from fragpair.rng import derive_seed
 
         cfg = ExperimentConfig.from_dict(
-            {"dataset": self.DATASET, "noise": {"kind": "symmetric", "rate": 0.5, "seed": 7}}
+            {"dataset": self.DATASET, "seed": 3, "noise": {"kind": kind, **param, "seed": seed}}
         )
         train, test = prepare_splits(cfg)
-        noisy = inject_symmetric_noise(load_dataset(cfg.replace(noise=None)), 0.5, 7)
+        noise_seed = derive_seed(cfg.seed, "noise") if seed is None else seed
+        (value,) = param.values()
+        noisy = inject(load_dataset(cfg.replace(noise=None)), value, noise_seed)
         want_train, want_test = split_dataset(noisy, cfg.test_frac, derive_seed(cfg.seed, "split"))
         assert np.array_equal(train.y, want_train.y)
         assert np.array_equal(test.y, want_test.y)

@@ -73,7 +73,7 @@ def test_membership_rows_equal_the_scalar_oracle_row_by_row(case) -> None:
 @given(jittered_labels(counts=sorted(MATCHINGS)), st.data())
 def test_pair_sets_are_each_pairs_membership(case, data) -> None:
     js, y = case
-    pairing = Pairing(pairs=data.draw(st.sampled_from(MATCHINGS[js.num_fragments])))
+    pairing = Pairing(pairs=data.draw(st.sampled_from(MATCHINGS[js.base.num_fragments])))
     members = [
         (idx, f) for idx, v in enumerate(y.tolist()) for f in jittered_membership(v, js)
     ]

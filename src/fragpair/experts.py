@@ -175,7 +175,7 @@ def _distances(
         d2 = d2_buf[:size].reshape(stop - start, cols)
         part = part_buf[:size].reshape(stop - start, cols)
         # (|q|^2 + |f|^2) - 2 q.f in that order for every window; q.f may still
-        # round differently in another product shape (see knn_votes).
+        # round differently in another product shape (see _sweep_mth).
         np.copyto(d2, f_norms)
         np.add(d2, q_norms[start:stop, None], out=d2)
         np.matmul(queries[start:stop], feats.T, out=part)
@@ -198,11 +198,86 @@ def _mth_nearest(
         out[start : start + len(d2)] = d2[:, m - 1]
 
 
-def _leading_axis(feats: np.ndarray) -> np.ndarray:
-    """Unit vector along the bank's first principal axis."""
+def _sweep_mth(
+    queries: np.ndarray, q_norms: np.ndarray, feats: np.ndarray, f_norms: np.ndarray, is_lower: np.ndarray,
+    m: int, dp: np.ndarray, dd: np.ndarray, buffers: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The index of :func:`knn_votes`, a projection sweep: each query row's
+    m-th smallest squared distance to the bank rows where ``is_lower`` and to
+    the others, ``mth`` (2, n), and the rows ``certified`` to meet the contract
+    stated there, in query order; an uncertified row's ``mth`` is undefined.
+    No row is certified when there is none, or the bank has a non-finite entry.
+
+    **Projection sweep.**  Each fragment's rows, in a stable sort, and the
+    queries are ordered by their projection on the bank's leading principal
+    axis ``u`` and walked in blocks of sorted queries (32 rows, then 128).  In
+    each fragment a block's window is the run of rows projected within ``w``
+    of its own first and last projections (``w`` is 1.2 times the previous
+    block's 90th-percentile smaller m-th distance), widened to m rows, or the
+    whole fragment if smaller; the first block's window is every row.  The
+    block sizes, the reach and the axis decide only how much is pruned.
+
+    **Certification.**  A row stands when every row outside both windows is
+    provably farther than its smaller m-th distance ``d``: with ``g`` the
+    smaller of the projection gaps to the two fragments' nearest excluded
+    rows, ``(g - dp)^2 > d + dd``.  Then ``d`` is its fragment's m-th distance,
+    and the other fragment's is no smaller.  The margins bound rounding, with
+    eps = 2^-53, h the feature dimension and ``r = |q| + max |f|`` over the
+    bank rows of finite norm (a distance to any other row is inf or NaN, which
+    sorts last):
+
+    - a computed projection ``fl(u.x)`` is within ``h eps |u| |x|`` of
+      ``u.x``, ``|u| = 1`` to within ``(h + 2) eps`` and ``g`` rounds once, so
+      the true distance to an excluded row is at least ``g - (2h + 3) eps r``;
+    - the computed squared distance is within ``(h + 2) eps r^2`` of the
+      true one; the clip at zero only moves it toward the truth.
+
+    :func:`knn_votes` passes ``dp = c r`` and ``dd = c r^2`` with ``c = 8 (h
+    + 2) eps``, four or more times those bounds, which also covers rounding in
+    ``r``, in the gap and in the test itself.  Each margin also carries ``(h +
+    3)`` smallest subnormals for underflow.  Overflow gives an infinite or NaN
+    distance or margin, which fails the test.
+    """
+    n = len(queries)
+    if not n or not np.isfinite(feats).all():
+        return np.empty((2, n)), np.zeros(n, dtype=bool)
     centred = feats - feats.mean(axis=0)
-    _, vectors = np.linalg.eigh(centred.T @ centred)
-    return vectors[:, -1] / np.linalg.norm(vectors[:, -1])
+    vectors = np.linalg.eigh(centred.T @ centred)[1]
+    axis = vectors[:, -1] / np.linalg.norm(vectors[:, -1])  # the leading principal axis
+    f_proj = feats @ axis
+    order = np.argsort(f_proj, kind="stable")
+    sweeps = [(f_proj[rows], feats[rows], f_norms[rows])
+              for rows in (order[is_lower[order]], order[~is_lower[order]])]
+    # The query order only decides which block a row joins.
+    q_proj = queries @ axis
+    q_order = np.argsort(q_proj)
+    q_proj, queries, q_norms, dp, dd = (a[q_order] for a in (q_proj, queries, q_norms, dp, dd))
+    swept = np.empty((2, n))  # each fragment's m-th distances, in sweep order
+    gap = np.full(n, np.inf)  # projection gap to the nearest row left out
+    width = np.inf
+    stops = list(range(min(_FIRST_ROWS, n), n, _SWEEP_ROWS)) + [n]
+    for start, stop in zip([0] + stops[:-1], stops):
+        here = slice(start, stop)
+        for (proj, s_feats, s_norms), out in zip(sweeps, swept):
+            lo = int(np.searchsorted(proj, q_proj[start] - width, "left"))
+            hi = int(np.searchsorted(proj, q_proj[stop - 1] + width, "right"))
+            need = min(m, len(proj))
+            lo = max(0, min(lo, hi - need))
+            hi = max(hi, lo + need)
+            _mth_nearest(queries[here], q_norms[here], s_feats[lo:hi], s_norms[lo:hi],
+                         m, buffers, out[here])
+            below = proj[lo - 1] if lo else -np.inf
+            above = proj[hi] if hi < len(proj) else np.inf
+            with np.errstate(invalid="ignore"):  # inf - inf where a query is infinite
+                edge = np.minimum(q_proj[here] - below, above - q_proj[here])
+            np.minimum(gap[here], edge, out=gap[here])
+        nearer = np.minimum(*swept[:, here])
+        top = (9 * (stop - start)) // 10
+        width = _WINDOW_REACH * float(np.sqrt(np.partition(nearer, top)[top]))
+    gap -= dp  # certified where the gap, less its margin, clears the smaller m-th distance
+    mth, certified = np.empty((2, n)), np.empty(n, dtype=bool)  # in query order
+    mth[:, q_order], certified[q_order] = swept, (gap > 0.0) & (gap * gap > np.minimum(*swept) + dd)
+    return mth, certified
 
 
 def knn_votes(
@@ -219,61 +294,23 @@ def knn_votes(
 
     **Two m-th distances.**  With m = (K + 1) / 2, one fragment holds at least
     m of the K nearest, so the lower fragment wins exactly when its m-th
-    nearest row comes first.  A row needs only each fragment's m-th distance,
-    computed over that fragment's rows.  Where the two lie within the margin
-    ``dd`` below (a tie, one distance rounded two ways in two products, or
-    NaN), the row's first K are counted from its whole-bank distances, by a
-    K-th-value selection: the rule itself.  Farther apart, their order is true.
+    nearest row comes first.  Where the two fragments' m-th distances lie
+    within the rounding margin ``dd`` (a tie, one distance rounded two ways in
+    two products, or NaN), the row's first K are counted from its whole-bank
+    distances, by a K-th-value selection: the rule itself.  Farther apart,
+    their order is true.  An all-zero query has the same distances in any
+    product shape, so the first such row's m-th distances and vote serve all.
 
-    **Projection sweep.**  Each fragment's rows, in a stable sort, and the
-    queries are ordered by their projection on the bank's leading principal
-    axis ``u``.  The sorted queries are walked in blocks (32 rows, then 128 at
-    a time).  In each fragment a block takes the contiguous run of rows whose
-    projections lie within ``[first - w, last + w]``, its own first and last
-    projections widened by ``w``: 1.2 times the previous block's
-    90th-percentile smaller m-th distance.  A window is widened to m rows, or
-    to its whole fragment if smaller; the first block takes every row.  Each
-    distance is formed in the same order as in the dense kernel, but BLAS may
-    round ``q.f`` differently in a window, since the product's shape picks its
-    kernel.  So the votes follow the rule except where two distances tie to
-    within rounding; there the product's shape decides.  Elsewhere the block
-    sizes, the reach and the axis decide only how much is pruned.
-
-    **Certification.**  A windowed row stands when every row outside both
-    windows is provably farther than its smaller m-th distance ``d``: with
-    ``g`` the smaller of the projection gaps to the two fragments' nearest
-    excluded rows, ``(g - dp)^2 > d + dd``.  Then ``d`` is its fragment's m-th
-    distance, and the other fragment's is no smaller.  The margins
-    bound rounding, with eps = 2^-53, h the feature dimension and ``r = |q| +
-    max |f|`` over the bank rows of finite norm (a distance to any other row
-    is inf or NaN, which sorts last):
-
-    - a computed projection ``fl(u.x)`` is within ``h eps |u| |x|`` of
-      ``u.x``, ``|u| = 1`` to within ``(h + 2) eps`` and ``g`` rounds once, so
-      the true distance to an excluded row is at least ``g - (2h + 3) eps r``;
-    - the computed squared distance is within ``(h + 2) eps r^2`` of the
-      true one; the clip at zero only moves it toward the truth.
-
-    The test uses ``dp = c r`` and ``dd = c r^2`` with ``c = 8 (h + 2) eps``,
-    four or more times those bounds, which also covers rounding in ``r``, in
-    the gap and in the test itself.  Each margin also carries ``(h + 3)``
-    smallest subnormals for underflow.  Overflow gives an infinite or NaN
-    distance or margin, which fails the test.
-
-    **Fallback.**  Every row not certified (a window that missed a neighbour,
-    a tie, a NaN or infinite feature) takes one dense kernel call per
-    fragment, over its rows in bank order.  A bank with a non-finite entry has
-    no axis, so all its rows take that call.  Every call walks its rows in
-    blocks through the thread's two float buffers of about 256 KB each.
-
-    **One thread per vote, beside the next epoch's training.**  The sweep's
-    operations are small, so threads spend more on hand-off than they save: on
-    49 captured ``select-2k`` calls (2-vCPU host, BLAS at one thread), two
-    threads each sweeping half the queries took 7.8 ms a call against 5.6 ms
-    for one thread sweeping all.  A run uses a second CPU another way: see
-    ``pipeline.run_experiment``.
+    **The index's contract.**  The index, :func:`_sweep_mth` (which derives
+    the margins ``dp`` and ``dd``), certifies rows: a certified row's smaller
+    m-th distance is within ``dd`` of the dense kernel's, and its two order
+    the fragments as the dense ones do wherever they differ by more than
+    ``dd``.  Every other row takes one dense kernel call per fragment, over
+    its rows in bank order, through the thread's two float buffers (256 KB).
+    BLAS rounds ``q.f`` by the product's shape, so where two distances tie to
+    within rounding, the shape decides the vote.
     """
-    n, size = len(queries), len(feats)
+    size = len(feats)
     if K < 1 or K % 2 == 0:
         raise ExpertError("K must be odd and >= 1")
     if size == 0:
@@ -285,65 +322,29 @@ def knn_votes(
     queries = np.asarray(queries, dtype=np.float64)
     q_norms = (queries * queries).sum(axis=1)
     f_norms = (feats * feats).sum(axis=1)
-    # Each row's rounding margins dp and dd (see Certification).
+    # Each row's rounding margins dp and dd (see _sweep_mth).
     h = feats.shape[1]
     c = 8 * (h + 2) * np.finfo(np.float64).eps / 2
     underflow = (h + 3) * np.finfo(np.float64).smallest_subnormal
     reach = np.sqrt(q_norms) + np.sqrt(np.max(f_norms, where=np.isfinite(f_norms), initial=0.0))
     dp, dd = c * reach + underflow, c * reach * reach + underflow
     is_lower = tags == pair[0]
-    members = (np.flatnonzero(is_lower), np.flatnonzero(~is_lower))  # in bank order
     floats = max(_BUFFER_FLOATS, size)
     buffers = getattr(_workspace, "buffers", None)
     if buffers is None or len(buffers[0]) < floats:
         buffers = _workspace.buffers = (np.empty(floats), np.empty(floats))
-    mth = np.empty((2, n))  # each fragment's m-th distance per row, in sweep order
-    q_order = np.arange(n)
-    certified = np.zeros(n, dtype=bool)
-    if n and np.isfinite(feats).all():
-        axis = _leading_axis(feats)
-        f_proj = feats @ axis
-        order = np.argsort(f_proj, kind="stable")
-        sweeps = [(f_proj[rows], feats[rows], f_norms[rows])
-                  for rows in (order[is_lower[order]], order[~is_lower[order]])]
-        # The query order only decides which block a row joins.
-        q_proj = queries @ axis
-        q_order = np.argsort(q_proj)
-        q_proj = q_proj[q_order]
-        queries, q_norms, dp, dd = (a[q_order] for a in (queries, q_norms, dp, dd))
-        gap = np.full(n, np.inf)  # projection gap to the nearest row left out
-        width = np.inf
-        stops = list(range(min(_FIRST_ROWS, n), n, _SWEEP_ROWS)) + [n]
-        for start, stop in zip([0] + stops[:-1], stops):
-            here = slice(start, stop)
-            for (proj, s_feats, s_norms), out in zip(sweeps, mth):
-                lo = int(np.searchsorted(proj, q_proj[start] - width, "left"))
-                hi = int(np.searchsorted(proj, q_proj[stop - 1] + width, "right"))
-                need = min(m, len(proj))
-                lo = max(0, min(lo, hi - need))
-                hi = max(hi, lo + need)
-                _mth_nearest(queries[here], q_norms[here], s_feats[lo:hi], s_norms[lo:hi],
-                             m, buffers, out[here])
-                below = proj[lo - 1] if lo else -np.inf
-                above = proj[hi] if hi < len(proj) else np.inf
-                with np.errstate(invalid="ignore"):  # inf - inf where a query is infinite
-                    edge = np.minimum(q_proj[here] - below, above - q_proj[here])
-                np.minimum(gap[here], edge, out=gap[here])
-            nearer = np.minimum(*mth[:, here])
-            top = (9 * (stop - start)) // 10
-            width = _WINDOW_REACH * float(np.sqrt(np.partition(nearer, top)[top]))
-        # Certify each row: the gap, less its margin, clears the smaller m-th distance.
-        gap -= dp
-        certified = (gap > 0.0) & (gap * gap > np.minimum(*mth) + dd)
-    redo = np.flatnonzero(~certified)
-    for rows, out in zip(members, mth):
+    (lower, upper), certified = _sweep_mth(queries, q_norms, feats, f_norms, is_lower, m, dp, dd, buffers)
+    zero = np.flatnonzero(q_norms == 0)  # a cheap filter; a tiny row's norm underflows too
+    zero = zero[~queries[zero].any(axis=1)]  # all-zero rows: the first one speaks for all
+    redo = np.setdiff1d(np.flatnonzero(~certified), zero[1:], assume_unique=True)
+    for rows, out in zip((is_lower, ~is_lower), (lower, upper)):
         redone = np.empty(redo.size)
         _mth_nearest(queries[redo], q_norms[redo], feats[rows], f_norms[rows], m, buffers, redone)
         out[redo] = redone
+    lower[zero], upper[zero] = lower[zero[:1]], upper[zero[:1]]
     # Two m-th distances within dd may be one distance rounded two ways.
-    lower, upper = mth
     lower_wins = lower + dd < upper
-    tied = np.flatnonzero(~lower_wins & ~(upper + dd < lower))
+    tied = np.setdiff1d(np.flatnonzero(~lower_wins & ~(upper + dd < lower)), zero[1:], assume_unique=True)
     lower_rows = is_lower.astype(np.float64)
     steps = lower_rows - np.append(lower_rows[1:], 0.0)
     for start, d2 in _distances(queries[tied], q_norms[tied], feats, f_norms, buffers):
@@ -365,6 +366,5 @@ def knn_votes(
         taken = part @ steps
         taken += np.less(keys, kth, out=part) @ lower_rows
         lower_wins[tied[start : start + len(d2)]] = 2 * taken > k
-    wins = np.empty(n, dtype=bool)  # in query order
-    wins[q_order] = lower_wins
-    return np.where(wins, *pair)
+    lower_wins[zero] = lower_wins[zero[:1]]
+    return np.where(lower_wins, *pair)

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -324,6 +325,37 @@ def line_bank(seed: int, m: int, n: int, h: int = 8, spread: float = 0.02):
     return feats, rng.choice((2, 5), size=m), queries
 
 
+def isotropic_bank(seed: int):
+    """Random features and queries in h=8, with random tags (2, 5)."""
+    rng = np.random.default_rng(seed)
+    feats, queries = rng.normal(size=(500, 8)), rng.normal(size=(900, 8))
+    return feats, rng.choice((2, 5), size=500), queries
+
+
+def tie_heavy_bank(seed: int, integer: bool):
+    """TestKnnOracle's tie-heavy bank and 500 queries on and off its rows."""
+    rng, feats, tags = TestKnnOracle._tie_heavy(seed, integer)
+    return feats, tags, TestKnnOracle._queries(rng, feats, 500, integer)
+
+
+def both_tags_bank(seed: int, h: int = 4):
+    """Every row twice, once under each tag of (2, 5), and queries on and off the rows."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.normal(size=(300, h)) * 3.0
+    order = rng.permutation(600)
+    feats, tags = np.repeat(distinct, 2, axis=0)[order], np.tile((2, 5), 300)[order]
+    return feats, tags, np.concatenate([distinct, rng.normal(size=(300, h)) * 3.0])
+
+
+def non_finite_queries_bank(seed: int):
+    """A line bank whose queries hold NaN, +inf and -inf entries."""
+    feats, tags, queries = line_bank(seed, 400, 700)
+    queries[[0, 350, 699], 1] = np.nan
+    queries[[1, 351], 0] = np.inf
+    queries[[2, 352], 2] = -np.inf
+    return feats, tags, queries
+
+
 def mth_ties(feats: np.ndarray, tags: np.ndarray, queries: np.ndarray, k: int, lower_tag) -> int:
     """Rows whose two fragments' m-th dense distances, m = (k + 1) / 2, are exactly equal."""
     d2, m = dense_d2(feats, queries), (k + 1) // 2
@@ -349,22 +381,80 @@ def dense_votes(feats: np.ndarray, tags: np.ndarray, pair, queries: np.ndarray, 
     return np.where(wins, i, j)
 
 
+def traced_votes(feats: np.ndarray, tags: np.ndarray, queries: np.ndarray, K: int,
+                 pair) -> SimpleNamespace:
+    """knn_votes, and what its index did: the ``votes``; the index's ``args``
+    and output ``mth`` and ``certified``; ``evals``, the distances its kernel
+    calls evaluated; and ``dense``, the (query rows, bank rows) of each kernel
+    call the rule made outside the index."""
+    trace = SimpleNamespace(evals=0, dense=[], inside=False)
+    kernel, index = experts_mod._mth_nearest, experts_mod._sweep_mth
+
+    def counting(q, q_norms, f, *args):
+        if trace.inside:
+            trace.evals += len(q) * len(f)
+        else:
+            trace.dense.append((q.copy(), f.copy()))
+        return kernel(q, q_norms, f, *args)
+
+    def indexing(*args):
+        trace.args, trace.inside = args, True
+        mth, trace.certified = index(*args)
+        trace.mth, trace.inside = mth.copy(), False  # the rule fills in the uncertified rows
+        return mth, trace.certified
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experts_mod, "_mth_nearest", counting)
+        patch.setattr(experts_mod, "_sweep_mth", indexing)
+        trace.votes = knn_votes(feats, tags, queries, K, pair)
+    return trace
+
+
+def assert_index_contract(trace, feats: np.ndarray, tags: np.ndarray) -> None:
+    """The contract of knn_votes' index, checked against the dense kernel over
+    each whole fragment: a certified row's smaller m-th distance is within dd
+    of the dense one, and its two m-th distances order the fragments as the
+    dense ones do wherever they differ by more than dd.  Every uncertified row
+    goes to the rule's dense calls, one per fragment, over its rows in bank
+    order, but the all-zero rows after the first, which take its distances."""
+    queries, q_norms, _, f_norms, is_lower, m, _, dd, _ = trace.args
+    floats = max(experts_mod._BUFFER_FLOATS, len(feats))
+    buffers = (np.empty(floats), np.empty(floats))
+    dense = np.empty((2, len(queries)))
+    for rows, out in zip((is_lower, ~is_lower), dense):
+        experts_mod._mth_nearest(queries, q_norms, feats[rows], f_norms[rows], m, buffers, out)
+    ok = trace.certified
+    got, want, margin = trace.mth[:, ok], dense[:, ok], dd[ok]
+    got_min, want_min = np.minimum(*got), np.minimum(*want)
+    assert np.all((got_min == want_min) | (np.abs(got_min - want_min) <= margin))
+    apart = np.abs(got[0] - got[1]) > margin
+    assert np.array_equal(got[0][apart] < got[1][apart], want[0][apart] < want[1][apart])
+    zero = ~queries.any(axis=1)
+    sent = ~ok & ~(zero & (np.cumsum(zero) > 1))
+    assert [len(f) for _, f in trace.dense] == [is_lower.sum(), (~is_lower).sum()]
+    for (q, f), rows in zip(trace.dense, (is_lower, ~is_lower)):
+        assert np.array_equal(q, queries[sent], equal_nan=True)
+        assert np.array_equal(f, feats[rows], equal_nan=True)
+
+
 class TestKnnOracle:
     PAIR = (2, 5)
     BANK = 601  # odd, so K equal to the bank size is kept as is
 
-    def _tie_heavy(self, seed: int, integer: bool):
+    @classmethod
+    def _tie_heavy(cls, seed: int, integer: bool):
         """A bank of few distinct rows (duplicated rows and tags) and queries on them."""
         rng = np.random.default_rng(seed)
         if integer:
-            feats = rng.integers(-2, 3, size=(self.BANK, 3)).astype(np.float64)
+            feats = rng.integers(-2, 3, size=(cls.BANK, 3)).astype(np.float64)
         else:
             distinct = rng.normal(size=(40, 3))
-            feats = distinct[rng.integers(0, 40, self.BANK)]
-        tags = rng.choice(self.PAIR, size=self.BANK)
+            feats = distinct[rng.integers(0, 40, cls.BANK)]
+        tags = rng.choice(cls.PAIR, size=cls.BANK)
         return rng, feats, tags
 
-    def _queries(self, rng, feats, n: int, integer: bool) -> np.ndarray:
+    @staticmethod
+    def _queries(rng, feats, n: int, integer: bool) -> np.ndarray:
         on_bank = feats[rng.integers(0, len(feats), n - n // 2)]
         if integer:
             off_bank = rng.integers(-3, 4, size=(n // 2, feats.shape[1])).astype(np.float64)
@@ -375,8 +465,7 @@ class TestKnnOracle:
     @pytest.mark.parametrize("integer", [False, True])
     @pytest.mark.parametrize("K", [1, 3, 5, 7])
     def test_ties_match_stable_sort(self, integer: bool, K: int) -> None:
-        rng, feats, tags = self._tie_heavy(K, integer)
-        queries = self._queries(rng, feats, 500, integer)
+        feats, tags, queries = tie_heavy_bank(K, integer)
         assert straddling_rows(feats, queries, K) > 0
         assert mth_ties(feats, tags, queries, K, self.PAIR[0]) > 0
         got = knn_votes(feats, tags, queries, K, self.PAIR)
@@ -433,11 +522,7 @@ class TestKnnOracle:
         # the copies' q.f can round apart.
         monkeypatch.setattr(experts_mod, "_FIRST_ROWS", 1)
         monkeypatch.setattr(experts_mod, "_WINDOW_REACH", 0.0)
-        rng = np.random.default_rng(h)
-        distinct = rng.normal(size=(300, h)) * 3.0
-        order = rng.permutation(600)
-        feats, tags = np.repeat(distinct, 2, axis=0)[order], np.tile(self.PAIR, 300)[order]
-        queries = np.concatenate([distinct, rng.normal(size=(300, h)) * 3.0])
+        feats, tags, queries = both_tags_bank(h, h)
         for K in (1, 3, 5):
             assert mth_ties(feats, tags, queries, K, self.PAIR[0]) > 0
             got = knn_votes(feats, tags, queries, K, self.PAIR)
@@ -465,55 +550,32 @@ class TestKnnOracle:
 
 
 class TestKnnSweep:
-    """The projection sweep against the stable-argsort oracle, where it prunes and where it cannot."""
+    """The projection sweep against the stable-argsort oracle, where it prunes
+    and where it cannot, seen through what it certifies."""
 
     PAIR = (2, 5)
 
-    def _traced_votes(self, feats, tags, queries, K, monkeypatch):
-        """knn_votes, recording (queries, bank rows) of every kernel call."""
-        calls = []
-        kernel = experts_mod._mth_nearest
-
-        def counting(q, q_norms, f, *args):
-            calls.append((q.copy(), f.copy()))
-            return kernel(q, q_norms, f, *args)
-
-        monkeypatch.setattr(experts_mod, "_mth_nearest", counting)
-        return knn_votes(feats, tags, queries, K, self.PAIR), calls
-
-    def _whole_fragment(self, tags, calls):
-        """The calls over as many rows as a whole fragment holds, as (queries, rows)."""
-        sizes = [(tags == tag).sum() for tag in self.PAIR]
-        return [(q, f) for q, f in calls if len(f) in sizes]
-
-    def _dense_calls(self, feats, tags, calls):
-        """The calls over a whole fragment's rows in bank order, as (queries, tag)."""
-        return [(q, tag) for q, f in calls for tag in self.PAIR
-                if np.array_equal(f, feats[tags == tag])]
-
     @pytest.mark.parametrize("h", [1, 8, 64])
     @pytest.mark.parametrize("K", [1, 5, 9])
-    def test_line_bank_pruned_and_exact(self, h: int, K: int, monkeypatch) -> None:
+    def test_line_bank_pruned_and_exact(self, h: int, K: int) -> None:
         feats, tags, queries = line_bank(h * 10 + K, 800, 1600, h=h)
-        got, calls = self._traced_votes(feats, tags, queries, K, monkeypatch)
-        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
-        whole = self._whole_fragment(tags, calls)
-        windowed = sum(len(q) * len(f) for q, f in calls) - sum(len(q) * len(f) for q, f in whole)
-        assert 0 < windowed < 0.3 * len(queries) * len(feats)
+        trace = traced_votes(feats, tags, queries, K, self.PAIR)
+        assert np.array_equal(trace.votes, knn_oracle(feats, tags, self.PAIR, queries, K))
+        assert trace.certified.mean() > 0.9
+        assert 0 < trace.evals < 0.3 * len(queries) * len(feats)
 
-    def test_fallback_runs_on_few_rows_of_a_pruned_bank(self, monkeypatch) -> None:
+    def test_fallback_runs_on_few_rows_of_a_pruned_bank(self) -> None:
         feats, tags, queries = line_bank(3, 900, 1600)
-        got, calls = self._traced_votes(feats, tags, queries, 5, monkeypatch)
-        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
-        # Per fragment: the first block's rows, then the fallback's.
-        whole = sum(len(q) for q, _ in self._whole_fragment(tags, calls))
-        assert 2 * experts_mod._FIRST_ROWS <= whole <= 2 * (experts_mod._FIRST_ROWS + 0.05 * 1600)
+        trace = traced_votes(feats, tags, queries, 5, self.PAIR)
+        assert np.array_equal(trace.votes, knn_oracle(feats, tags, self.PAIR, queries, 5))
+        # The first block's rows take the whole bank; the fallback takes few rows.
+        assert trace.evals >= experts_mod._FIRST_ROWS * len(feats)
+        assert (~trace.certified).sum() <= 0.05 * len(queries)
+        assert [len(q) for q, _ in trace.dense] == [(~trace.certified).sum()] * 2
 
     @pytest.mark.parametrize("K", [1, 5, 7])
     def test_isotropic_bank(self, K: int) -> None:
-        rng = np.random.default_rng(K)
-        feats, queries = rng.normal(size=(500, 8)), rng.normal(size=(900, 8))
-        tags = rng.choice(self.PAIR, size=500)
+        feats, tags, queries = isotropic_bank(K)
         got = knn_votes(feats, tags, queries, K, self.PAIR)
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, K))
 
@@ -545,25 +607,22 @@ class TestKnnSweep:
         tags = rng.choice(self.PAIR, size=len(points))
         queries = rng.integers(0, 240, 900)[:, None] / 2.0 * np.array((0.6, 0.8, 0.0))
         assert straddling_rows(feats, queries, 5) > 0
-        got, calls = self._traced_votes(feats, tags, queries, 5, monkeypatch)
-        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
-        dense = self._dense_calls(feats, tags, calls)
-        assert sorted(tag for _, tag in dense) == list(self.PAIR)
-        assert all(len(q) > 0 for q, _ in dense)
+        trace = traced_votes(feats, tags, queries, 5, self.PAIR)
+        assert np.array_equal(trace.votes, knn_oracle(feats, tags, self.PAIR, queries, 5))
+        assert (~trace.certified).any()
+        assert_index_contract(trace, feats, tags)
 
-    def test_query_off_the_line_falls_back(self, monkeypatch) -> None:
+    def test_query_off_the_line_falls_back(self) -> None:
         feats, tags, queries = line_bank(5, 600, 1000, h=2)
         centre = feats.mean(axis=0)
         normal = np.array([-centre[1], centre[0]]) / np.linalg.norm(centre)
         # Projects into the middle of the bank but lies far from every row.
-        queries[500] = far = centre + 3.0 * normal
-        got, calls = self._traced_votes(feats, tags, queries, 5, monkeypatch)
-        assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
-        dense = self._dense_calls(feats, tags, calls)
-        assert sorted(tag for _, tag in dense) == list(self.PAIR)
-        for fallback, _ in dense:
-            assert np.all(fallback == far, axis=1).any()
-            assert len(fallback) < 50
+        queries[500] = centre + 3.0 * normal
+        trace = traced_votes(feats, tags, queries, 5, self.PAIR)
+        assert np.array_equal(trace.votes, knn_oracle(feats, tags, self.PAIR, queries, 5))
+        assert not trace.certified[500]
+        assert (~trace.certified).sum() < 50
+        assert_index_contract(trace, feats, tags)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -571,7 +630,9 @@ class TestKnnSweep:
         feats, tags, queries = line_bank(6, 400, 700)
         rows = [0, 350, 699]
         queries[rows, 1] = bad
-        got = knn_votes(feats, tags, queries, 5, self.PAIR)
+        trace = traced_votes(feats, tags, queries, 5, self.PAIR)
+        assert not trace.certified[rows].any()
+        got = trace.votes
         finite = np.setdiff1d(np.arange(len(queries)), rows)
         assert np.array_equal(
             got[finite], knn_oracle(feats, tags, self.PAIR, queries[finite], 5)
@@ -590,9 +651,12 @@ class TestKnnSweep:
             return distances(q, q_norms, f, *args)
 
         monkeypatch.setattr(experts_mod, "_distances", tracing)
-        got = knn_votes(feats, tags, queries, 5, self.PAIR)
+        trace = traced_votes(feats, tags, queries, 5, self.PAIR)
+        got = trace.votes
         assert np.array_equal(got, knn_oracle(feats, tags, self.PAIR, queries, 5))
         assert np.array_equal(got, dense_votes(feats, tags, self.PAIR, queries, 5))
+        # A bank with a non-finite entry has no axis: every row takes the dense calls.
+        assert not trace.certified.any() and trace.evals == 0
         # A NaN bank row widens no row's rounding margin, so the m-th
         # distances still decide, not the whole-bank argsort.
         assert sum(tie_rule_rows) < 0.05 * len(queries)
@@ -615,6 +679,33 @@ class TestKnnSweep:
             assert np.array_equal(knn_votes(feats, tags, queries, 301, self.PAIR), expected)
         with pytest.warns(UserWarning, match="exceeds bank size"):
             assert np.array_equal(knn_votes(feats, tags, queries, 303, self.PAIR), expected)
+
+
+class TestIndexContract:
+    """knn_votes' index against the dense kernel over each whole fragment (see
+    assert_index_contract), on banks where it prunes, where it cannot, where
+    ties abound and where queries are not finite."""
+
+    PAIR = (2, 5)
+    BANKS = {
+        "line_h1": lambda: line_bank(31, 800, 1600, h=1),
+        "line_h8": lambda: line_bank(32, 800, 1600, h=8),
+        "line_h64": lambda: line_bank(33, 800, 1600, h=64),
+        "isotropic": lambda: isotropic_bank(34),
+        "tie_heavy_float": lambda: tie_heavy_bank(35, integer=False),
+        "tie_heavy_integer": lambda: tie_heavy_bank(36, integer=True),
+        "both_tags": lambda: both_tags_bank(37),
+        "non_finite_queries": lambda: non_finite_queries_bank(38),
+    }
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("K", [1, 5, 9])
+    @pytest.mark.parametrize("bank", list(BANKS))
+    def test_certified_rows_meet_the_contract(self, bank: str, K: int) -> None:
+        feats, tags, queries = self.BANKS[bank]()
+        trace = traced_votes(feats, tags, queries, K, self.PAIR)
+        assert trace.certified.any()
+        assert_index_contract(trace, feats, tags)
 
 
 class TestKnnTieRule:
@@ -650,6 +741,37 @@ class TestKnnTieRule:
         queries = np.array([[-1.0]])
         assert knn_oracle(feats, tags, self.PAIR, queries, 3).tolist() == [2]
         assert knn_votes(feats, tags, queries, 3, self.PAIR).tolist() == [2]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("infinite", [False, True], ids=["finite", "infinite_entry"])
+    def test_all_zero_queries_take_one_count(self, infinite: bool, monkeypatch) -> None:
+        # Collapsed ReLU features: all-zero rows in both fragments, so every
+        # all-zero query (-0.0 ones too) ties; against an infinite entry its
+        # distance is NaN, the same for each of them.
+        rng = np.random.default_rng(19)
+        feats = np.maximum(rng.normal(size=(400, 8)), 0.0)
+        feats[rng.random(400) < 0.4] = 0.0
+        if infinite:
+            feats[7, 2] = np.inf
+        tags = rng.choice(self.PAIR, size=400)
+        queries = np.concatenate([feats, -np.zeros((5, 8))])
+        counted = []  # the query rows of each whole-bank distance pass
+        distances = experts_mod._distances
+
+        def tracing(q, q_norms, f, *args):
+            if len(f) == len(feats):
+                counted.append(q.copy())
+            return distances(q, q_norms, f, *args)
+
+        monkeypatch.setattr(experts_mod, "_distances", tracing)
+        trace = traced_votes(feats, tags, queries, 5, self.PAIR)
+        assert np.array_equal(trace.votes, knn_oracle(feats, tags, self.PAIR, queries, 5))
+        zero = ~queries.any(axis=1)
+        assert zero.sum() > 100
+        # One all-zero row in the tie count, and at most one in the dense calls.
+        assert (~np.concatenate(counted).any(axis=1)).sum() == 1
+        assert trace.certified.any() != infinite
+        assert_index_contract(trace, feats, tags)
 
 
 class TestWorkspace:

@@ -299,7 +299,7 @@ def knn_votes(
     two products, or NaN), the row's first K are counted from its whole-bank
     distances, by a K-th-value selection: the rule itself.  Farther apart,
     their order is true.  An all-zero query has the same distances in any
-    product shape, so the first such row's m-th distances and vote serve all.
+    product shape, so only the first such row is voted, for all of them.
 
     **The index's contract.**  The index, :func:`_sweep_mth` (which derives
     the margins ``dp`` and ``dd``), certifies rows: a certified row's smaller
@@ -310,17 +310,22 @@ def knn_votes(
     BLAS rounds ``q.f`` by the product's shape, so where two distances tie to
     within rounding, the shape decides the vote.
     """
-    size = len(feats)
+    size, queries = len(feats), np.asarray(queries, dtype=np.float64)
     if K < 1 or K % 2 == 0:
         raise ExpertError("K must be odd and >= 1")
     if size == 0:
         raise ExpertError(f"feature bank for pair {pair} is empty")
+    if queries.ndim != 2 or queries.shape[1:] != feats.shape[1:] or np.shape(tags) != (size,):
+        raise ExpertError(f"queries {queries.shape} and tags {np.shape(tags)} do not fit bank {feats.shape}")
     k = min(K, size - 1 + size % 2)  # the largest odd K the bank holds
     if k < K:
         warnings.warn(f"K={K} exceeds bank size {size} for pair {pair}; using K={k}", KShrinkWarning)
     m = (k + 1) // 2
-    queries = np.asarray(queries, dtype=np.float64)
     q_norms = (queries * queries).sum(axis=1)
+    zero = np.flatnonzero(q_norms == 0)  # a cheap filter; a tiny row's norm underflows too
+    zero = zero[~queries[zero].any(axis=1)]  # all-zero rows: the first one speaks for all
+    if len(zero) > 1:
+        queries, q_norms = np.delete(queries, zero[1:], axis=0), np.delete(q_norms, zero[1:])
     f_norms = (feats * feats).sum(axis=1)
     # Each row's rounding margins dp and dd (see _sweep_mth).
     h = feats.shape[1]
@@ -334,37 +339,27 @@ def knn_votes(
     if buffers is None or len(buffers[0]) < floats:
         buffers = _workspace.buffers = (np.empty(floats), np.empty(floats))
     (lower, upper), certified = _sweep_mth(queries, q_norms, feats, f_norms, is_lower, m, dp, dd, buffers)
-    zero = np.flatnonzero(q_norms == 0)  # a cheap filter; a tiny row's norm underflows too
-    zero = zero[~queries[zero].any(axis=1)]  # all-zero rows: the first one speaks for all
-    redo = np.setdiff1d(np.flatnonzero(~certified), zero[1:], assume_unique=True)
+    redo = np.flatnonzero(~certified)
     for rows, out in zip((is_lower, ~is_lower), (lower, upper)):
         redone = np.empty(redo.size)
         _mth_nearest(queries[redo], q_norms[redo], feats[rows], f_norms[rows], m, buffers, redone)
         out[redo] = redone
-    lower[zero], upper[zero] = lower[zero[:1]], upper[zero[:1]]
     # Two m-th distances within dd may be one distance rounded two ways.
     lower_wins = lower + dd < upper
-    tied = np.setdiff1d(np.flatnonzero(~lower_wins & ~(upper + dd < lower)), zero[1:], assume_unique=True)
-    lower_rows = is_lower.astype(np.float64)
-    steps = lower_rows - np.append(lower_rows[1:], 0.0)
+    tied = np.flatnonzero(~lower_wins & ~(upper + dd < lower))
     for start, d2 in _distances(queries[tied], q_norms[tied], feats, f_norms, buffers):
         # A row's first k in a stable argsort, without the sort: every entry
         # below its k-th smallest key, then the ones equal to it in bank order.
         keys = np.abs(d2, out=d2).view(np.int64)
         np.minimum(keys, _NAN_KEY, out=keys)
-        part = buffers[1][: d2.size].reshape(d2.shape)
-        ranked = part.view(np.int64)
+        ranked = buffers[1][: d2.size].view(np.int64).reshape(d2.shape)
         np.copyto(ranked, keys)
         ranked.partition(k - 1, axis=1)
         kth = ranked[:, k - 1 : k].copy()
-        need = k - (ranked[:, : k - 1] < kth).sum(axis=1, keepdims=True)
-        # The running count of equal entries, capped at need, steps up by one at
-        # each one taken, so its sum against steps counts the lower ones taken.
-        np.equal(keys, kth, out=part)
-        np.cumsum(part, axis=1, out=part)
-        np.minimum(part, need, out=part)
-        taken = part @ steps
-        taken += np.less(keys, kth, out=part) @ lower_rows
-        lower_wins[tied[start : start + len(d2)]] = 2 * taken > k
-    lower_wins[zero] = lower_wins[zero[:1]]
+        below, equal = keys < kth, keys == kth
+        np.cumsum(equal, axis=1, out=ranked)  # each equal entry's place among them
+        taken = below | (equal & (ranked <= k - below.sum(axis=1, keepdims=True)))
+        lower_wins[tied[start : start + len(d2)]] = 2 * (taken & is_lower).sum(axis=1) > k
+    if len(zero) > 1:  # every other all-zero row takes the first one's vote
+        lower_wins = np.insert(lower_wins, zero[1:] - np.arange(len(zero) - 1), lower_wins[zero[0]])
     return np.where(lower_wins, *pair)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -416,7 +417,7 @@ def assert_index_contract(trace, feats: np.ndarray, tags: np.ndarray) -> None:
     of the dense one, and its two m-th distances order the fragments as the
     dense ones do wherever they differ by more than dd.  Every uncertified row
     goes to the rule's dense calls, one per fragment, over its rows in bank
-    order, but the all-zero rows after the first, which take its distances."""
+    order."""
     queries, q_norms, _, f_norms, is_lower, m, _, dd, _ = trace.args
     floats = max(experts_mod._BUFFER_FLOATS, len(feats))
     buffers = (np.empty(floats), np.empty(floats))
@@ -429,11 +430,9 @@ def assert_index_contract(trace, feats: np.ndarray, tags: np.ndarray) -> None:
     assert np.all((got_min == want_min) | (np.abs(got_min - want_min) <= margin))
     apart = np.abs(got[0] - got[1]) > margin
     assert np.array_equal(got[0][apart] < got[1][apart], want[0][apart] < want[1][apart])
-    zero = ~queries.any(axis=1)
-    sent = ~ok & ~(zero & (np.cumsum(zero) > 1))
     assert [len(f) for _, f in trace.dense] == [is_lower.sum(), (~is_lower).sum()]
     for (q, f), rows in zip(trace.dense, (is_lower, ~is_lower)):
-        assert np.array_equal(q, queries[sent], equal_nan=True)
+        assert np.array_equal(q, queries[~ok], equal_nan=True)
         assert np.array_equal(f, feats[rows], equal_nan=True)
 
 
@@ -768,8 +767,10 @@ class TestKnnTieRule:
         assert np.array_equal(trace.votes, knn_oracle(feats, tags, self.PAIR, queries, 5))
         zero = ~queries.any(axis=1)
         assert zero.sum() > 100
-        # One all-zero row in the tie count, and at most one in the dense calls.
+        # One all-zero row in the tie count, and at most one in the index and
+        # so in the dense calls.
         assert (~np.concatenate(counted).any(axis=1)).sum() == 1
+        assert (~trace.args[0].any(axis=1)).sum() <= 1
         assert trace.certified.any() != infinite
         assert_index_contract(trace, feats, tags)
 
@@ -834,6 +835,24 @@ class TestWorkspace:
         assert [len(buffers[0]) for buffers in held] == [500, 500, 500]
         assert all(buffers is held[0] for buffers in held)
 
+    def test_peak_memory_grows_with_the_inputs_not_their_product(self) -> None:
+        # Integer features in {-1, 0, 1}: 81 distinct rows, so nearly every
+        # query's two m-th distances tie and it goes to the tie count, whose
+        # dense queries x bank matrix would take 96 MB.
+        rng = np.random.default_rng(16)
+        feats = rng.integers(-1, 2, size=(4000, 4)).astype(np.float64)
+        queries = rng.integers(-1, 2, size=(3000, 4)).astype(np.float64)
+        tags = rng.choice(self.PAIR, size=len(feats))
+        knn_votes(feats, tags, queries, 5, self.PAIR)  # sizes this thread's buffers
+        buffers = sum(buffer.nbytes for buffer in experts_mod._workspace.buffers)
+        tracemalloc.start()
+        try:
+            knn_votes(feats, tags, queries, 5, self.PAIR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * (feats.nbytes + queries.nbytes) + buffers
+
     def test_threads_at_once(self, monkeypatch) -> None:
         monkeypatch.setattr(experts_mod, "_BUFFER_FLOATS", 64)
         held = []
@@ -849,12 +868,18 @@ class TestWorkspace:
                        for i, a in enumerate(held) for b in held[i + 1 :])
 
 
-@pytest.mark.parametrize("bank, K, message", [
-    (np.zeros((0, 2)), 1, "feature bank for pair (1, 3) is empty"),
-    (np.zeros((4, 2)), 4, "K must be odd and >= 1"),
-    (np.zeros((4, 2)), 0, "K must be odd and >= 1"),
-], ids=["empty_bank", "even_k", "zero_k"])
-def test_knn_vote_inputs_checked(bank, K, message) -> None:
-    tags = np.resize([1, 3], len(bank))
+@pytest.mark.parametrize("bank, tags, queries, K, message", [
+    ((0, 2), 0, (2, 2), 1, "feature bank for pair (1, 3) is empty"),
+    ((4, 2), 4, (2, 2), 4, "K must be odd and >= 1"),
+    ((4, 2), 4, (2, 2), 0, "K must be odd and >= 1"),
+    ((50, 2), 50, (2, 3), 5, "queries (2, 3) and tags (50,) do not fit bank (50, 2)"),
+    ((50, 2), 50, (2,), 5, "queries (2,) and tags (50,) do not fit bank (50, 2)"),
+    ((50, 2), 50, (2, 2, 1), 5, "queries (2, 2, 1) and tags (50,) do not fit bank (50, 2)"),
+    ((50, 2), 45, (2, 2), 5, "queries (2, 2) and tags (45,) do not fit bank (50, 2)"),
+    ((50, 2), 55, (2, 2), 5, "queries (2, 2) and tags (55,) do not fit bank (50, 2)"),
+], ids=["empty_bank", "even_k", "zero_k", "queries_too_wide", "queries_1d", "queries_3d",
+        "tags_too_few", "tags_too_many"])
+def test_knn_vote_inputs_checked(bank, tags, queries, K, message) -> None:
+    # Shapes: the bank's, the number of tags and the queries'.
     with pytest.raises(ExpertError, match=f"^{re.escape(message)}$"):
-        knn_votes(bank, tags, np.zeros((2, 2)), K, (1, 3))
+        knn_votes(np.zeros(bank), np.resize([1, 3], tags), np.zeros(queries), K, (1, 3))

@@ -10,7 +10,7 @@ from .data import (
     split_dataset,
     write_csv,
 )
-from .experts import build_feature_bank, init_ensemble, pair_sets, train_experts_epoch
+from .experts import build_feature_bank, init_ensemble, knn_votes, pair_sets, pred_winners, train_experts_epoch
 from .fragments import (
     FragmentationScheme,
     JitteredScheme,

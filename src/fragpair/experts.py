@@ -1,4 +1,4 @@
-"""Per-pair expert feature extractors, feature banks and K-NN voting."""
+"""Per-pair experts: their training, feature banks and both votes, from output and by K-NN."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Iterator
 import numpy as np
 
 from .data import Dataset
-from .fragments import JitteredScheme, Pairing
+from .fragments import FragmentationScheme, JitteredScheme, Pairing
 from .net import Net, NetSpec, forward_batch, init_net, train_epoch
 # Not called here; benchmark/tracing.py patches experts.train_step.
 from .net import train_step  # noqa: F401
@@ -310,13 +310,14 @@ def knn_votes(
     BLAS rounds ``q.f`` by the product's shape, so where two distances tie to
     within rounding, the shape decides the vote.
     """
-    size, queries = len(feats), np.asarray(queries, dtype=np.float64)
+    feats, queries = np.asarray(feats, dtype=np.float64), np.asarray(queries, dtype=np.float64)
+    size, tags = len(feats), np.asarray(tags)
     if K < 1 or K % 2 == 0:
         raise ExpertError("K must be odd and >= 1")
     if size == 0:
         raise ExpertError(f"feature bank for pair {pair} is empty")
-    if queries.ndim != 2 or queries.shape[1:] != feats.shape[1:] or np.shape(tags) != (size,):
-        raise ExpertError(f"queries {queries.shape} and tags {np.shape(tags)} do not fit bank {feats.shape}")
+    if queries.ndim != 2 or queries.shape[1:] != feats.shape[1:] or tags.shape != (size,):
+        raise ExpertError(f"queries {queries.shape} and tags {tags.shape} do not fit bank {feats.shape}")
     k = min(K, size - 1 + size % 2)  # the largest odd K the bank holds
     if k < K:
         warnings.warn(f"K={K} exceeds bank size {size} for pair {pair}; using K={k}", KShrinkWarning)
@@ -363,3 +364,28 @@ def knn_votes(
     if len(zero) > 1:  # every other all-zero row takes the first one's vote
         lower_wins = np.insert(lower_wins, zero[1:] - np.arange(len(zero) - 1), lower_wins[zero[0]])
     return np.where(lower_wins, *pair)
+
+
+def pred_winners(
+    scheme: FragmentationScheme, passes: Passes, regress: bool
+) -> dict[Pair, np.ndarray]:
+    """Each pair's predictive vote per training row, from the outputs of the
+    epoch's expert pass, ``passes``.
+
+    The vote is the fragment the expert's output names: a classifier's hard
+    classification, or, where ``regress``, the pair mean nearer the output
+    rescaled to label units over the scheme's range (the expression of
+    :func:`predict_label`), and 0, neither fragment, where both means are
+    equally near.
+    """
+    winners = {}
+    for pair, (out, _) in passes.items():
+        i, j = pair
+        if not regress:
+            winners[pair] = np.where(out > 0.0, i, j)
+        else:
+            h = scheme.label_min + out * scheme.label_range
+            di = np.abs(scheme.means[i - 1] - h)
+            dj = np.abs(scheme.means[j - 1] - h)
+            winners[pair] = np.where(di < dj, i, np.where(dj < di, j, 0))
+    return winners

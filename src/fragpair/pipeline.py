@@ -32,6 +32,7 @@ from .experts import (
     init_ensemble,
     knn_votes,
     pair_sets,
+    pred_winners,
     train_experts_epoch,
 )
 from .fragments import (
@@ -370,8 +371,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
                 # vote runs while it is.
                 if isinstance(ahead, tuple):
                     votes.submit(*ahead[1:])
-                outcome = select_clean(train, pairing, scheme, passes, winners, regress,
-                                       cfg.seed, epoch)
+                outcome = select_clean(train, pairing, scheme, pred_winners(scheme, passes, regress),
+                                       winners, cfg.seed, epoch)
                 selected = outcome.combine(cfg.selection_combine)
                 record["n_pred"] = int(outcome.chosen_pred.sum())
                 record["n_repr"] = int(outcome.chosen_repr.sum())

@@ -1,4 +1,4 @@
-"""Fragment priors, agreement votes and Bernoulli sampling of the clean set."""
+"""Fragment priors, agreement gating and Bernoulli sampling of the clean set over two vote dicts."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .experts import Pair, Passes
+from .experts import Pair
 # Not called here; benchmark/tracing.py patches these names in this module.
 from .experts import knn_votes, pair_features, pair_logits, predict_label  # noqa: F401
 from .fragments import FragmentationScheme, Pairing
@@ -41,36 +41,11 @@ def neighborhood_gate(self_matrix: np.ndarray) -> np.ndarray:
     return (s & ngb).astype(np.float64)
 
 
-def pred_winners(
-    scheme: FragmentationScheme, passes: Passes, regress: bool
-) -> dict[Pair, np.ndarray]:
-    """Each pair's predictive vote per training row, from the outputs of the
-    epoch's expert pass, ``passes``.
-
-    The vote is the fragment the expert's output names: a classifier's hard
-    classification, or, where ``regress``, the pair mean nearer the output
-    rescaled to label units over the scheme's range (the expression of
-    ``predict_label``), and 0, neither fragment, where both means are
-    equally near.
-    """
-    winners = {}
-    for pair, (out, _) in passes.items():
-        i, j = pair
-        if not regress:
-            winners[pair] = np.where(out > 0.0, i, j)
-        else:
-            h = scheme.label_min + out * scheme.label_range
-            di = np.abs(scheme.means[i - 1] - h)
-            dj = np.abs(scheme.means[j - 1] - h)
-            winners[pair] = np.where(di < dj, i, np.where(dj < di, j, 0))
-    return winners
-
-
 def self_agreement_matrix(pairing: Pairing, winners: dict[Pair, np.ndarray]) -> np.ndarray:
     """(n, F) self-agreement votes for every training row and fragment at once.
 
-    ``winners`` holds each pair's vote per row, from :func:`pred_winners` or
-    the K-NN vote in the expert's feature space (``experts.knn_votes``):
+    ``winners`` holds each pair's vote per row, from its expert's output
+    (``experts.pred_winners``) or K-NN in its features (``experts.knn_votes``):
     a row agrees with a fragment when its pair's vote names it.
     """
     n = len(winners[pairing.pairs[0]])
@@ -191,22 +166,19 @@ def select_clean(
     ds: Dataset,
     pairing: Pairing,
     scheme: FragmentationScheme,
-    passes: Passes,
+    pred_winners: dict[Pair, np.ndarray],
     repr_winners: dict[Pair, np.ndarray],
-    regress: bool,
     seed: int,
     epoch: int,
 ) -> SelectionOutcome:
     """Both per-sample clean probabilities, then the epoch's Bernoulli picks.
 
-    The predictive vote is the one that classifier experts, or regression
-    experts where ``regress``, give from the outputs of ``passes``, the
-    epoch's expert pass (see :func:`pred_winners`); ``repr_winners`` is the
-    epoch's K-NN vote per pair (``experts.knn_votes``).
+    ``pred_winners`` and ``repr_winners`` are the epoch's two votes per pair
+    and training row: its expert's output (``experts.pred_winners``) and
+    K-NN in its features (``experts.knn_votes``).
     """
     rho = prior_rows(ds.y, scheme.means, scheme.label_range)
-    pred = pred_winners(scheme, passes, regress)
-    alpha_pred = neighborhood_gate(self_agreement_matrix(pairing, pred))
+    alpha_pred = neighborhood_gate(self_agreement_matrix(pairing, pred_winners))
     alpha_repr = neighborhood_gate(self_agreement_matrix(pairing, repr_winners))
     p_pred, p_repr = (rho * alpha_pred).sum(axis=1), (rho * alpha_repr).sum(axis=1)
     return bernoulli_select(p_pred, p_repr, seed, epoch)

@@ -22,9 +22,10 @@ from fragpair.experts import (
     knn_votes,
     pair_features,
     pair_sets,
+    pred_winners,
     train_experts_epoch,
 )
-from fragpair.fragments import JitteredScheme, Pairing, fragment_labels
+from fragpair.fragments import FragmentationScheme, JitteredScheme, Pairing, fragment_labels
 from fragpair.net import forward_batch
 from oracles import classify_pair, feature_banks, forward, knn_classify
 
@@ -883,3 +884,33 @@ def test_knn_vote_inputs_checked(bank, tags, queries, K, message) -> None:
     # Shapes: the bank's, the number of tags and the queries'.
     with pytest.raises(ExpertError, match=f"^{re.escape(message)}$"):
         knn_votes(np.zeros(bank), np.resize([1, 3], tags), np.zeros(queries), K, (1, 3))
+
+
+def test_knn_votes_take_lists() -> None:
+    # A bank, its tags and the queries given as lists vote as the arrays do.
+    rng = np.random.default_rng(0)
+    feats, queries, tags = rng.normal(size=(50, 2)), rng.normal(size=(20, 2)), [1, 3] * 25
+    expected = knn_votes(feats, np.array(tags), queries, 5, (1, 3))
+    assert set(expected.tolist()) == {1, 3}
+    assert np.array_equal(knn_votes(feats.tolist(), tags, queries.tolist(), 5, (1, 3)), expected)
+
+
+def test_pred_vote_boundaries() -> None:
+    # Binary-exact means, so that a rescaled output can lie exactly between two.
+    scheme = FragmentationScheme(
+        boundaries=np.array([0.0, 25.0, 50.0, 75.0, 100.0]),
+        means=np.array([12.5, 37.5, 62.5, 87.5]),
+        counts=np.array([1, 1, 1, 1]),
+    )
+    features = np.zeros((4, 2))
+    # A classifier's logit of exactly 0 (of either sign) votes for the upper fragment j.
+    logits = np.array([-1.0, -0.0, 0.0, 5e-324])
+    votes = pred_winners(scheme, {(1, 3): (logits, features)}, regress=False)
+    assert votes[(1, 3)].tolist() == [3, 3, 3, 1]
+    # A regression output rescaled to 12.5, 37.5, 62.5 and 87.5: 37.5 lies
+    # midway between means 1 and 3, 62.5 midway between means 2 and 4, and
+    # there the vote is 0, neither fragment.
+    outs = np.array([0.125, 0.375, 0.625, 0.875])
+    votes = pred_winners(scheme, {(1, 3): (outs, features), (2, 4): (outs, features)}, regress=True)
+    assert votes[(1, 3)].tolist() == [1, 0, 3, 3]
+    assert votes[(2, 4)].tolist() == [2, 2, 0, 4]

@@ -11,6 +11,7 @@ from fragpair.experts import (
     init_ensemble,
     knn_votes,
     pair_sets,
+    pred_winners,
     train_experts_epoch,
 )
 from fragpair.fragments import JitteredScheme, Pairing, fragment_labels
@@ -19,7 +20,6 @@ from fragpair.selection import (
     SelectionText,
     bernoulli_select,
     neighborhood_gate,
-    pred_winners,
     prior_rows,
     select_clean,
     self_agreement_matrix,
@@ -269,8 +269,8 @@ class TestSelectCleanEndToEnd:
         for epoch in range(40):
             train_experts_epoch(experts, noisy, sets, None, lr=0.1, batch_size=32, seed=epoch)
         passes = build_feature_bank(experts, noisy)
-        outcome = select_clean(noisy, STRIDE, scheme, passes, repr_winners(passes, sets, 5),
-                               regress=False, seed=0, epoch=9)
+        outcome = select_clean(noisy, STRIDE, scheme, pred_winners(scheme, passes, False),
+                               repr_winners(passes, sets, 5), seed=0, epoch=9)
         corrupted = noisy.y != noisy.y_gt
         assert outcome.p_pred[~corrupted].mean() > outcome.p_pred[corrupted].mean() + 0.2
         assert outcome.p_repr[~corrupted].mean() > outcome.p_repr[corrupted].mean() + 0.2
@@ -287,6 +287,16 @@ class TestSelectCleanEndToEnd:
             self_agreement_pred(ds.x[i], int(assignment[i]), experts, STRIDE) for i in range(ds.n)
         ]
         assert np.mean(agreements) > 0.9
+
+    def test_swapped_votes_swap_probabilities(self) -> None:
+        ds, scheme = fixture_scheme()
+        rng = np.random.default_rng(3)
+        a, b = ({pair: rng.choice([*pair, 0], ds.n) for pair in STRIDE.pairs} for _ in range(2))
+        one = select_clean(ds, STRIDE, scheme, a, b, seed=0, epoch=1)
+        two = select_clean(ds, STRIDE, scheme, b, a, seed=0, epoch=1)
+        assert not np.array_equal(one.p_pred, one.p_repr)
+        assert np.array_equal(one.p_pred, two.p_repr)
+        assert np.array_equal(one.p_repr, two.p_pred)
 
     def test_records_carry_ground_truth(self) -> None:
         ds = generate_synthetic(20, 2, 0.0, 10.0, 0.1, seed=5)
@@ -337,7 +347,7 @@ class TestVectorizedMatchesScalarRules:
         repr_ = lambda x, f: self_agreement_repr(x, f, experts, STRIDE, banks, 5)  # noqa: E731
         winners = {"pred": pred_winners(scheme, passes, regress),
                    "repr": repr_winners(passes, sets, 5)}
-        outcome = select_clean(ds, STRIDE, scheme, passes, winners["repr"], regress, seed=0,
+        outcome = select_clean(ds, STRIDE, scheme, winners["pred"], winners["repr"], seed=0,
                                epoch=1)
         gates = {
             k: neighborhood_gate(self_agreement_matrix(STRIDE, winners[k]))

@@ -371,8 +371,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
                 # vote runs while it is.
                 if isinstance(ahead, tuple):
                     votes.submit(*ahead[1:])
-                outcome = select_clean(train, pairing, scheme, pred_winners(scheme, passes, regress),
-                                       winners, cfg.seed, epoch)
+                outcome = select_clean(train, scheme, pred_winners(scheme, passes, regress), winners, cfg.seed, epoch)
                 selected = outcome.combine(cfg.selection_combine)
                 record["n_pred"] = int(outcome.chosen_pred.sum())
                 record["n_repr"] = int(outcome.chosen_repr.sum())

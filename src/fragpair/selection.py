@@ -10,7 +10,7 @@ from .data import Dataset
 from .experts import Pair
 # Not called here; benchmark/tracing.py patches these names in this module.
 from .experts import knn_votes, pair_features, pair_logits, predict_label  # noqa: F401
-from .fragments import FragmentationScheme, Pairing
+from .fragments import FragmentationScheme
 from .rng import stream
 
 # Inverse-distance gate value at which the softmax is already effectively
@@ -41,17 +41,16 @@ def neighborhood_gate(self_matrix: np.ndarray) -> np.ndarray:
     return (s & ngb).astype(np.float64)
 
 
-def self_agreement_matrix(pairing: Pairing, winners: dict[Pair, np.ndarray]) -> np.ndarray:
+def self_agreement_matrix(winners: dict[Pair, np.ndarray], F: int) -> np.ndarray:
     """(n, F) self-agreement votes for every training row and fragment at once.
 
     ``winners`` holds each pair's vote per row, from its expert's output
     (``experts.pred_winners``) or K-NN in its features (``experts.knn_votes``):
     a row agrees with a fragment when its pair's vote names it.
     """
-    n = len(winners[pairing.pairs[0]])
-    votes = np.zeros((n, pairing.num_fragments))
-    for i, j in pairing.pairs:
-        winner = winners[(i, j)]
+    n = len(next(iter(winners.values())))
+    votes = np.zeros((n, F))
+    for (i, j), winner in winners.items():
         votes[:, i - 1] = winner == i
         votes[:, j - 1] = winner == j
     return votes
@@ -164,7 +163,6 @@ def bernoulli_select(
 
 def select_clean(
     ds: Dataset,
-    pairing: Pairing,
     scheme: FragmentationScheme,
     pred_winners: dict[Pair, np.ndarray],
     repr_winners: dict[Pair, np.ndarray],
@@ -178,7 +176,7 @@ def select_clean(
     K-NN in its features (``experts.knn_votes``).
     """
     rho = prior_rows(ds.y, scheme.means, scheme.label_range)
-    alpha_pred = neighborhood_gate(self_agreement_matrix(pairing, pred_winners))
-    alpha_repr = neighborhood_gate(self_agreement_matrix(pairing, repr_winners))
+    alpha_pred = neighborhood_gate(self_agreement_matrix(pred_winners, scheme.num_fragments))
+    alpha_repr = neighborhood_gate(self_agreement_matrix(repr_winners, scheme.num_fragments))
     p_pred, p_repr = (rho * alpha_pred).sum(axis=1), (rho * alpha_repr).sum(axis=1)
     return bernoulli_select(p_pred, p_repr, seed, epoch)

@@ -178,6 +178,35 @@ class TestNeighborhoodAgreement:
                 assert gate[row, f - 1] == neighborhood_agreement(f, self_m[row])
 
 
+class TestVotesNameTheirPairs:
+    """The pairs a vote dict names are the pairs it is read at, in any order."""
+
+    @staticmethod
+    def adjacent_votes(n: int, seed: int) -> dict:
+        # The adjacent pairing, its pairs inserted out of order.
+        rng = np.random.default_rng(seed)
+        return {pair: rng.choice([*pair, 0], n) for pair in ((3, 4), (1, 2))}
+
+    def test_each_pair_fills_its_own_two_columns(self) -> None:
+        votes = self.adjacent_votes(200, seed=1)
+        matrix = self_agreement_matrix(votes, 4)
+        for (i, j), winner in votes.items():
+            assert np.array_equal(matrix[:, i - 1], winner == i)
+            assert np.array_equal(matrix[:, j - 1], winner == j)
+        # Every column holds both agreement and disagreement.
+        assert np.all(matrix.min(axis=0) == 0.0) and np.all(matrix.max(axis=0) == 1.0)
+
+    def test_select_clean_ignores_insertion_order(self) -> None:
+        ds, scheme = fixture_scheme()
+        pred, repr_ = self.adjacent_votes(ds.n, seed=2), self.adjacent_votes(ds.n, seed=3)
+        one = select_clean(ds, scheme, pred, repr_, seed=0, epoch=1)
+        two = select_clean(ds, scheme, dict(reversed(pred.items())), dict(reversed(repr_.items())),
+                           seed=0, epoch=1)
+        for field in ("p_pred", "p_repr", "chosen_pred", "chosen_repr"):
+            assert np.array_equal(getattr(one, field), getattr(two, field))
+        assert 0 < len(one.selected_union) < ds.n
+
+
 class TestSelectionProbability:
     def test_all_agreements_one_gives_probability_one(self) -> None:
         rho = prior_rows(np.array([20.0]), np.array([12.5, 37.5, 62.5, 87.5]), 100.0)
@@ -269,7 +298,7 @@ class TestSelectCleanEndToEnd:
         for epoch in range(40):
             train_experts_epoch(experts, noisy, sets, None, lr=0.1, batch_size=32, seed=epoch)
         passes = build_feature_bank(experts, noisy)
-        outcome = select_clean(noisy, STRIDE, scheme, pred_winners(scheme, passes, False),
+        outcome = select_clean(noisy, scheme, pred_winners(scheme, passes, False),
                                repr_winners(passes, sets, 5), seed=0, epoch=9)
         corrupted = noisy.y != noisy.y_gt
         assert outcome.p_pred[~corrupted].mean() > outcome.p_pred[corrupted].mean() + 0.2
@@ -292,8 +321,8 @@ class TestSelectCleanEndToEnd:
         ds, scheme = fixture_scheme()
         rng = np.random.default_rng(3)
         a, b = ({pair: rng.choice([*pair, 0], ds.n) for pair in STRIDE.pairs} for _ in range(2))
-        one = select_clean(ds, STRIDE, scheme, a, b, seed=0, epoch=1)
-        two = select_clean(ds, STRIDE, scheme, b, a, seed=0, epoch=1)
+        one = select_clean(ds, scheme, a, b, seed=0, epoch=1)
+        two = select_clean(ds, scheme, b, a, seed=0, epoch=1)
         assert not np.array_equal(one.p_pred, one.p_repr)
         assert np.array_equal(one.p_pred, two.p_repr)
         assert np.array_equal(one.p_repr, two.p_pred)
@@ -347,10 +376,9 @@ class TestVectorizedMatchesScalarRules:
         repr_ = lambda x, f: self_agreement_repr(x, f, experts, STRIDE, banks, 5)  # noqa: E731
         winners = {"pred": pred_winners(scheme, passes, regress),
                    "repr": repr_winners(passes, sets, 5)}
-        outcome = select_clean(ds, STRIDE, scheme, winners["pred"], winners["repr"], seed=0,
-                               epoch=1)
+        outcome = select_clean(ds, scheme, winners["pred"], winners["repr"], seed=0, epoch=1)
         gates = {
-            k: neighborhood_gate(self_agreement_matrix(STRIDE, winners[k]))
+            k: neighborhood_gate(self_agreement_matrix(winners[k], scheme.num_fragments))
             for k in ("pred", "repr")
         }
         fragments = range(1, 5)

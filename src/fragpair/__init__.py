@@ -26,7 +26,7 @@ from .metrics import error_residual_ratio, mae, mrae, selection_rate
 from .net import Net, NetSpec, forward_batch, init_net, load_net, save_net
 from .net import train_epoch, train_step
 from .pipeline import (
-    RunResult,
+    Run,
     load_dataset,
     run_experiment,
     run_noise_free_reference,

@@ -15,7 +15,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .config import ConfigError, ExperimentConfig
 from .data import Dataset, generate_synthetic, load_csv, split_dataset
 from .data import inject_gaussian_noise, inject_symmetric_noise
 from .experts import (
-    Experts,
     KShrinkWarning,
     Pair,
     PairSets,
@@ -52,40 +51,18 @@ from .selection import SelectionOutcome, SelectionText, select_clean
 
 
 class PipelineError(RuntimeError):
-    """A stage failure, naming its ``epoch`` (0 before the first) and stage."""
+    """A stage failure: ``exc``, raised at ``stage`` of ``epoch`` (0 before the first), is its cause.
 
+    ``args`` holds the three, so that the error pickles, as from a ``multiprocessing.Pool`` worker.
+    """
 
-def _stage_error(epoch: int, stage: str, exc: Exception) -> PipelineError:
-    """The error for ``exc``, raised at ``stage`` of ``epoch`` and named its cause."""
-    error = PipelineError(f"epoch {epoch}, stage {stage}: {exc}")
-    error.epoch = epoch
-    error.__cause__ = exc
-    return error
+    def __init__(self, epoch: int, stage: str, exc: Exception) -> None:
+        super().__init__(epoch, stage, exc)
+        self.epoch = epoch
+        self.__cause__ = exc
 
-
-@dataclass
-class RunResult:
-    config: ExperimentConfig
-    pairing: Optional[Pairing]
-    history: list[dict] = field(default_factory=list)
-    out_dir: Optional[Path] = None
-    last_selection: Optional[SelectionOutcome] = None
-
-    @property
-    def final(self) -> dict:
-        return self.history[-1]
-
-    @property
-    def final_mae(self) -> float:
-        return self.final["mae"]
-
-    @property
-    def final_err(self) -> Optional[float]:
-        return self.final.get("err")
-
-    @property
-    def final_selection_rate(self) -> float:
-        return self.final["selection_rate"]
+    def __str__(self) -> str:
+        return "epoch {}, stage {}: {}".format(*self.args)
 
 
 def load_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -247,17 +224,17 @@ class _Votes:
         self.proc.close()
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) -> RunResult:
-    """Execute the full seeded loop; write the run directory when ``out_dir`` is given.
+@dataclass
+class Run:
+    """One seeded run of ``config``, iterated as a stream of its epochs.
 
-    The directory is written in run order: ``config.json`` and an empty
-    ``metrics.jsonl`` first, then each epoch's ``selection/epoch_NNNN.jsonl``
-    and metrics line, each file closed before the next epoch, and last
-    ``layout.json``, ``checkpoints/`` and ``summary.csv``.  A failed run keeps
-    ``config.json`` and the metrics lines and selection files of its finished
-    epochs.  A rerun into a used directory first deletes the files a run
-    writes there: ``selection/epoch_*.jsonl``, ``checkpoints/*.npz``,
-    ``layout.json`` and ``summary.csv``.
+    Iterating the run does the setup (data, fragments, pairing and nets;
+    then the run holds ``train``, ``test``, ``scheme``, ``experts``, None in
+    vanilla mode, and ``regressor``) and then the epochs.  It yields ``(record,
+    outcome)`` as each epoch finishes: the record it appends to
+    :attr:`history` and the epoch's ``SelectionOutcome``, None in vanilla
+    mode.  A failed stage raises ``PipelineError`` naming its epoch (0 in
+    the setup) and stage.  Iterate a run once.
 
     **Overlapped votes.**  The experts train on jittered fragments only, never
     on a selection, so epoch e's K-NN votes and epoch e+1's expert training
@@ -265,31 +242,178 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
     votes (``experts.knn_votes`` for every pair) are computed, this process
     does epoch e+1's jitter, pair sets, expert training and expert pass.  It
     then collects e's votes, hands over e+1's sets and pass with the run's K,
-    and finishes epoch e (selection, regressor, evaluation and e's files)
-    while e+1's votes are computed.  Where more than one CPU is usable
-    (``os.sched_getaffinity``), one worker process, forked for the run at its
-    first epoch and ended before it returns or raises, computes the votes;
-    otherwise this process computes them when it collects them.  Either way
-    the same ``_vote`` runs on the same inputs and its warnings are raised
-    again here, in the select stage, with one warning registry per epoch.
-    K is fitted to each bank inside the vote, and of the votes' warnings that
-    K was shrunk to fit a bank only the run's first is shown.  Vanilla runs
-    have no votes and no worker.  The bytes do not depend on where or when
-    the votes are computed: every random stream is counter-based, keyed by
-    epoch and pair, not by the order of draws.
+    and finishes and yields epoch e while e+1's votes are computed.  Where
+    more than one CPU is usable (``os.sched_getaffinity``), one worker
+    process, forked at the first epoch, computes the votes; it is ended when
+    the iteration ends, raises or is closed, so a consumer that stops early
+    (``contextlib.closing``) ends it at once.  Otherwise this process
+    computes them when it collects them.  Either way the same ``_vote`` runs
+    on the same inputs and its warnings are raised again here, in the select
+    stage, with one warning registry per epoch; of its warnings that K was
+    shrunk to fit a bank, only the run's first is shown.  Every random
+    stream is counter-based, keyed by epoch and pair, so the outputs do not
+    depend on where or when the votes are computed.  Vanilla runs have no
+    votes and no worker.
 
     Failures keep the order of one epoch after another.  A failure of epoch
-    e+1's expert half waits until epoch e is finished, then raises naming
+    e+1's expert half waits until epoch e is yielded, then raises naming
     epoch e+1 and its stage.  A failure while finishing epoch e names epoch e,
     and e+1's work is dropped.  A vote that fails or a worker that dies names
-    its epoch, stage ``select``: a worker that is gone when e+1's pass is
-    handed over is reported when e+1's votes are collected.  Ctrl-C or an
-    error while the run waits for a vote ends the worker at once.
+    its epoch, stage ``select``, when that epoch's votes are collected.
+    Ctrl-C or an error while the run waits for a vote ends the worker at once.
     """
-    stage = "artifacts"
-    epoch = 0
-    out_dir = Path(out_dir) if out_dir is not None else None
-    votes: Optional[_Votes] = None
+
+    config: ExperimentConfig
+    pairing: Optional[Pairing] = None
+    history: list[dict] = field(default_factory=list)
+    # The directory run_experiment writes, if any.
+    out_dir: Optional[Path] = None
+    last_selection: Optional[SelectionOutcome] = None
+
+    @property
+    def final(self) -> dict:
+        return self.history[-1]
+
+    @property
+    def final_mae(self) -> float:
+        return self.final["mae"]
+
+    @property
+    def final_err(self) -> Optional[float]:
+        return self.final.get("err")
+
+    @property
+    def final_selection_rate(self) -> float:
+        return self.final["selection_rate"]
+
+    def __iter__(self) -> Iterator[tuple[dict, Optional[SelectionOutcome]]]:
+        cfg = self.config
+        stage = "prepare"
+        epoch = 0
+        votes: Optional[_Votes] = None
+        try:
+            self.train, self.test = train, test = prepare_splits(cfg)
+            eval_targets = test.y_gt if test.y_gt is not None else test.y
+
+            stage = "fragment"
+            self.scheme = scheme = fragment_labels(train, cfg.fragments)
+            lo, span = scheme.label_min, scheme.label_range
+            norm_targets = (train.y - lo) / span
+            self.experts = experts = None
+            # Regression experts regress the regressor's own targets.
+            regress = cfg.mode == "select_regr"
+            expert_labels = norm_targets if regress else None
+            if cfg.mode != "vanilla":
+                stage = "pairing"
+                empty = [str(f) for f in np.flatnonzero(scheme.counts == 0) + 1]
+                if empty:
+                    raise FragmentationError(
+                        f"empty fragment {', '.join(empty)}: every pair expert needs both its fragments"
+                    )
+                if cfg.pairing_override is not None:
+                    self.pairing = Pairing(pairs=cfg.pairing_override)
+                else:
+                    self.pairing = select_contrastive_pairing(fragment_edge_weights(train, scheme))
+                self.experts = experts = init_ensemble(self.pairing, input_dim=train.d, **cfg.expert_net,
+                                                       seed=derive_seed(cfg.seed, "experts"))
+
+            self.regressor = reg = init_net(NetSpec(input_dim=train.d, **cfg.regressor_net,
+                                                    seed=derive_seed(cfg.seed, "regressor")))
+
+            # Epoch e's expert half: its record begun, pair sets and expert pass, or the
+            # PipelineError naming e and its stage, raised only when epoch e comes.
+            def expert_half(e: int) -> tuple[dict, PairSets, Passes] | PipelineError:
+                at = "jitter"
+                try:
+                    js = jitter_scheme(scheme, cfg.jitter, cfg.seed, e)
+                    record = {"epoch": e, "jitter_delta": js.delta}
+                    at = "train_experts"
+                    sets = pair_sets(self.pairing, js, train.y)
+                    losses = train_experts_epoch(experts, train, sets, expert_labels, cfg.expert_lr,
+                                                 cfg.batch_size, derive_seed(cfg.seed, "expert_epoch", e))
+                    record["expert_loss"] = float(np.mean(list(losses.values())))
+                    at = "build_banks"
+                    return record, sets, build_feature_bank(experts, train)
+                except Exception as exc:
+                    return PipelineError(e, at, exc)
+
+            ahead = expert_half(1) if experts is not None else None
+
+            for epoch in range(1, cfg.epochs + 1):
+                if experts is None:
+                    record: dict = {"epoch": epoch}
+                    selected = np.arange(train.n)
+                else:
+                    if isinstance(ahead, PipelineError):
+                        raise ahead
+                    record, sets, passes = ahead
+                    stage = "select"
+                    if votes is None:
+                        votes = _Votes(cfg.knn_k)
+                        votes.submit(sets, passes)
+                    # The next epoch's expert half, done while this epoch's votes are.
+                    ahead = expert_half(epoch + 1) if epoch < cfg.epochs else None
+                    winners = votes.collect()
+                    # Handed over before this epoch is finished, so that the next
+                    # vote runs while it is.
+                    if isinstance(ahead, tuple):
+                        votes.submit(*ahead[1:])
+                    self.last_selection = outcome = select_clean(
+                        train, scheme, pred_winners(scheme, passes, regress), winners, cfg.seed, epoch)
+                    selected = outcome.combine(cfg.selection_combine)
+                    record["n_pred"] = int(outcome.chosen_pred.sum())
+                    record["n_repr"] = int(outcome.chosen_repr.sum())
+
+                record["n_selected"] = int(len(selected))
+
+                stage = "train_regressor"
+                if len(selected) == 0:
+                    warnings.warn(f"epoch {epoch}: empty selection, regressor skips the epoch")
+                else:
+                    shuffle = stream(derive_seed(cfg.seed, "regressor_epoch", epoch), "regressor_shuffle")
+                    order = shuffle.permutation(len(selected))
+                    record["regressor_loss"] = train_epoch(
+                        reg, train.x, norm_targets, selected[order], "mse",
+                        cfg.regressor_lr, cfg.batch_size,
+                    )
+
+                stage = "evaluate"
+                out, _ = forward_batch(reg, test.x)
+                record["mae"] = mae(lo + out * span, eval_targets)
+                record["selection_rate"] = selection_rate(selected, train)
+                # Undefined metrics stay absent from the record.
+                err = error_residual_ratio(selected, train) if train.y_gt is not None else None
+                if err is not None:
+                    record["err"] = err
+                if cfg.reference_rho is not None:
+                    record["mrae"] = mrae(record["mae"], cfg.reference_rho)
+                self.history.append(record)
+                # This epoch's outcome in paired modes, None in vanilla mode.
+                yield record, self.last_selection
+        except PipelineError:
+            raise
+        except Exception as exc:
+            raise PipelineError(epoch, stage, exc)
+        finally:
+            if votes is not None:
+                votes.close()
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) -> Run:
+    """Run ``cfg`` (:class:`Run`) to its end; write the run directory when ``out_dir`` is given.
+
+    The directory is written in run order: ``config.json`` and an empty
+    ``metrics.jsonl`` first; then, after each epoch finishes, its
+    ``selection/epoch_NNNN.jsonl`` and its metrics line, each file closed
+    before the next epoch is finished; last ``layout.json``,
+    ``checkpoints/`` and ``summary.csv``.  So a failed run keeps
+    ``config.json`` and the files of its finished epochs only.  A rerun into
+    a used directory first deletes the files a run writes there:
+    ``selection/epoch_*.jsonl``, ``checkpoints/*.npz``, ``layout.json`` and
+    ``summary.csv``.  A failed write names stage ``artifacts``.
+    """
+    run = Run(cfg, out_dir=Path(out_dir) if out_dir is not None else None)
+    out_dir = run.out_dir
     try:
         if out_dir is not None:
             (out_dir / "selection").mkdir(parents=True, exist_ok=True)
@@ -299,145 +423,40 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
             config_text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
             (out_dir / "config.json").write_text(config_text)
             (out_dir / "metrics.jsonl").write_text("")
-
-        stage = "prepare"
-        train, test = prepare_splits(cfg)
-        eval_targets = test.y_gt if test.y_gt is not None else test.y
-
-        stage = "fragment"
-        scheme = fragment_labels(train, cfg.fragments)
-        lo, span = scheme.label_min, scheme.label_range
-        norm_targets = (train.y - lo) / span
-        pairing: Optional[Pairing] = None
-        experts: Optional[Experts] = None
-        # Regression experts regress the regressor's own targets.
-        regress = cfg.mode == "select_regr"
-        expert_labels = norm_targets if regress else None
-        if cfg.mode != "vanilla":
-            stage = "pairing"
-            empty = [str(f) for f in np.flatnonzero(scheme.counts == 0) + 1]
-            if empty:
-                raise FragmentationError(
-                    f"empty fragment {', '.join(empty)}: every pair expert needs both its fragments"
-                )
-            if cfg.pairing_override is not None:
-                pairing = Pairing(pairs=cfg.pairing_override)
-            else:
-                pairing = select_contrastive_pairing(fragment_edge_weights(train, scheme))
-            experts = init_ensemble(pairing, input_dim=train.d, **cfg.expert_net,
-                                    seed=derive_seed(cfg.seed, "experts"))
-
-        reg = init_net(NetSpec(input_dim=train.d, **cfg.regressor_net,
-                               seed=derive_seed(cfg.seed, "regressor")))
-
-        result = RunResult(config=cfg, pairing=pairing, out_dir=out_dir)
-        selection_text = SelectionText(train) if out_dir is not None and experts is not None else None
-
-        # Epoch e's expert half: its record begun, pair sets and expert pass, or the
-        # PipelineError naming e and its stage, raised only when epoch e comes.
-        def expert_half(e: int) -> tuple[dict, PairSets, Passes] | PipelineError:
-            at = "jitter"
-            try:
-                js = jitter_scheme(scheme, cfg.jitter, cfg.seed, e)
-                record = {"epoch": e, "jitter_delta": js.delta}
-                at = "train_experts"
-                sets = pair_sets(pairing, js, train.y)
-                losses = train_experts_epoch(experts, train, sets, expert_labels, cfg.expert_lr,
-                                             cfg.batch_size, derive_seed(cfg.seed, "expert_epoch", e))
-                record["expert_loss"] = float(np.mean(list(losses.values())))
-                at = "build_banks"
-                return record, sets, build_feature_bank(experts, train)
-            except Exception as exc:
-                return _stage_error(e, at, exc)
-
-        ahead = expert_half(1) if experts is not None else None
-
-        for epoch in range(1, cfg.epochs + 1):
-            if experts is None:
-                record: dict = {"epoch": epoch}
-                selected = np.arange(train.n)
-            else:
-                if isinstance(ahead, PipelineError):
-                    raise ahead
-                record, sets, passes = ahead
-                stage = "select"
-                if votes is None:
-                    votes = _Votes(cfg.knn_k)
-                    votes.submit(sets, passes)
-                # The next epoch's expert half, done while this epoch's votes are.
-                ahead = expert_half(epoch + 1) if epoch < cfg.epochs else None
-                winners = votes.collect()
-                # Handed over before this epoch is finished, so that the next
-                # vote runs while it is.
-                if isinstance(ahead, tuple):
-                    votes.submit(*ahead[1:])
-                outcome = select_clean(train, scheme, pred_winners(scheme, passes, regress), winners, cfg.seed, epoch)
-                selected = outcome.combine(cfg.selection_combine)
-                record["n_pred"] = int(outcome.chosen_pred.sum())
-                record["n_repr"] = int(outcome.chosen_repr.sum())
-                result.last_selection = outcome
-                if selection_text is not None:
-                    stage = "artifacts"
-                    path = out_dir / "selection" / f"epoch_{epoch:04d}.jsonl"
-                    path.write_text(selection_text.text(outcome))
-
-            record["n_selected"] = int(len(selected))
-
-            stage = "train_regressor"
-            if len(selected) == 0:
-                warnings.warn(f"epoch {epoch}: empty selection, regressor skips the epoch")
-            else:
-                shuffle = stream(derive_seed(cfg.seed, "regressor_epoch", epoch), "regressor_shuffle")
-                order = shuffle.permutation(len(selected))
-                record["regressor_loss"] = train_epoch(
-                    reg, train.x, norm_targets, selected[order], "mse",
-                    cfg.regressor_lr, cfg.batch_size,
-                )
-
-            stage = "evaluate"
-            out, _ = forward_batch(reg, test.x)
-            record["mae"] = mae(lo + out * span, eval_targets)
-            record["selection_rate"] = selection_rate(selected, train)
-            # Undefined metrics stay absent from the record.
-            err = error_residual_ratio(selected, train) if train.y_gt is not None else None
-            if err is not None:
-                record["err"] = err
-            if cfg.reference_rho is not None:
-                record["mrae"] = mrae(record["mae"], cfg.reference_rho)
-            result.history.append(record)
-            if out_dir is not None:
-                stage = "artifacts"
-                with (out_dir / "metrics.jsonl").open("a") as fh:
-                    fh.write(json.dumps(record) + "\n")
-
+        selection_text = None
+        with contextlib.closing(iter(run)) as epochs:
+            for record, outcome in epochs:
+                if out_dir is not None:
+                    if outcome is not None:
+                        selection_text = selection_text or SelectionText(run.train)
+                        path = out_dir / "selection" / f"epoch_{record['epoch']:04d}.jsonl"
+                        path.write_text(selection_text.text(outcome))
+                    with (out_dir / "metrics.jsonl").open("a") as fh:
+                        fh.write(json.dumps(record) + "\n")
         if out_dir is not None:
-            stage = "artifacts"
-            layout: dict = {"fragmentation": scheme.to_json()}
-            if pairing is not None:
-                layout["pairing"] = pairing.to_json()
-                layout["jitter_deltas"] = [rec.get("jitter_delta") for rec in result.history]
+            layout: dict = {"fragmentation": run.scheme.to_json()}
+            if run.pairing is not None:
+                layout["pairing"] = run.pairing.to_json()
+                layout["jitter_deltas"] = [rec.get("jitter_delta") for rec in run.history]
             (out_dir / "layout.json").write_text(json.dumps(layout, indent=2, sort_keys=True))
             ckpt_dir = out_dir / "checkpoints"
             ckpt_dir.mkdir(exist_ok=True)
-            save_net(reg, ckpt_dir / "regressor.npz")
-            if experts is not None:
-                for (i, j), net in experts.items():
-                    save_net(net, ckpt_dir / f"expert_{i}_{j}.npz")
+            save_net(run.regressor, ckpt_dir / "regressor.npz")
+            for (i, j), net in (run.experts or {}).items():
+                save_net(net, ckpt_dir / f"expert_{i}_{j}.npz")
             with (out_dir / "summary.csv").open("w", newline="") as fh:
-                write_summary_csv(fh, [summary_row(cfg, result.final)])
-        return result
+                write_summary_csv(fh, [summary_row(cfg, run.final)])
+        return run
     except PipelineError:
         raise
     except Exception as exc:
-        raise _stage_error(epoch, stage, exc)
-    finally:
-        if votes is not None:
-            votes.close()
+        # Each write names the epoch of the last record made: 0 before the first.
+        raise PipelineError(len(run.history), "artifacts", exc)
 
 
 def run_noise_free_reference(
     cfg: ExperimentConfig, out_dir: Optional[str | Path] = None
-) -> tuple[float, RunResult]:
+) -> tuple[float, Run]:
     """Run the noise-free reference derived from ``cfg``; returns its held-out MAE.
 
     The reference is a config of its own: ``cfg`` in vanilla mode with no

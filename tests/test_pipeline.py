@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import json
@@ -26,6 +27,7 @@ from fragpair.metrics import mae, mrae
 from fragpair.net import forward_batch, load_net
 from fragpair.pipeline import (
     PipelineError,
+    Run,
     prepare_splits,
     run_experiment,
     run_noise_free_reference,
@@ -367,6 +369,13 @@ class TestRunExperiment:
         )
         last = result.out_dir / "selection" / f"epoch_{cfg.epochs:04d}.jsonl"
         assert last.read_text() == expected
+        # Every epoch's file holds the outcome that the stream yields for it.
+        epochs = 0
+        for record, outcome in Run(cfg):
+            path = result.out_dir / "selection" / f"epoch_{record['epoch']:04d}.jsonl"
+            assert path.read_text() == "".join(json.dumps(r) + "\n" for r in outcome.records(train))
+            epochs += 1
+        assert epochs == len(list((result.out_dir / "selection").iterdir())) == cfg.epochs
 
     def test_empty_selection_skips_the_regressor_epoch(self, tmp_path, monkeypatch, capsys) -> None:
         def nothing_picked_at_epoch_2(*args, **kwargs):
@@ -484,7 +493,7 @@ class TestRunExperiment:
                 assert ExperimentConfig.from_file(tmp_path / "run" / "config.json") == cfg
                 raise
 
-    def test_final_artifact_failure_names_the_artifacts_stage(self, tmp_path, monkeypatch) -> None:
+    def test_final_artifact_failure_names_the_artifacts_stage(self, tmp_path, monkeypatch, cpus) -> None:
         def disk_full(*args, **kwargs):
             raise OSError("disk full")
 
@@ -515,6 +524,24 @@ class TestRunExperiment:
                     run_experiment(small_config(epochs=2), out_dir=run)
             assert len((run / "metrics.jsonl").read_text().splitlines()) == lines
             assert len(list((run / "selection").iterdir())) == files
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_failed_paired_run_writes_no_file_of_its_failed_epoch(self, tmp_path, monkeypatch) -> None:
+        # The regressor diverges in epoch 1, or its epoch 2 fails; either way
+        # that epoch's selection was drawn before the failure.
+        cases = [(small_config(regressor_lr=1e200), 1), (small_config(), 2)]
+        for cfg, failed in cases:
+            run = tmp_path / f"run{failed}"
+            with monkeypatch.context() as patch:
+                if failed == 2:
+                    fail_on_call(patch, "train_epoch", 2)
+                with pytest.raises(PipelineError, match=f"^epoch {failed}, stage train_regressor: "):
+                    run_experiment(cfg, out_dir=run)
+            lines = (run / "metrics.jsonl").read_text().splitlines()
+            assert [json.loads(line)["epoch"] for line in lines] == list(range(1, failed))
+            assert sorted(path.name for path in (run / "selection").iterdir()) == [
+                f"epoch_{e:04d}.jsonl" for e in range(1, failed)]
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_rerun_leaves_no_file_of_the_run_before(self, tmp_path) -> None:
@@ -536,6 +563,21 @@ class TestRunExperiment:
                                     "feature_cols": ["a"], "label_col": "label"})
         with pytest.raises(PipelineError, match="stage prepare"):
             run_experiment(cfg)
+
+    def test_failure_in_a_pool_worker_reaches_the_caller(self) -> None:
+        from fragpair.data import DataError
+
+        raw = small_config(dataset={"kind": "csv", "path": "missing.csv",
+                                    "feature_cols": ["a"], "label_col": "label"}).to_dict()
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            # A failure that cannot cross back would leave the pool waiting.
+            with pytest.raises(PipelineError,
+                               match="^epoch 0, stage prepare: no such file: missing.csv$") as caught:
+                pool.apply_async(run_history, (raw,)).get(timeout=60)
+        # The pool chains the worker's traceback as the cause; the args keep the error's own.
+        epoch, stage, cause = caught.value.args
+        assert (caught.value.epoch, epoch, stage) == (0, 0, "prepare")
+        assert isinstance(cause, DataError)
 
     @pytest.mark.filterwarnings("ignore:fragment .* is empty")
     @pytest.mark.parametrize("seed, fragment", [(0, 4), (2, 4), (4, 7)])
@@ -697,6 +739,19 @@ class TestOverlappedVotes:
                            "exited with code -9$"):
             run_experiment(small_config())
         assert multiprocessing.active_children() == []
+
+    def test_breaking_out_of_the_stream_ends_the_worker(self, monkeypatch) -> None:
+        monkeypatch.setattr(fragpair.pipeline, "_usable_cpus", lambda: 2)
+        cfg = small_config(epochs=4)
+        run = Run(cfg)
+        with contextlib.closing(iter(run)) as epochs:
+            for record, _ in epochs:
+                if record["epoch"] == 2:
+                    # Epoch 3's vote is in flight.
+                    assert len(multiprocessing.active_children()) == 1
+                    break
+        assert multiprocessing.active_children() == []
+        assert run.history == run_experiment(cfg).history[:2]
 
     def test_a_daemonic_process_votes_in_its_own_process(self, monkeypatch) -> None:
         # A Pool worker is daemonic and may not start children, so its run

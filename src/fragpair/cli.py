@@ -63,7 +63,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if args.with_reference and cfg.reference_rho is None:
-        rho, _ = run_noise_free_reference(cfg)
+        rho = run_noise_free_reference(cfg).final_mae
         cfg = cfg.replace(reference_rho=rho)
         print(f"noise-free reference MAE: {rho:.6g}")
     out_dir = Path(args.out_dir or f"runs/{cfg.mode}_{cfg.config_hash()}_s{cfg.seed}")
@@ -80,7 +80,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_reference(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    rho, _ = run_noise_free_reference(cfg, out_dir=args.out_dir or None)
+    rho = run_noise_free_reference(cfg, out_dir=args.out_dir or None).final_mae
     print(f"noise-free reference MAE: {rho:.6g}")
     return 0
 

@@ -234,7 +234,9 @@ class Run:
     outcome)`` as each epoch finishes: the record it appends to
     :attr:`history` and the epoch's ``SelectionOutcome``, None in vanilla
     mode.  A failed stage raises ``PipelineError`` naming its epoch (0 in
-    the setup) and stage.  Iterate a run once.
+    the setup) and stage.  Each iteration starts a fresh ``history``, and
+    every random stream is keyed by seed and epoch, so iterating a run again
+    is the same run again.
 
     **Overlapped votes.**  The experts train on jittered fragments only, never
     on a selection, so epoch e's K-NN votes and epoch e+1's expert training
@@ -291,6 +293,7 @@ class Run:
         stage = "prepare"
         epoch = 0
         votes: Optional[_Votes] = None
+        self.history, self.last_selection = [], None
         try:
             self.train, self.test = train, test = prepare_splits(cfg)
             eval_targets = test.y_gt if test.y_gt is not None else test.y
@@ -454,14 +457,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) 
         raise PipelineError(len(run.history), "artifacts", exc)
 
 
-def run_noise_free_reference(
-    cfg: ExperimentConfig, out_dir: Optional[str | Path] = None
-) -> tuple[float, Run]:
-    """Run the noise-free reference derived from ``cfg``; returns its held-out MAE.
+def run_noise_free_reference(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) -> Run:
+    """Run the noise-free reference derived from ``cfg`` to its end; returns its :class:`Run`.
 
     The reference is a config of its own: ``cfg`` in vanilla mode with no
     noise and no ``reference_rho``, and a csv source reads its labels from
-    ``gt_col``.  So its ``config.json`` reruns it.  Its MAE is the
+    ``gt_col``.  So its ``config.json`` reruns it.  Its ``final_mae`` is the
     denominator of relative-error reporting.
     """
     dataset = cfg.dataset
@@ -470,5 +471,4 @@ def run_noise_free_reference(
             raise ConfigError("dataset.gt_col: required for the noise-free reference of a csv source")
         dataset = dict(dataset, label_col=dataset["gt_col"])
     ref_cfg = cfg.replace(mode="vanilla", noise=None, reference_rho=None, dataset=dataset)
-    result = run_experiment(ref_cfg, out_dir=out_dir)
-    return result.final_mae, result
+    return run_experiment(ref_cfg, out_dir=out_dir)

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,7 +199,7 @@ class TestPairingComparison:
         capsys.readouterr()
         assert main(["report", "--runs", *map(str, runs)]) == 0
         header, *rows = csv.reader(capsys.readouterr().out.splitlines())
-        assert len(rows) == 2
+        assert header[0] == "config_hash" and len(rows) == 2
         column = {name: k for k, name in enumerate(header)}
         assert rows[0][column["config_hash"]] != rows[1][column["config_hash"]]
         for run, row, pairing in zip(runs, rows, ([[1, 3], [2, 4]], [[1, 2], [3, 4]])):
@@ -288,8 +293,15 @@ class TestInputErrors:
         assert text.startswith(f"fragpair {argv[0]}: ") and "\n" not in text
         assert message in text
 
-    def test_set_to_an_invalid_value(self) -> None:
-        self.exits_naming(["run", "--set", "knn_k=4"], "fragpair run: knn_k: ")
+    @pytest.mark.parametrize("assignment, named", [
+        ("knn_k=4", "knn_k: "),
+        ("expert_net.hidden_dims=[]", "expert_net: "),
+        ("regressor_net.activation=gelu", "regressor_net: "),
+        ('dataset={"kind": "csv", "path": "two.csv", "feature_cols": ["x0", "label"]}',
+         "dataset.feature_cols: "),
+    ], ids=["knn_k", "expert_net", "regressor_net", "feature_cols"])
+    def test_set_to_an_invalid_value(self, assignment, named) -> None:
+        self.exits_naming(["run", "--set", assignment], f"fragpair run: {named}")
 
     def test_missing_config_file(self, tmp_path) -> None:
         missing = str(tmp_path / "missing.json")
@@ -310,9 +322,10 @@ class TestInputErrors:
         data = tmp_path / "latin.csv"
         data.write_bytes(b"x0,x1,label\n0.1,0.5,1\n0.2,\xff,2\n")
         argv = [command, *set_flag("dataset", csv_source(data, gt_col=None))]
+        stage = "epoch 0, stage prepare: " if command == "run" else ""
         if command == "generate":
             argv += ["--out", str(tmp_path / "out.csv")]
-        self.exits_naming(argv, f"{data}: not UTF-8 text: invalid start byte")
+        self.exits_naming(argv, f"{stage}{data}: not UTF-8 text: invalid start byte")
 
     def test_generate_with_no_samples(self, tmp_path) -> None:
         argv = ["generate", *synthetic(0), "--out", str(tmp_path / "d.csv")]
@@ -337,11 +350,14 @@ class TestInputErrors:
         self.exits_naming(["run", "--config", str(listed), "--set", "seed=3"],
                           "fragpair run: config: must be an object")
 
+    @pytest.mark.parametrize("gt_col", [{}, {"gt_col": None}, {"gt_col": ""}],
+                             ids=["absent", "null", "empty"])
     @pytest.mark.parametrize("command", [["reference"], ["run", "--with-reference"]])
-    def test_reference_of_a_csv_without_ground_truth(self, tmp_path, command) -> None:
+    def test_reference_of_a_csv_without_ground_truth(self, tmp_path, command, gt_col) -> None:
         data = tmp_path / "two.csv"
         data.write_text("x0,x1,label\n0.1,0.5,1\n0.2,0.6,2\n")
-        argv = [*command, *set_flag("dataset", csv_source(data, gt_col=None)), "--out-dir", "r"]
+        source = {"kind": "csv", "path": str(data), "feature_cols": default_feature_cols(2), **gt_col}
+        argv = [*command, *set_flag("dataset", source), "--out-dir", "r"]
         self.exits_naming(argv, f"fragpair {command[0]}: dataset.gt_col: ")
         assert not (tmp_path / "r").exists()
 
@@ -441,3 +457,49 @@ def test_set_without_an_equals_sign(assignment) -> None:
     with pytest.raises(SystemExit) as exc:
         main(["run", "--set", assignment])
     assert exc.value.code == f"fragpair run: --set expects key=value, got {assignment!r}"
+
+
+def fragpair_process(*argv: str, python_flags: tuple[str, ...] = (),
+                     **popen) -> subprocess.CompletedProcess:
+    """``python <python_flags> -m fragpair.cli <argv>`` in a child process that
+    imports this fragpair; its output is captured as text."""
+    paths = [str(Path(fragpair.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, *python_flags, "-m", "fragpair.cli", *argv],
+                          env=env, capture_output=True, text=True, **popen)
+
+
+class TestAsAProgram:
+    """What only the program's own process shows: its warnings under
+    ``python -W error``, its exit status and its stderr."""
+
+    @pytest.mark.parametrize("one_cpu", [False, True], ids=["worker", "one_cpu"])
+    @pytest.mark.parametrize("mode", ["select", "select_regr"])
+    def test_a_paired_run_raises_no_warning(self, mode, one_cpu) -> None:
+        preexec_fn = None
+        if one_cpu:
+            if not hasattr(os, "sched_setaffinity"):
+                pytest.skip("os.sched_setaffinity is absent")
+            cpu = min(os.sched_getaffinity(0))
+            preexec_fn = functools.partial(os.sched_setaffinity, 0, {cpu})
+        done = fragpair_process("run", "--set", f"mode={mode}", "--set", "dataset.n=400",
+                                "--set", "epochs=3", "--out-dir", "r",
+                                python_flags=("-W", "error"), preexec_fn=preexec_fn)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert len(Path("r/metrics.jsonl").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["run", "--set", "knn_k=4"], "fragpair run: knn_k: "),
+        (["run", *set_flag("dataset", {"kind": "csv", "path": "missing.csv", "feature_cols": ["x0"]}),
+          "--out-dir", "r"], "fragpair run: epoch 0, stage prepare: no such file: missing.csv"),
+        (["report", "--runs", "odd"], "fragpair report: odd/metrics.jsonl: line 3 is not an epoch record"),
+    ], ids=["invalid_value", "missing_data", "not_an_epoch_record"])
+    def test_bad_input_exits_1_with_one_named_line(self, tmp_path, argv, prefix) -> None:
+        if argv[0] == "report":
+            main(["run", "--config", small_config_file(tmp_path), "--out-dir", "odd"])
+            with open("odd/metrics.jsonl", "a") as fh:
+                fh.write('{"epoch": 3}\n')
+        done = fragpair_process(*argv)
+        lines = done.stderr.splitlines()
+        assert done.returncode == 1 and len(lines) == 1 and lines[0].startswith(prefix), done.stderr
+        assert "Traceback" not in done.stderr

@@ -377,6 +377,14 @@ class TestRunExperiment:
             epochs += 1
         assert epochs == len(list((result.out_dir / "selection").iterdir())) == cfg.epochs
 
+    @pytest.mark.parametrize("mode", ["vanilla", "select"])
+    def test_iterating_a_run_again_is_the_same_run(self, mode) -> None:
+        run = Run(small_config(mode=mode, epochs=2))
+        first = [record for record, _ in run]
+        second = [record for record, _ in run]
+        assert second == first and [record["epoch"] for record in first] == [1, 2]
+        assert run.history == second
+
     def test_empty_selection_skips_the_regressor_epoch(self, tmp_path, monkeypatch, capsys) -> None:
         def nothing_picked_at_epoch_2(*args, **kwargs):
             outcome = select_clean(*args, **kwargs)
@@ -857,7 +865,8 @@ class TestNoiseFreeBehavior:
 class TestReferenceRun:
     def test_reference_equals_vanilla_on_ground_truth(self) -> None:
         cfg = small_config(epochs=5)
-        rho, ref = run_noise_free_reference(cfg)
+        ref = run_noise_free_reference(cfg)
+        rho = ref.final_mae
         again = run_experiment(cfg.replace(mode="vanilla", noise=None))
         assert ref.config == cfg.replace(mode="vanilla", noise=None)
         assert rho == again.final_mae
@@ -866,7 +875,7 @@ class TestReferenceRun:
 
     def test_reference_feeds_relative_error(self) -> None:
         cfg = small_config(epochs=4)
-        rho, _ = run_noise_free_reference(cfg)
+        rho = run_noise_free_reference(cfg).final_mae
         result = run_experiment(cfg.replace(reference_rho=rho))
         for record in result.history:
             assert record["mrae"] == pytest.approx(record["mae"] / rho - 1.0)
@@ -915,7 +924,7 @@ class TestReferenceRun:
             dataset={"kind": "csv", "path": str(path), "feature_cols": ["a"], "gt_col": "gt"},
             noise=None, epochs=2,
         )
-        _, ref = run_noise_free_reference(cfg)
+        ref = run_noise_free_reference(cfg)
         assert ref.config.dataset["label_col"] == "gt"
         train, _ = prepare_splits(ref.config)
         assert np.array_equal(train.y, train.y_gt)
@@ -930,6 +939,6 @@ class TestSplitsPreparation:
         assert 0.25 < corrupted < 0.55
 
     def test_ground_truth_mode_strips_noise(self) -> None:
-        _, ref = run_noise_free_reference(small_config(epochs=1))
+        ref = run_noise_free_reference(small_config(epochs=1))
         train, test = prepare_splits(ref.config)
         assert np.array_equal(train.y, train.y_gt)
